@@ -37,16 +37,18 @@ int main() {
     core::GannsParams params;
     params.k = kK;
     params.l_n = 64;
-    core::GannsSearchStats stats;
+    double redundant = 0;
+    double distances = 0;
     for (std::size_t q = 0; q < workload.queries.size(); ++q) {
       gpusim::BlockContext block(0, 32, 48 * 1024, &device.spec().cost);
+      core::GannsQueryProfile profile;
       core::GannsSearchOne(block, nsw, workload.base,
                            workload.queries.Point(static_cast<VertexId>(q)),
-                           params, 0, &stats);
+                           params, 0, &profile);
+      redundant += profile.redundant_distances;
+      distances += profile.distance_computations;
     }
-    const double redundancy =
-        static_cast<double>(stats.redundant_distances) /
-        static_cast<double>(stats.distance_computations);
+    const double redundancy = redundant / distances;
 
     const auto lazy = bench::MeasureGanns(device, nsw, workload, params, kK);
     core::GannsParams no_check = params;

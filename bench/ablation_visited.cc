@@ -40,18 +40,19 @@ int main() {
       params.visited = kind;
       const auto point = bench::MeasureSong(device, nsw, workload, params, kK);
 
-      // Distance volume from a stats pass over the same queries.
-      song::SongSearchStats stats;
+      // Distance volume from a profiled pass over the same queries.
+      double distances = 0;
       for (std::size_t q = 0; q < workload.queries.size(); ++q) {
         gpusim::BlockContext block(0, 32, 48 * 1024, &device.spec().cost);
+        song::SongQueryProfile profile;
         song::SongSearchOne(block, nsw, workload.base,
                             workload.queries.Point(static_cast<VertexId>(q)),
-                            params, 0, &stats);
+                            params, 0, &profile);
+        distances += profile.distance_computations;
       }
       std::printf("%-10s %-12s %8.3f %12.0f %16.1f\n", dataset,
                   song::VisitedKindName(kind), point.recall, point.qps,
-                  static_cast<double>(stats.distance_computations) /
-                      static_cast<double>(workload.queries.size()));
+                  distances / static_cast<double>(workload.queries.size()));
     }
   }
   return 0;

@@ -41,7 +41,7 @@ Row RunPoint(gpusim::Device& device, const graph::ProximityGraph& nsw,
              const data::SearchQuantization* quant) {
   const graph::BatchSearchResult batch = core::GannsSearchBatch(
       device, nsw, workload.base, workload.queries, params, 32, 0, nullptr,
-      quant);
+      {quant});
   Row row;
   row.recall = data::MeanRecall(batch.results, workload.truth, kK);
   row.sim_qps = batch.qps;

@@ -87,7 +87,11 @@ void ThreadPool::ParallelFor(std::size_t n,
   const std::size_t num_helpers =
       std::min(threads_.size(), (n + chunk - 1) / chunk);
   helper_tasks_.fetch_add(num_helpers, std::memory_order_relaxed);
-  std::atomic<std::size_t> live{num_helpers};
+  // `live`, `done_mutex` and `done_cv` live on this stack frame, so a helper
+  // must finish touching them before the caller can see live == 0: it
+  // decrements and notifies under `done_mutex`, which the caller's wait
+  // reacquires before returning.
+  std::size_t live = num_helpers;
   std::mutex done_mutex;
   std::condition_variable done_cv;
   {
@@ -95,10 +99,8 @@ void ThreadPool::ParallelFor(std::size_t n,
     for (std::size_t h = 0; h < num_helpers; ++h) {
       tasks_.push([&] {
         drain();
-        if (live.fetch_sub(1) == 1) {
-          std::lock_guard<std::mutex> done_lock(done_mutex);
-          done_cv.notify_one();
-        }
+        std::lock_guard<std::mutex> done_lock(done_mutex);
+        if (--live == 0) done_cv.notify_one();
       });
     }
   }
@@ -107,7 +109,7 @@ void ThreadPool::ParallelFor(std::size_t n,
   drain();  // the caller works too instead of blocking immediately
 
   std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return live.load() == 0; });
+  done_cv.wait(lock, [&] { return live == 0; });
 }
 
 }  // namespace ganns

@@ -25,14 +25,13 @@ bool SlotLess(const Slot& a, const Slot& b) {
 std::vector<graph::Neighbor> EagerSearchOne(
     gpusim::BlockContext& block, const graph::ProximityGraph& graph,
     const data::Dataset& base, std::span<const float> query,
-    const GannsParams& params, VertexId entry, GannsSearchStats* stats) {
+    const GannsParams& params, VertexId entry) {
   GANNS_CHECK(params.k >= 1);
   GANNS_CHECK(params.l_n >= params.k);
   GANNS_CHECK_MSG((params.l_n & (params.l_n - 1)) == 0,
                   "l_n must be a power of two, got " << params.l_n);
   GANNS_CHECK(entry < graph.num_vertices());
   gpusim::Warp& warp = block.warp();
-  GannsSearchStats local;
 
   const std::size_t l_n = params.l_n;
   const std::size_t e = params.EffectiveE();
@@ -40,7 +39,6 @@ std::vector<graph::Neighbor> EagerSearchOne(
 
   const auto compute_distance = [&](VertexId v) {
     warp.ChargeDistance(base.dim());
-    ++local.distance_computations;
     return data::ExactDistance(base.metric(), base.Point(v), query);
   };
 
@@ -63,7 +61,6 @@ std::vector<graph::Neighbor> EagerSearchOne(
     if (lo == l_n) return false;
     if (result_array[lo].id == element.id &&
         result_array[lo].dist == element.dist) {
-      ++local.redundant_distances;
       return false;  // duplicate: the eager binary search doubles as check
     }
     for (std::size_t i = l_n - 1; i > lo; --i) {
@@ -79,7 +76,8 @@ std::vector<graph::Neighbor> EagerSearchOne(
   result_array[0] = Slot{compute_distance(entry), entry, false};
 
   const std::size_t max_iterations = l_n * 64;
-  while (local.iterations < max_iterations) {
+  for (std::size_t iterations = 0; iterations < max_iterations;
+       ++iterations) {
     // Candidate locating: identical ballot scan to the lazy kernel.
     std::size_t explore_pos = e;
     for (std::size_t chunk = 0; chunk < e; chunk += gpusim::kWarpSize) {
@@ -95,7 +93,6 @@ std::vector<graph::Neighbor> EagerSearchOne(
       }
     }
     if (explore_pos == e) break;
-    ++local.iterations;
 
     const VertexId exploring = result_array[explore_pos].id;
     result_array[explore_pos].explored = true;
@@ -112,7 +109,6 @@ std::vector<graph::Neighbor> EagerSearchOne(
                          scratch.dists);
       for (std::size_t i = 0; i < degree; ++i) {
         warp.ChargeDistance(base.dim());
-        ++local.distance_computations;
         insert_eagerly(Slot{scratch.dists[i], neighbor_ids[i], false});
       }
     }
@@ -128,7 +124,6 @@ std::vector<graph::Neighbor> EagerSearchOne(
   }
   warp.cost().Charge(gpusim::CostCategory::kOther,
                      warp.StepsFor(params.k) * warp.params().global_transaction);
-  if (stats != nullptr) stats->Add(local);
   return out;
 }
 

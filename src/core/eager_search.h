@@ -22,8 +22,7 @@ namespace core {
 std::vector<graph::Neighbor> EagerSearchOne(
     gpusim::BlockContext& block, const graph::ProximityGraph& graph,
     const data::Dataset& base, std::span<const float> query,
-    const GannsParams& params, VertexId entry,
-    GannsSearchStats* stats = nullptr);
+    const GannsParams& params, VertexId entry);
 
 /// Batched variant (one block per query), mirroring GannsSearchBatch.
 graph::BatchSearchResult EagerSearchBatch(gpusim::Device& device,

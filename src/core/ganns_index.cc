@@ -98,8 +98,6 @@ std::vector<std::vector<graph::Neighbor>> GannsIndex::Search(
   std::vector<std::vector<graph::Neighbor>> out(queries.size());
   const graph::ProximityGraph& bottom = bottom_graph();
   const data::SearchQuantization quant = search_quantization();
-  const data::SearchQuantization* quant_ptr =
-      quant.enabled() ? &quant : nullptr;
 
   device_->ResetTimeline();
   device_->Launch(
@@ -112,10 +110,10 @@ std::vector<std::vector<graph::Neighbor>> GannsIndex::Search(
         const VertexId entry =
             hnsw_ != nullptr
                 ? hnsw_->DescendToLayer0(base_, queries.Point(q), nullptr,
-                                         quant_ptr)
+                                         {&quant})
                 : 0;
         out[q] = GannsSearchOne(block, bottom, base_, queries.Point(q),
-                                params, entry, nullptr, nullptr, quant_ptr);
+                                params, entry, nullptr, {&quant});
       });
   timing_.last_search_seconds = device_->timeline_seconds();
   timing_.last_search_qps =

@@ -92,16 +92,15 @@ const char* GannsPhaseName(int phase) {
 std::vector<graph::Neighbor> GannsSearchOne(
     gpusim::BlockContext& block, const graph::ProximityGraph& graph,
     const data::Dataset& base, std::span<const float> query,
-    const GannsParams& params, VertexId entry, GannsSearchStats* stats,
-    GannsQueryProfile* profile, const data::SearchQuantization* quant,
-    graph::QueryHardness* hardness) {
+    const GannsParams& params, VertexId entry, GannsQueryProfile* profile,
+    const graph::SearchContext& ctx) {
   GANNS_CHECK(params.k >= 1);
   GANNS_CHECK(params.l_n >= params.k);
   GANNS_CHECK_MSG((params.l_n & (params.l_n - 1)) == 0,
                   "l_n must be a power of two, got " << params.l_n);
   GANNS_CHECK(entry < graph.num_vertices());
   gpusim::Warp& warp = block.warp();
-  GannsSearchStats local;
+  GannsQueryProfile local;
 
   const std::size_t l_n = params.l_n;
   const std::size_t l_t = gpusim::NextPow2(graph.d_max());
@@ -117,10 +116,10 @@ std::vector<graph::Neighbor> GannsSearchOne(
 
   // Compressed path: in-loop distances come from the packed codes (narrower
   // loads); the PQ LUT is built — and charged — once per query up front.
-  const bool quantized = quant != nullptr && quant->enabled();
+  const bool quantized = ctx.quantized();
   std::optional<data::CodeDistanceContext> code_ctx;
   if (quantized) {
-    code_ctx.emplace(*quant, base.metric(), query);
+    code_ctx.emplace(*ctx.quant, base.metric(), query);
     warp.ChargeLutBuild(code_ctx->lut_build_words());
   }
 
@@ -135,7 +134,9 @@ std::vector<graph::Neighbor> GannsSearchOne(
   };
 
   result_array[0] = Slot{compute_distance(entry), entry, false};
-  if (hardness != nullptr) hardness->entry_distance = result_array[0].dist;
+  if (ctx.hardness != nullptr) {
+    ctx.hardness->entry_distance = result_array[0].dist;
+  }
 
   PhaseTimer phases(block, profile != nullptr || block.tracing());
 
@@ -143,7 +144,7 @@ std::vector<graph::Neighbor> GannsSearchOne(
   // vertex can only be re-explored when the ablation disables the lazy
   // check, so l_n * 64 is far beyond any legitimate run.
   const std::size_t max_iterations = l_n * 64;
-  while (local.iterations < max_iterations) {
+  while (local.hops < max_iterations) {
     phases.Begin();
     // Phase (1): candidate locating. Warp-wide ballot over the explored
     // flags of N[0..e), __ffs picks the first unexplored vertex.
@@ -165,7 +166,7 @@ std::vector<graph::Neighbor> GannsSearchOne(
       break;  // all candidates explored: terminate
     }
     phases.End(0);
-    ++local.iterations;
+    ++local.hops;
 
     // Phase (2): neighborhood exploration. Load the adjacency row of the
     // exploring vertex into T cooperatively; mark it explored.
@@ -174,8 +175,8 @@ std::vector<graph::Neighbor> GannsSearchOne(
     warp.ChargeGlobalLoad(graph.d_max(), gpusim::CostCategory::kDataStructure);
     const auto neighbor_ids = graph.Neighbors(exploring);
     const std::size_t degree = graph.Degree(exploring);
-    if (hardness != nullptr && local.iterations == 1) {
-      hardness->early_fanout = static_cast<std::uint32_t>(degree);
+    if (ctx.hardness != nullptr && local.hops == 1) {
+      ctx.hardness->early_fanout = static_cast<std::uint32_t>(degree);
     }
     warp.ParallelFor(l_t, gpusim::CostCategory::kDataStructure,
                      warp.params().shared_access, [&](std::size_t i) {
@@ -274,9 +275,10 @@ std::vector<graph::Neighbor> GannsSearchOne(
       out.push_back({result_array[i].dist, result_array[i].id});
     }
     const std::size_t evals =
-        graph::ExactRerank(base, query, out, params.k, quant->rerank_factor);
+        graph::ExactRerank(base, query, out, params.k,
+                           ctx.quant->rerank_factor);
     for (std::size_t i = 0; i < evals; ++i) warp.ChargeDistance(base.dim());
-    local.distance_computations += evals;
+    local.distance_computations += static_cast<std::uint32_t>(evals);
   } else {
     out.reserve(params.k);
     for (std::size_t i = 0; i < l_n && out.size() < params.k; ++i) {
@@ -287,26 +289,18 @@ std::vector<graph::Neighbor> GannsSearchOne(
   }
   warp.cost().Charge(gpusim::CostCategory::kOther,
                      warp.StepsFor(params.k) * warp.params().global_transaction);
-  if (stats != nullptr) stats->Add(local);
-  if (hardness != nullptr) {
-    hardness->visited =
-        static_cast<std::uint32_t>(local.distance_computations);
-    hardness->budget = static_cast<std::uint32_t>(l_n);
+  if (ctx.hardness != nullptr) {
+    ctx.hardness->visited = local.distance_computations;
+    ctx.hardness->budget = static_cast<std::uint32_t>(l_n);
   }
 
   if (profile != nullptr) {
-    std::uint32_t occupancy = 0;
     for (std::size_t i = 0; i < l_n; ++i) {
-      if (result_array[i].id != kInvalidVertex) ++occupancy;
+      if (result_array[i].id != kInvalidVertex) ++local.result_occupancy;
     }
-    profile->hops = static_cast<std::uint32_t>(local.iterations);
-    profile->distance_computations =
-        static_cast<std::uint32_t>(local.distance_computations);
-    profile->redundant_distances =
-        static_cast<std::uint32_t>(local.redundant_distances);
-    profile->result_occupancy = occupancy;
-    profile->total_cycles = block.cost().total_cycles();
-    profile->phase_cycles = phases.phase_cycles();
+    local.total_cycles = block.cost().total_cycles();
+    local.phase_cycles = phases.phase_cycles();
+    *profile = local;
   }
   return out;
 }
@@ -318,7 +312,7 @@ graph::BatchSearchResult GannsSearchBatch(gpusim::Device& device,
                                           const GannsParams& params,
                                           int block_lanes, VertexId entry,
                                           std::vector<GannsQueryProfile>* profiles,
-                                          const data::SearchQuantization* quant) {
+                                          const graph::SearchContext& ctx) {
   GANNS_CHECK(base.dim() == queries.dim());
   graph::BatchSearchResult batch;
   batch.results.resize(queries.size());
@@ -339,9 +333,9 @@ graph::BatchSearchResult GannsSearchBatch(gpusim::Device& device,
         const VertexId q = static_cast<VertexId>(block.block_id());
         GannsQueryProfile* profile =
             profiles != nullptr ? &(*profiles)[q] : nullptr;
-        const std::vector<graph::Neighbor> found = GannsSearchOne(
-            block, graph, base, queries.Point(q), params, entry, nullptr,
-            profile, quant);
+        const std::vector<graph::Neighbor> found =
+            GannsSearchOne(block, graph, base, queries.Point(q), params, entry,
+                           profile, ctx.ForQuery(q));
         auto& out = batch.results[q];
         out.reserve(found.size());
         for (const graph::Neighbor& n : found) out.push_back(n.id);
@@ -349,9 +343,9 @@ graph::BatchSearchResult GannsSearchBatch(gpusim::Device& device,
 
   if (obs::MetricsEnabled() && profiles != nullptr) {
     auto& registry = obs::MetricsRegistry::Global();
-    obs::Histogram& hops = registry.GetHistogram("ganns.hops_per_query");
-    obs::Histogram& dists = registry.GetHistogram("ganns.dist_evals_per_query");
-    obs::Histogram& occupancy = registry.GetHistogram("ganns.result_occupancy");
+    obs::HdrHistogram& hops = registry.GetHdr("ganns.hops_per_query");
+    obs::HdrHistogram& dists = registry.GetHdr("ganns.dist_evals_per_query");
+    obs::HdrHistogram& occupancy = registry.GetHdr("ganns.result_occupancy");
     for (const GannsQueryProfile& p : *profiles) {
       hops.Record(p.hops);
       dists.Record(p.distance_computations);

@@ -8,12 +8,10 @@
 #include <vector>
 
 #include "data/dataset.h"
-#include "data/quantize.h"
 #include "gpusim/block.h"
 #include "gpusim/device.h"
 #include "graph/beam_search.h"
 #include "graph/proximity_graph.h"
-#include "graph/query_hardness.h"
 #include "graph/search_result.h"
 
 namespace ganns {
@@ -41,35 +39,22 @@ struct GannsParams {
   }
 };
 
-/// Per-search counters (exposed for tests and the ablation benches).
-struct GannsSearchStats {
-  std::size_t iterations = 0;
-  std::size_t distance_computations = 0;
-  /// Distance computations for vertices that were already present in N when
-  /// lazily checked — the redundancy the lazy strategy trades for
-  /// hash-table-free operation (§III-A).
-  std::size_t redundant_distances = 0;
-
-  void Add(const GannsSearchStats& other) {
-    iterations += other.iterations;
-    distance_computations += other.distance_computations;
-    redundant_distances += other.redundant_distances;
-  }
-};
-
 /// The six phases of Figure 3, indexed in execution order.
 inline constexpr int kNumGannsPhases = 6;
 
 /// Short phase label ("locate", "explore", ...) for reports and traces.
 const char* GannsPhaseName(int phase);
 
-/// Per-query execution profile, collected when the caller asks for one (or
-/// when tracing is on). Snapshotting the block's cycle counter around each
-/// phase reads state the simulator maintains anyway, so profiling never
-/// changes the charged totals.
+/// Per-query execution record: the search counters plus, for the phase
+/// breakdown, cycle snapshots taken around each phase. Snapshotting reads
+/// state the simulator maintains anyway, so profiling never changes the
+/// charged totals.
 struct GannsQueryProfile {
   std::uint32_t hops = 0;  ///< explored vertices (search iterations)
   std::uint32_t distance_computations = 0;
+  /// Distance computations for vertices that were already present in N when
+  /// lazily checked — the redundancy the lazy strategy trades for
+  /// hash-table-free operation (§III-A).
   std::uint32_t redundant_distances = 0;
   /// Valid entries of the result array N at termination (<= l_n) — the
   /// candidate-buffer occupancy.
@@ -85,24 +70,14 @@ struct GannsQueryProfile {
 ///   distance computation, (4) lazy check of T against N by parallel binary
 ///   search, (5) bitonic sort of T, (6) bitonic merge keeping the l_n
 ///   closest of T ∪ N.
-/// Returns up to k neighbors sorted ascending by (dist, id).
-///
-/// When `quant` is non-null and enabled, the traversal runs the two-stage
-/// compressed path: every in-loop distance is the approximate code distance
-/// (charged as the proportionally narrower load), and before emission the
-/// top rerank_factor * k live candidates of N get exact float distances and
-/// are re-sorted (graph::ExactRerank).
-///
-/// A non-null `hardness` receives the query-hardness signals (entry
-/// distance, first-hop fan-out, visited/budget) — observation only, nothing
-/// is charged and the result is unchanged.
+/// Returns up to k neighbors sorted ascending by (dist, id); a non-null
+/// `profile` receives the query's GannsQueryProfile.
 std::vector<graph::Neighbor> GannsSearchOne(
     gpusim::BlockContext& block, const graph::ProximityGraph& graph,
     const data::Dataset& base, std::span<const float> query,
     const GannsParams& params, VertexId entry,
-    GannsSearchStats* stats = nullptr, GannsQueryProfile* profile = nullptr,
-    const data::SearchQuantization* quant = nullptr,
-    graph::QueryHardness* hardness = nullptr);
+    GannsQueryProfile* profile = nullptr,
+    const graph::SearchContext& ctx = {});
 
 /// Batched GANNS search: one thread block per query, `block_lanes`
 /// cooperating threads per block. When `profiles` is non-null it is resized
@@ -112,7 +87,7 @@ graph::BatchSearchResult GannsSearchBatch(
     const data::Dataset& base, const data::Dataset& queries,
     const GannsParams& params, int block_lanes = 32, VertexId entry = 0,
     std::vector<GannsQueryProfile>* profiles = nullptr,
-    const data::SearchQuantization* quant = nullptr);
+    const graph::SearchContext& ctx = {});
 
 }  // namespace core
 }  // namespace ganns

@@ -23,25 +23,24 @@ std::vector<graph::Neighbor> DispatchSearch(
     gpusim::BlockContext& block, SearchKernel kernel,
     const graph::ProximityGraph& graph, const data::Dataset& base,
     std::span<const float> query, std::size_t k, std::size_t budget,
-    VertexId entry, const data::SearchQuantization* quant,
-    graph::QueryHardness* hardness) {
+    VertexId entry, const graph::SearchContext& ctx) {
   if (budget < k) budget = k;
   if (kernel == SearchKernel::kGanns) {
     GannsParams params;
     params.k = k;
     params.l_n = gpusim::NextPow2(budget);
     return GannsSearchOne(block, graph, base, query, params, entry, nullptr,
-                          nullptr, quant, hardness);
+                          ctx);
   }
   if (kernel == SearchKernel::kBeam) {
     return graph::BeamSearch(graph, base, query, k, budget, entry, nullptr,
-                             kInvalidVertex, quant, hardness);
+                             kInvalidVertex, ctx);
   }
   song::SongParams params;
   params.k = k;
   params.queue_size = budget;
   return song::SongSearchOne(block, graph, base, query, params, entry,
-                             nullptr, nullptr, quant, hardness);
+                             nullptr, ctx);
 }
 
 }  // namespace core

@@ -30,21 +30,13 @@ const char* SearchKernelName(SearchKernel kernel);
 /// Runs one k-NN search inside `block` with the selected kernel.
 /// `budget` is the beam width: GANNS uses l_n = NextPow2(max(budget, k)),
 /// SONG uses queue_size = max(budget, k), so both kernels get the same
-/// candidate-pool size during construction.
-///
-/// `quant` (optional) threads the Precision knob into every kernel: when
-/// enabled, traversal distances come from the packed code array and results
-/// are exact-reranked before emission (the two-stage compressed path).
-///
-/// `hardness` (optional) receives the kernel's query-hardness signals
-/// (entry distance, first-hop fan-out, visited/budget) — pure observation,
-/// charged cycles and results are identical with or without it.
+/// candidate-pool size during construction. `ctx` is handed to the kernel
+/// unchanged.
 std::vector<graph::Neighbor> DispatchSearch(
     gpusim::BlockContext& block, SearchKernel kernel,
     const graph::ProximityGraph& graph, const data::Dataset& base,
     std::span<const float> query, std::size_t k, std::size_t budget,
-    VertexId entry, const data::SearchQuantization* quant = nullptr,
-    graph::QueryHardness* hardness = nullptr);
+    VertexId entry, const graph::SearchContext& ctx = {});
 
 }  // namespace core
 }  // namespace ganns

@@ -18,8 +18,7 @@ std::vector<Neighbor> BeamSearch(const ProximityGraph& graph,
                                  std::size_t ef, VertexId entry,
                                  BeamSearchStats* stats,
                                  VertexId restrict_to,
-                                 const data::SearchQuantization* quant,
-                                 QueryHardness* hardness) {
+                                 const SearchContext& ctx) {
   GANNS_CHECK(k >= 1);
   GANNS_CHECK(entry < graph.num_vertices());
   if (ef < k) ef = k;
@@ -27,9 +26,9 @@ std::vector<Neighbor> BeamSearch(const ProximityGraph& graph,
 
   // Compressed path: traversal distances come from the packed codes; the
   // exact rows are only touched by the final rerank.
-  const bool quantized = quant != nullptr && quant->enabled();
+  const bool quantized = ctx.quantized();
   std::optional<data::CodeDistanceContext> code_ctx;
-  if (quantized) code_ctx.emplace(*quant, base.metric(), query);
+  if (quantized) code_ctx.emplace(*ctx.quant, base.metric(), query);
 
   const auto distance = [&](VertexId v) {
     ++local_stats.distance_computations;
@@ -82,8 +81,8 @@ std::vector<Neighbor> BeamSearch(const ProximityGraph& graph,
     // not alter which candidates survive.
     const auto neighbor_ids = graph.Neighbors(closest.id);
     const std::size_t degree = graph.Degree(closest.id);
-    if (hardness != nullptr && local_stats.iterations == 1) {
-      hardness->early_fanout = static_cast<std::uint32_t>(degree);
+    if (ctx.hardness != nullptr && local_stats.iterations == 1) {
+      ctx.hardness->early_fanout = static_cast<std::uint32_t>(degree);
     }
     SearchScratch& scratch = ThreadLocalSearchScratch();
     scratch.ids.clear();
@@ -121,15 +120,15 @@ std::vector<Neighbor> BeamSearch(const ProximityGraph& graph,
   }
   if (quantized) {
     local_stats.distance_computations +=
-        ExactRerank(base, query, results, k, quant->rerank_factor);
+        ExactRerank(base, query, results, k, ctx.quant->rerank_factor);
   }
   if (results.size() > k) results.resize(k);
   if (stats != nullptr) stats->Add(local_stats);
-  if (hardness != nullptr) {
-    hardness->entry_distance = start.dist;
-    hardness->visited =
+  if (ctx.hardness != nullptr) {
+    ctx.hardness->entry_distance = start.dist;
+    ctx.hardness->visited =
         static_cast<std::uint32_t>(local_stats.distance_computations);
-    hardness->budget = static_cast<std::uint32_t>(ef);
+    ctx.hardness->budget = static_cast<std::uint32_t>(ef);
   }
   return results;
 }

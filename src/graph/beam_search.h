@@ -7,9 +7,8 @@
 
 #include "common/types.h"
 #include "data/dataset.h"
-#include "data/quantize.h"
 #include "graph/proximity_graph.h"
-#include "graph/query_hardness.h"
+#include "graph/search_context.h"
 
 namespace ganns {
 namespace graph {
@@ -53,23 +52,13 @@ struct Neighbor {
 /// set H. Returns up to k results sorted ascending by (dist, id);
 /// `restrict_to` (optional) limits traversal to vertex ids < restrict_to,
 /// which the construction algorithms use to search the prefix subgraph.
-///
-/// A non-null enabled `quant` runs the two-stage compressed path: traversal
-/// distances come from the packed codes and the top rerank_factor * k
-/// candidates get exact float distances before emission (graph/rerank.h).
-/// Construction callers leave it null — graphs are always built exact.
-///
-/// A non-null `hardness` receives the query-hardness signals (entry
-/// distance, first-hop fan-out, visited/budget) — observation only, never
-/// affects the result or the operation counts.
 std::vector<Neighbor> BeamSearch(const ProximityGraph& graph,
                                  const data::Dataset& base,
                                  std::span<const float> query, std::size_t k,
                                  std::size_t ef, VertexId entry,
                                  BeamSearchStats* stats = nullptr,
                                  VertexId restrict_to = kInvalidVertex,
-                                 const data::SearchQuantization* quant = nullptr,
-                                 QueryHardness* hardness = nullptr);
+                                 const SearchContext& ctx = {});
 
 }  // namespace graph
 }  // namespace ganns

@@ -71,7 +71,7 @@ void PublishDiagnostics(const GraphDiagnostics& diag, const char* prefix) {
   registry.GetCounter(p + ".reachable_sinks").Add(diag.reachable_sinks);
   registry.GetGauge(p + ".mean_out_degree").Set(diag.mean_out_degree);
   registry.GetGauge(p + ".reachable_fraction").Set(diag.reachable_fraction);
-  obs::Histogram& degrees = registry.GetHistogram(p + ".out_degree");
+  obs::HdrHistogram& degrees = registry.GetHdr(p + ".out_degree");
   for (std::size_t d = 0; d < diag.out_degree_histogram.size(); ++d) {
     for (std::size_t c = 0; c < diag.out_degree_histogram[d]; ++c) {
       degrees.Record(d);

@@ -157,10 +157,10 @@ std::size_t HnswGraph::LayerSize(int l) const {
 VertexId HnswGraph::DescendToLayer0(const data::Dataset& base,
                                     std::span<const float> query,
                                     BeamSearchStats* stats,
-                                    const data::SearchQuantization* quant) const {
-  const bool quantized = quant != nullptr && quant->enabled();
+                                    const SearchContext& ctx) const {
+  const bool quantized = ctx.quantized();
   std::optional<data::CodeDistanceContext> code_ctx;
-  if (quantized) code_ctx.emplace(*quant, base.metric(), query);
+  if (quantized) code_ctx.emplace(*ctx.quant, base.metric(), query);
   VertexId current = entry_;
   Dist current_dist =
       quantized ? code_ctx->One(current)
@@ -269,10 +269,10 @@ std::vector<Neighbor> SearchHnsw(const HnswGraph& graph,
                                  const data::Dataset& base,
                                  std::span<const float> query, std::size_t k,
                                  std::size_t ef, BeamSearchStats* stats,
-                                 const data::SearchQuantization* quant) {
-  const VertexId entry = graph.DescendToLayer0(base, query, stats, quant);
+                                 const SearchContext& ctx) {
+  const VertexId entry = graph.DescendToLayer0(base, query, stats, ctx);
   return BeamSearch(graph.layer(0), base, query, k, ef, entry, stats,
-                    kInvalidVertex, quant);
+                    kInvalidVertex, ctx);
 }
 
 }  // namespace graph

@@ -53,13 +53,13 @@ class HnswGraph {
   /// Greedy 1-NN descent from the entry point through layers
   /// [max_level .. 1], returning the entry vertex for a layer-0 beam search
   /// (the hierarchical "zoom-in" phase of HNSW search). With an enabled
-  /// `quant` the descent compares approximate code distances instead of
+  /// `ctx.quant` the descent compares approximate code distances instead of
   /// exact rows (layer graphs index the full corpus id space, so the code
   /// array applies unchanged).
   VertexId DescendToLayer0(const data::Dataset& base,
                            std::span<const float> query,
                            BeamSearchStats* stats = nullptr,
-                           const data::SearchQuantization* quant = nullptr) const;
+                           const SearchContext& ctx = {}) const;
 
   /// Samples per-vertex levels with the HNSW distribution
   /// floor(-ln(U) * m_L); deterministic in (params.seed, vertex id).
@@ -110,7 +110,7 @@ std::vector<Neighbor> SearchHnsw(const HnswGraph& graph,
                                  std::span<const float> query, std::size_t k,
                                  std::size_t ef,
                                  BeamSearchStats* stats = nullptr,
-                                 const data::SearchQuantization* quant = nullptr);
+                                 const SearchContext& ctx = {});
 
 }  // namespace graph
 }  // namespace ganns

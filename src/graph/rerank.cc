@@ -27,7 +27,7 @@ std::size_t ExactRerank(const data::Dataset& base,
   if (candidates.size() > k) candidates.resize(k);
   if (obs::MetricsEnabled()) {
     auto& registry = obs::MetricsRegistry::Global();
-    registry.GetHistogram("quantize.rerank_candidates").Record(pool);
+    registry.GetHdr("quantize.rerank_candidates").Record(pool);
     registry.GetCounter("quantize.rerank_distance_evals").Add(pool);
   }
   return pool;

@@ -10,14 +10,15 @@ namespace ganns {
 namespace obs {
 
 /// Log-linear high-dynamic-range histogram of non-negative integer samples
-/// (latency microseconds, queue waits, batch sizes).
+/// (latency microseconds, queue waits, batch sizes, hop counts, degrees) —
+/// the registry's one histogram type.
 ///
 /// Bucket layout: values below 2^(kSubBucketBits+1) are counted exactly (one
 /// bucket per value); above that, every power-of-two octave is split into
 /// 2^kSubBucketBits linear sub-buckets, so any recorded value is represented
 /// by its bucket's upper bound with relative error < 2^-kSubBucketBits
-/// (< 0.8%) across the whole 64-bit range. This is the resolution needed to
-/// report p95/p99/p99.9 credibly, which the pow2-bucket Histogram cannot.
+/// (< 0.8%) across the whole 64-bit range: small integer counts stay exact,
+/// and p95/p99/p99.9 of latencies are credible.
 ///
 /// Concurrency and determinism: bucket counts and the count/sum/min/max
 /// aggregates are relaxed atomics, so concurrent recording merges to exact

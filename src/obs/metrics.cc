@@ -1,12 +1,10 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
 
-#include "common/logging.h"
 #include "common/thread_pool.h"
 
 namespace ganns {
@@ -42,61 +40,11 @@ struct MetricsRegistry::State {
   mutable std::mutex mutex;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms;
   std::map<std::string, std::unique_ptr<HdrHistogram>, std::less<>> hdr;
 };
 
 MetricsRegistry::MetricsRegistry() : state_(std::make_unique<State>()) {}
 MetricsRegistry::~MetricsRegistry() = default;
-
-Histogram::Histogram(std::span<const std::uint64_t> bounds)
-    : bounds_(bounds.begin(), bounds.end()),
-      buckets_(bounds.size() + 1) {
-  GANNS_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()));
-}
-
-void Histogram::Record(std::uint64_t value) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  buckets_[static_cast<std::size_t>(it - bounds_.begin())].fetch_add(
-      1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
-  std::uint64_t seen = max_.load(std::memory_order_relaxed);
-  while (value > seen &&
-         !max_.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
-  }
-}
-
-std::uint64_t Histogram::Quantile(double q) const {
-  const std::uint64_t total = count();
-  if (total == 0) return 0;
-  const std::uint64_t target = static_cast<std::uint64_t>(
-      q * static_cast<double>(total) + 0.5);
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < bounds_.size(); ++i) {
-    cumulative += bucket_count(i);
-    if (cumulative >= target) return bounds_[i];
-  }
-  return max();
-}
-
-void Histogram::Reset() {
-  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
-}
-
-std::span<const std::uint64_t> Pow2Bounds() {
-  static const std::vector<std::uint64_t>* bounds = [] {
-    auto* b = new std::vector<std::uint64_t>();
-    for (std::uint64_t bound = 1; bound <= (1u << 20); bound <<= 1) {
-      b->push_back(bound);
-    }
-    return b;
-  }();
-  return *bounds;
-}
 
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry();
@@ -125,19 +73,6 @@ Gauge& MetricsRegistry::GetGauge(std::string_view name) {
   return *it->second;
 }
 
-Histogram& MetricsRegistry::GetHistogram(
-    std::string_view name, std::span<const std::uint64_t> bounds) {
-  State& state = *state_;
-  std::lock_guard<std::mutex> lock(state.mutex);
-  auto it = state.histograms.find(name);
-  if (it == state.histograms.end()) {
-    it = state.histograms
-             .emplace(std::string(name), std::make_unique<Histogram>(bounds))
-             .first;
-  }
-  return *it->second;
-}
-
 HdrHistogram& MetricsRegistry::GetHdr(std::string_view name) {
   State& state = *state_;
   std::lock_guard<std::mutex> lock(state.mutex);
@@ -154,7 +89,6 @@ void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(state.mutex);
   for (auto& [name, counter] : state.counters) counter->Reset();
   for (auto& [name, gauge] : state.gauges) gauge->Reset();
-  for (auto& [name, histogram] : state.histograms) histogram->Reset();
   for (auto& [name, hdr] : state.hdr) hdr->Reset();
 }
 
@@ -194,27 +128,6 @@ std::string MetricsRegistry::ToJson() const {
     first = false;
     out += "\n\"" + name + "\":";
     AppendDouble(out, gauge->value());
-  }
-  out += "\n},\n\"histograms\":{";
-  first = true;
-  for (const auto& [name, histogram] : state.histograms) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n\"" + name + "\":{\"count\":" +
-           std::to_string(histogram->count()) +
-           ",\"sum\":" + std::to_string(histogram->sum()) +
-           ",\"max\":" + std::to_string(histogram->max()) + ",\"buckets\":[";
-    for (std::size_t i = 0; i < histogram->num_buckets(); ++i) {
-      if (i > 0) out += ",";
-      out += std::to_string(histogram->bucket_count(i));
-    }
-    out += "],\"bounds\":[";
-    const auto bounds = histogram->bounds();
-    for (std::size_t i = 0; i < bounds.size(); ++i) {
-      if (i > 0) out += ",";
-      out += std::to_string(bounds[i]);
-    }
-    out += "]}";
   }
   out += "\n},\n\"hdr\":{";
   first = true;
@@ -260,21 +173,6 @@ std::string MetricsRegistry::ToPrometheus() const {
     out += prom + " ";
     AppendDouble(out, gauge->value());
     out += "\n";
-  }
-  for (const auto& [name, histogram] : state.histograms) {
-    const std::string prom = PrometheusName(name);
-    out += "# TYPE " + prom + " histogram\n";
-    std::uint64_t cumulative = 0;
-    const auto bounds = histogram->bounds();
-    for (std::size_t i = 0; i < bounds.size(); ++i) {
-      cumulative += histogram->bucket_count(i);
-      out += prom + "_bucket{le=\"" + std::to_string(bounds[i]) + "\"} " +
-             std::to_string(cumulative) + "\n";
-    }
-    out += prom + "_bucket{le=\"+Inf\"} " + std::to_string(histogram->count()) +
-           "\n";
-    out += prom + "_sum " + std::to_string(histogram->sum()) + "\n";
-    out += prom + "_count " + std::to_string(histogram->count()) + "\n";
   }
   for (const auto& [name, hdr] : state.hdr) {
     const std::string prom = PrometheusName(name);

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,46 +39,6 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram of integer-valued samples (hops, probe lengths,
-/// occupancies). Bucket i counts samples <= bounds[i]; one overflow bucket
-/// catches the rest. Counts and the sum are integer atomics, so concurrent
-/// recording is exact and the export deterministic.
-class Histogram {
- public:
-  explicit Histogram(std::span<const std::uint64_t> bounds);
-
-  void Record(std::uint64_t value);
-
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  std::uint64_t max() const { return max_.load(std::memory_order_relaxed); }
-  double mean() const {
-    const std::uint64_t n = count();
-    return n == 0 ? 0.0 : static_cast<double>(sum()) / static_cast<double>(n);
-  }
-  /// Smallest bucket upper bound with cumulative count >= q * count.
-  std::uint64_t Quantile(double q) const;
-
-  std::span<const std::uint64_t> bounds() const { return bounds_; }
-  std::uint64_t bucket_count(std::size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-  std::size_t num_buckets() const { return buckets_.size(); }
-
-  void Reset();
-
- private:
-  std::vector<std::uint64_t> bounds_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;  // bounds_.size() + 1
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
-  std::atomic<std::uint64_t> max_{0};
-};
-
-/// Default histogram bucketing: 1, 2, 4, ... 2^20 (covers hop counts, probe
-/// lengths, and per-query distance evaluations at every scale we run).
-std::span<const std::uint64_t> Pow2Bounds();
-
 /// One instant's view of every counter, gauge, and HDR histogram in the
 /// registry, name-sorted. The time-series collector diffs consecutive
 /// snapshots into windowed deltas; HDR entries carry full sparse bucket
@@ -111,10 +70,9 @@ class MetricsRegistry {
 
   Counter& GetCounter(std::string_view name);
   Gauge& GetGauge(std::string_view name);
-  Histogram& GetHistogram(std::string_view name,
-                          std::span<const std::uint64_t> bounds = Pow2Bounds());
-  /// High-resolution log-linear histogram (serving latency SLOs). Same
-  /// interning contract as the other Get* accessors.
+  /// Log-linear histogram, exact below 256 (hops, degrees, probe lengths)
+  /// and within 0.8% above (latencies). Same interning contract as the
+  /// other Get* accessors.
   HdrHistogram& GetHdr(std::string_view name);
 
   /// Zeroes every registered metric (entries and references survive).
@@ -125,18 +83,17 @@ class MetricsRegistry {
   /// maps, never from registration or thread order.
   MetricsSnapshot Snapshot() const;
 
-  /// {"counters":{...},"gauges":{...},"histograms":{...},"hdr":{...}} with
-  /// keys sorted. Every hdr entry carries count/sum/min/max/mean, the
-  /// p50/p90/p95/p99/p999 quantiles, and its exemplar links
-  /// ([{"id":...,"value":...}] — the trace ids of the slowest requests).
+  /// {"counters":{...},"gauges":{...},"hdr":{...}} with keys sorted. Every
+  /// hdr entry carries count/sum/min/max/mean, the p50/p90/p95/p99/p999
+  /// quantiles, and its exemplar links ([{"id":...,"value":...}] — the
+  /// trace ids of the slowest requests).
   std::string ToJson() const;
 
   bool WriteJson(const std::string& path) const;
 
-  /// Prometheus text exposition format: counters and gauges as-is, bucketed
-  /// histograms as cumulative `_bucket{le=...}` series, hdr histograms as
-  /// summaries with quantile labels. Metric names are sanitized to
-  /// [a-zA-Z0-9_] and prefixed "ganns_".
+  /// Prometheus text exposition format: counters and gauges as-is, hdr
+  /// histograms as summaries with quantile labels. Metric names are
+  /// sanitized to [a-zA-Z0-9_] and prefixed "ganns_".
   std::string ToPrometheus() const;
 
   bool WritePrometheus(const std::string& path) const;

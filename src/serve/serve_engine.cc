@@ -436,9 +436,9 @@ void ServeEngine::ProcessBatch(std::vector<Pending>& batch) {
               static_cast<std::uint64_t>(std::max(0.0, response.latency_us)),
               response.id);
       if (have_hardness) {
-        registry->GetHistogram("serve.hardness.visited")
+        registry->GetHdr("serve.hardness.visited")
             .Record(stats.hardness[i].visited);
-        registry->GetHistogram("serve.hardness.early_fanout")
+        registry->GetHdr("serve.hardness.early_fanout")
             .Record(stats.hardness[i].early_fanout);
       }
     }

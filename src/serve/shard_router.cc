@@ -4,11 +4,11 @@
 #include <cmath>
 #include <numeric>
 
+#include "common/kway_merge.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/hnsw_gpu.h"
-#include "serve/topk_merge.h"
 
 namespace ganns {
 namespace serve {
@@ -254,8 +254,6 @@ double ShardedIndex::SearchShardReplica(
   const graph::ProximityGraph& bottom =
       shard.hnsw != nullptr ? shard.hnsw->layer(0) : *snap->graph;
   const data::SearchQuantization quant = snap->Quant();
-  const data::SearchQuantization* quant_ptr =
-      quant.enabled() ? &quant : nullptr;
   const gpusim::KernelStats stats = device.Launch(
       "serve.shard_search", static_cast<int>(queries.size()),
       options_.block_lanes, [&](gpusim::BlockContext& block) {
@@ -266,12 +264,12 @@ double ShardedIndex::SearchShardReplica(
         const VertexId entry =
             shard.hnsw != nullptr
                 ? shard.hnsw->DescendToLayer0(base, request.query, nullptr,
-                                              quant_ptr)
+                                              {&quant})
                 : snap->entry;
         rows[q] = core::DispatchSearch(
             block, kernel, bottom, base, request.query, request.k,
-            PerShardBudget(request.budget, request.k), entry, quant_ptr,
-            hardness.empty() ? nullptr : &hardness[q]);
+            PerShardBudget(request.budget, request.k), entry,
+            {&quant, hardness.empty() ? nullptr : &hardness[q]});
         // Rebase shard-local slots onto the global numbering.
         for (graph::Neighbor& neighbor : rows[q]) {
           neighbor.id = global_ids[neighbor.id];
@@ -347,7 +345,7 @@ std::vector<std::vector<graph::Neighbor>> ShardedIndex::SearchBatch(
     for (std::size_t s = 0; s < num_shards; ++s) {
       heads[s] = std::move(per_shard[s][q]);
     }
-    merged[q] = MergeTopK(heads, queries[q].k);
+    merged[q] = common::MergeTopK<graph::Neighbor>(heads, queries[q].k);
   }
   if (stats != nullptr) stats->merge_end_us = WallSpanNow() * 1e6;
   return merged;
@@ -363,7 +361,7 @@ std::vector<std::vector<graph::Neighbor>> ShardedIndex::SearchSerial(
       SearchShard(s, queries.subspan(q, 1), kernel,
                   std::span<std::vector<graph::Neighbor>>(&heads[s], 1));
     }
-    merged[q] = MergeTopK(heads, queries[q].k);
+    merged[q] = common::MergeTopK<graph::Neighbor>(heads, queries[q].k);
   }
   return merged;
 }

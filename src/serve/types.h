@@ -55,7 +55,7 @@ inline ServeClock::time_point DeadlineAfterMicros(std::int64_t micros) {
 
 /// Per-request trace context, stamped at admission and propagated with the
 /// request through RequestQueue -> MicroBatcher -> ShardRouter -> kernel ->
-/// topk_merge so the whole journey lands in one span tree (obs::kServePid,
+/// top-k merge so the whole journey lands in one span tree (obs::kServePid,
 /// track ServeRequestTrack(id)). When `sampled` is false the request
 /// carries only this struct — no events are recorded and no extra cycles
 /// are ever charged (instrumentation observes, it never participates).

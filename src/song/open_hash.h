@@ -29,8 +29,8 @@ class OpenHashSet {
     while (cap < 4 * expected) cap <<= 1;
     slots_.assign(cap, kEmpty);
     if (obs::MetricsEnabled()) {
-      probe_hist_ = &obs::MetricsRegistry::Global().GetHistogram(
-          "song.hash_probe_length");
+      probe_hist_ =
+          &obs::MetricsRegistry::Global().GetHdr("song.hash_probe_length");
     }
   }
 
@@ -158,7 +158,7 @@ class OpenHashSet {
   std::size_t size_ = 0;
   std::size_t tombstones_ = 0;
   mutable std::size_t ops_ = 0;
-  obs::Histogram* probe_hist_ = nullptr;
+  obs::HdrHistogram* probe_hist_ = nullptr;
   bool rebuilding_ = false;
 };
 

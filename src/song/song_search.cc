@@ -84,14 +84,13 @@ const char* SongStageName(int stage) {
 std::vector<graph::Neighbor> SongSearchOne(
     gpusim::BlockContext& block, const graph::ProximityGraph& graph,
     const data::Dataset& base, std::span<const float> query,
-    const SongParams& params, VertexId entry, SongSearchStats* stats,
-    SongQueryProfile* profile, const data::SearchQuantization* quant,
-    graph::QueryHardness* hardness) {
+    const SongParams& params, VertexId entry, SongQueryProfile* profile,
+    const graph::SearchContext& ctx) {
   GANNS_CHECK(params.k >= 1);
   GANNS_CHECK(params.queue_size >= params.k);
   GANNS_CHECK(entry < graph.num_vertices());
   gpusim::Warp& warp = block.warp();
-  SongSearchStats local;
+  SongQueryProfile local;
 
   SongScratch& heaps = ThreadLocalSongScratch();
   MinMaxHeap& candidates = heaps.candidates;  // C
@@ -108,10 +107,10 @@ std::vector<graph::Neighbor> SongSearchOne(
 
   // Compressed path: traversal distances come from the packed codes; the PQ
   // LUT is built — and charged — once per query up front.
-  const bool quantized = quant != nullptr && quant->enabled();
+  const bool quantized = ctx.quantized();
   std::optional<data::CodeDistanceContext> code_ctx;
   if (quantized) {
-    code_ctx.emplace(*quant, base.metric(), query);
+    code_ctx.emplace(*ctx.quant, base.metric(), query);
     warp.ChargeLutBuild(code_ctx->lut_build_words());
   }
 
@@ -145,7 +144,7 @@ std::vector<graph::Neighbor> SongSearchOne(
   };
 
   const Dist entry_dist = compute_distance(entry);
-  if (hardness != nullptr) hardness->entry_distance = entry_dist;
+  if (ctx.hardness != nullptr) ctx.hardness->entry_distance = entry_dist;
   candidates.InsertBounded({entry_dist, entry});
   visited->Insert(entry);
   charge_host_ops();
@@ -154,7 +153,7 @@ std::vector<graph::Neighbor> SongSearchOne(
 
   while (!candidates.empty()) {
     stages.Begin();
-    ++local.iterations;
+    ++local.hops;
 
     // Stage 1: candidates locating (host lane). Pop the closest candidate,
     // test it against the current worst result, and gather its unvisited
@@ -181,8 +180,8 @@ std::vector<graph::Neighbor> SongSearchOne(
                           gpusim::CostCategory::kDataStructure);
     const auto neighbor_ids = graph.Neighbors(closest.id);
     const std::size_t degree = graph.Degree(closest.id);
-    if (hardness != nullptr && local.iterations == 1) {
-      hardness->early_fanout = static_cast<std::uint32_t>(degree);
+    if (ctx.hardness != nullptr && local.hops == 1) {
+      ctx.hardness->early_fanout = static_cast<std::uint32_t>(degree);
     }
     std::size_t num_cand = 0;
     for (std::size_t i = 0; i < degree; ++i) {
@@ -258,24 +257,20 @@ std::vector<graph::Neighbor> SongSearchOne(
     // Stage two: exact float rerank of the top rerank_factor * k drained
     // candidates (full-width reads, charged like exact distances).
     const std::size_t evals =
-        graph::ExactRerank(base, query, sorted, params.k, quant->rerank_factor);
+        graph::ExactRerank(base, query, sorted, params.k,
+                           ctx.quant->rerank_factor);
     for (std::size_t i = 0; i < evals; ++i) warp.ChargeDistance(base.dim());
-    local.distance_computations += evals;
+    local.distance_computations += static_cast<std::uint32_t>(evals);
   }
   if (sorted.size() > params.k) sorted.resize(params.k);
-  if (stats != nullptr) stats->Add(local);
-  if (hardness != nullptr) {
-    hardness->visited =
-        static_cast<std::uint32_t>(local.distance_computations);
-    hardness->budget = static_cast<std::uint32_t>(params.queue_size);
+  if (ctx.hardness != nullptr) {
+    ctx.hardness->visited = local.distance_computations;
+    ctx.hardness->budget = static_cast<std::uint32_t>(params.queue_size);
   }
   if (profile != nullptr) {
-    profile->hops = static_cast<std::uint32_t>(local.iterations);
-    profile->distance_computations =
-        static_cast<std::uint32_t>(local.distance_computations);
-    profile->host_ops = static_cast<std::uint32_t>(local.host_ops);
-    profile->total_cycles = block.cost().total_cycles();
-    profile->stage_cycles = stages.stage_cycles();
+    local.total_cycles = block.cost().total_cycles();
+    local.stage_cycles = stages.stage_cycles();
+    *profile = local;
   }
   return sorted;
 }
@@ -287,7 +282,7 @@ graph::BatchSearchResult SongSearchBatch(gpusim::Device& device,
                                          const SongParams& params,
                                          int block_lanes, VertexId entry,
                                          std::vector<SongQueryProfile>* profiles,
-                                         const data::SearchQuantization* quant) {
+                                         const graph::SearchContext& ctx) {
   GANNS_CHECK(base.dim() == queries.dim());
   graph::BatchSearchResult batch;
   batch.results.resize(queries.size());
@@ -308,7 +303,7 @@ graph::BatchSearchResult SongSearchBatch(gpusim::Device& device,
             profiles != nullptr ? &(*profiles)[q] : nullptr;
         const std::vector<graph::Neighbor> found =
             SongSearchOne(block, graph, base, queries.Point(q), params, entry,
-                          nullptr, profile, quant);
+                          profile, ctx.ForQuery(q));
         auto& out = batch.results[q];
         out.reserve(found.size());
         for (const graph::Neighbor& n : found) out.push_back(n.id);
@@ -316,9 +311,9 @@ graph::BatchSearchResult SongSearchBatch(gpusim::Device& device,
 
   if (obs::MetricsEnabled() && profiles != nullptr) {
     auto& registry = obs::MetricsRegistry::Global();
-    obs::Histogram& hops = registry.GetHistogram("song.hops_per_query");
-    obs::Histogram& dists = registry.GetHistogram("song.dist_evals_per_query");
-    obs::Histogram& host_ops = registry.GetHistogram("song.host_ops_per_query");
+    obs::HdrHistogram& hops = registry.GetHdr("song.hops_per_query");
+    obs::HdrHistogram& dists = registry.GetHdr("song.dist_evals_per_query");
+    obs::HdrHistogram& host_ops = registry.GetHdr("song.host_ops_per_query");
     for (const SongQueryProfile& p : *profiles) {
       hops.Record(p.hops);
       dists.Record(p.distance_computations);

@@ -8,12 +8,10 @@
 #include <vector>
 
 #include "data/dataset.h"
-#include "data/quantize.h"
 #include "gpusim/block.h"
 #include "gpusim/device.h"
 #include "graph/beam_search.h"
 #include "graph/proximity_graph.h"
-#include "graph/query_hardness.h"
 #include "graph/search_result.h"
 #include "song/visited.h"
 
@@ -31,19 +29,6 @@ struct SongParams {
   VisitedKind visited = VisitedKind::kHashBounded;
 };
 
-/// Per-search counters (exposed for tests and the parallelism experiments).
-struct SongSearchStats {
-  std::size_t iterations = 0;
-  std::size_t distance_computations = 0;
-  std::size_t host_ops = 0;  ///< serial heap/hash operations on the host lane
-
-  void Add(const SongSearchStats& other) {
-    iterations += other.iterations;
-    distance_computations += other.distance_computations;
-    host_ops += other.host_ops;
-  }
-};
-
 /// The three stages of SONG's search iteration (§II-D), indexed in
 /// execution order: candidates locating + visited maintenance on the host
 /// lane, warp-parallel bulk distance computation, candidate-queue update.
@@ -52,14 +37,14 @@ inline constexpr int kNumSongStages = 3;
 /// Short stage label ("locate_update", "distance", "queue_update").
 const char* SongStageName(int stage);
 
-/// Per-query execution profile, mirroring core::GannsQueryProfile so the
-/// profiling CLI and Figure 7 bench treat both algorithms uniformly.
-/// Collected by snapshotting the block's cycle counter around each stage;
-/// recording never changes the charged totals.
+/// Per-query execution record, mirroring core::GannsQueryProfile so the
+/// profiling CLI and Figure 7 bench treat both algorithms uniformly: the
+/// search counters plus cycle snapshots taken around each stage. Recording
+/// never changes the charged totals.
 struct SongQueryProfile {
   std::uint32_t hops = 0;  ///< search iterations (popped candidates)
   std::uint32_t distance_computations = 0;
-  std::uint32_t host_ops = 0;
+  std::uint32_t host_ops = 0;  ///< serial heap/hash operations on the host lane
   double total_cycles = 0;
   std::array<double, kNumSongStages> stage_cycles{};
 };
@@ -68,22 +53,13 @@ struct SongQueryProfile {
 /// thread block: (1) candidates locating and data-structure maintenance on a
 /// single host lane, (2) warp-parallel bulk distance computation,
 /// (3) host-lane candidate-queue update. Returns up to k neighbors sorted
-/// ascending by (dist, id).
-///
-/// A non-null enabled `quant` switches the traversal to approximate code
-/// distances (narrower simulated loads) with an exact float rerank of the
-/// top rerank_factor * k candidates before emission.
-///
-/// A non-null `hardness` receives the query-hardness signals (entry
-/// distance, first-hop fan-out, visited/budget) — observation only, nothing
-/// is charged and the result is unchanged.
+/// ascending by (dist, id); a non-null `profile` receives the query's
+/// SongQueryProfile.
 std::vector<graph::Neighbor> SongSearchOne(
     gpusim::BlockContext& block, const graph::ProximityGraph& graph,
     const data::Dataset& base, std::span<const float> query,
     const SongParams& params, VertexId entry,
-    SongSearchStats* stats = nullptr, SongQueryProfile* profile = nullptr,
-    const data::SearchQuantization* quant = nullptr,
-    graph::QueryHardness* hardness = nullptr);
+    SongQueryProfile* profile = nullptr, const graph::SearchContext& ctx = {});
 
 /// Batched SONG search: one thread block per query (inter-block
 /// parallelism), `block_lanes` cooperating threads per block. When
@@ -93,7 +69,7 @@ graph::BatchSearchResult SongSearchBatch(
     const data::Dataset& base, const data::Dataset& queries,
     const SongParams& params, int block_lanes = 32, VertexId entry = 0,
     std::vector<SongQueryProfile>* profiles = nullptr,
-    const data::SearchQuantization* quant = nullptr);
+    const graph::SearchContext& ctx = {});
 
 }  // namespace song
 }  // namespace ganns

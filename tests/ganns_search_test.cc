@@ -146,12 +146,12 @@ TEST_F(GannsSearchTest, LazyCheckDetectsRedundantComputation) {
   GannsParams params;
   params.k = 10;
   params.l_n = 64;
-  GannsSearchStats stats;
+  GannsQueryProfile profile;
   auto block = MakeBlock();
   GannsSearchOne(block, built_->graph, *base_, queries_->Point(0), params, 0,
-                 &stats);
-  EXPECT_GT(stats.redundant_distances, 0u);
-  EXPECT_GT(stats.distance_computations, stats.redundant_distances);
+                 &profile);
+  EXPECT_GT(profile.redundant_distances, 0u);
+  EXPECT_GT(profile.distance_computations, profile.redundant_distances);
 }
 
 TEST_F(GannsSearchTest, DisablingLazyCheckHurtsResultQuality) {

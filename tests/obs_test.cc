@@ -79,35 +79,36 @@ TEST_F(ObsTest, InternNameIsStableAndRoundTrips) {
 }
 
 TEST_F(ObsTest, HistogramBucketsCountsAndQuantiles) {
-  const std::uint64_t bounds[] = {1, 2, 4, 8};
-  Histogram hist{std::span<const std::uint64_t>(bounds)};
-  for (std::uint64_t v : {0u, 1u, 2u, 3u, 4u, 8u, 9u, 100u}) hist.Record(v);
+  // Small integer counts (hops, degrees, probe lengths) land in one exact
+  // bucket per value.
+  HdrHistogram hist;
+  for (std::uint64_t v : {0u, 1u, 2u, 3u, 3u, 8u, 9u, 100u}) hist.Record(v);
 
   EXPECT_EQ(hist.count(), 8u);
-  EXPECT_EQ(hist.sum(), 127u);
+  EXPECT_EQ(hist.sum(), 126u);
+  EXPECT_EQ(hist.min(), 0u);
   EXPECT_EQ(hist.max(), 100u);
-  EXPECT_EQ(hist.num_buckets(), 5u);
-  EXPECT_EQ(hist.bucket_count(0), 2u);  // 0, 1
-  EXPECT_EQ(hist.bucket_count(1), 1u);  // 2
-  EXPECT_EQ(hist.bucket_count(2), 2u);  // 3, 4
-  EXPECT_EQ(hist.bucket_count(3), 1u);  // 8
-  EXPECT_EQ(hist.bucket_count(4), 2u);  // 9, 100 overflow
-  // Median rank is 4; the cumulative count first reaches 4 in the <=4 bucket.
-  EXPECT_EQ(hist.Quantile(0.5), 4u);
-  EXPECT_EQ(hist.Quantile(0.25), 1u);
-  EXPECT_EQ(hist.Quantile(1.0), 100u);  // past the last bound: the max
-  EXPECT_DOUBLE_EQ(hist.mean(), 127.0 / 8.0);
+  const HdrHistogram::BucketSnapshot snap = hist.SnapshotBuckets();
+  const std::vector<std::pair<std::uint32_t, std::uint64_t>> buckets = {
+      {0, 1}, {1, 1}, {2, 1}, {3, 2}, {8, 1}, {9, 1}, {100, 1}};
+  EXPECT_EQ(snap.buckets, buckets);
+  // Nearest rank: the 4th of 8 samples is 3, the 2nd is 1.
+  EXPECT_EQ(hist.ValueAtQuantile(0.5), 3u);
+  EXPECT_EQ(hist.ValueAtQuantile(0.25), 1u);
+  EXPECT_EQ(hist.ValueAtQuantile(1.0), 100u);
+  EXPECT_DOUBLE_EQ(hist.mean(), 126.0 / 8.0);
 
   hist.Reset();
   EXPECT_EQ(hist.count(), 0u);
   EXPECT_EQ(hist.sum(), 0u);
-  EXPECT_EQ(hist.bucket_count(4), 0u);
+  EXPECT_TRUE(hist.SnapshotBuckets().buckets.empty());
+  EXPECT_EQ(hist.ValueAtQuantile(1.0), 0u);
 }
 
 TEST_F(ObsTest, MetricsMergeExactlyAcrossThreads) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   Counter& counter = registry.GetCounter("test.obs.merge_counter");
-  Histogram& hist = registry.GetHistogram("test.obs.merge_hist");
+  HdrHistogram& hist = registry.GetHdr("test.obs.merge_hist");
   const std::uint64_t counter_before = counter.value();
   const std::uint64_t hist_count_before = hist.count();
   const std::uint64_t hist_sum_before = hist.sum();
@@ -267,7 +268,7 @@ TEST_F(ObsTest, SearchBatchPopulatesMetricsRegistry) {
   SetMetricsEnabled(true);
   MetricsRegistry& registry = MetricsRegistry::Global();
   Counter& queries = registry.GetCounter("ganns.queries");
-  Histogram& hops = registry.GetHistogram("ganns.hops_per_query");
+  HdrHistogram& hops = registry.GetHdr("ganns.hops_per_query");
   const std::uint64_t queries_before = queries.value();
   const std::uint64_t hops_before = hops.count();
 
@@ -305,8 +306,10 @@ TEST_F(ObsTest, DiagnosticsHistogramAndReachableSinks) {
             diag.num_edges);
   EXPECT_EQ(registry.GetCounter("test.obs.diag.reachable_sinks").value(),
             diag.reachable_sinks);
-  EXPECT_EQ(registry.GetHistogram("test.obs.diag.out_degree").count(),
-            diag.num_vertices);
+  HdrHistogram& degrees = registry.GetHdr("test.obs.diag.out_degree");
+  EXPECT_EQ(degrees.count(), diag.num_vertices);
+  EXPECT_EQ(degrees.sum(), diag.num_edges);
+  EXPECT_EQ(degrees.max(), diag.max_out_degree);
 }
 
 // ---------------------------------------------------------------------------

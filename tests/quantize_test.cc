@@ -263,7 +263,7 @@ TEST_F(QuantizeTest, TwoStageRecallWithinOnePercentOfExact) {
 
   gpusim::Device quant_device;
   const graph::BatchSearchResult compressed = core::GannsSearchBatch(
-      quant_device, nsw, base, queries, params, 32, 0, nullptr, &quant);
+      quant_device, nsw, base, queries, params, 32, 0, nullptr, {&quant});
   const double compressed_recall =
       MeanRecall(compressed.results, truth, params.k);
 

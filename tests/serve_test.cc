@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/kway_merge.h"
 #include "data/ground_truth.h"
 #include "data/synthetic.h"
 #include "graph/hnsw.h"
@@ -28,7 +29,6 @@
 #include "serve/request_queue.h"
 #include "serve/serve_engine.h"
 #include "serve/shard_router.h"
-#include "serve/topk_merge.h"
 
 namespace ganns {
 namespace serve {
@@ -77,23 +77,13 @@ TEST(TopKMergeTest, MergesDisjointSortedRows) {
       {{0.2f, 10}, {0.5f, 11}, {0.9f, 12}},
       {},
   };
-  const auto merged = MergeTopK(rows, 4);
+  const auto merged = common::MergeTopK<graph::Neighbor>(rows, 4);
   ASSERT_EQ(merged.size(), 4u);
   EXPECT_EQ(merged[0].id, 0u);
   EXPECT_EQ(merged[1].id, 10u);
   // Equal distances break ties by id: 2 < 11.
   EXPECT_EQ(merged[2].id, 2u);
   EXPECT_EQ(merged[3].id, 11u);
-}
-
-TEST(TopKMergeTest, ShardOrderDoesNotMatter) {
-  std::vector<std::vector<graph::Neighbor>> rows = {
-      {{0.1f, 0}, {0.5f, 2}},
-      {{0.2f, 10}, {0.9f, 12}},
-  };
-  const auto forward = MergeTopK(rows, 3);
-  std::swap(rows[0], rows[1]);
-  EXPECT_EQ(MergeTopK(rows, 3), forward);
 }
 
 // (a) With an exhaustive budget (every shard can visit its whole slice),

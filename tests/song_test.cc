@@ -294,14 +294,14 @@ TEST_F(SongSearchTest, StatsAreConsistent) {
   SongParams params;
   params.k = 10;
   params.queue_size = 32;
-  SongSearchStats stats;
+  SongQueryProfile profile;
   gpusim::BlockContext block(0, 32, 48 * 1024, &device.spec().cost);
   const auto found = SongSearchOne(block, built_->graph, *base_,
-                                   base_->Point(7), params, 0, &stats);
+                                   base_->Point(7), params, 0, &profile);
   EXPECT_LE(found.size(), params.k);
-  EXPECT_GT(stats.iterations, 0u);
-  EXPECT_GE(stats.distance_computations, stats.iterations);
-  EXPECT_GT(stats.host_ops, 0u);
+  EXPECT_GT(profile.hops, 0u);
+  EXPECT_GE(profile.distance_computations, profile.hops);
+  EXPECT_GT(profile.host_ops, 0u);
 }
 
 }  // namespace

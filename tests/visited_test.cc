@@ -111,23 +111,25 @@ TEST(VisitedSetTest, UnboundedHashComputesFewerDistancesThanBounded) {
   const graph::CpuBuildResult built = graph::BuildNswCpu(base, {});
   gpusim::Device device;
 
-  SongSearchStats bounded_stats;
-  SongSearchStats unbounded_stats;
+  std::uint64_t bounded_distances = 0;
+  std::uint64_t unbounded_distances = 0;
   for (VertexId q = 0; q < 20; ++q) {
     SongParams params;
     params.k = 10;
     params.queue_size = 64;
+    SongQueryProfile profile;
     gpusim::BlockContext block_a(0, 32, 48 * 1024, &device.spec().cost);
     SongSearchOne(block_a, built.graph, base, base.Point(q), params, 0,
-                  &bounded_stats);
+                  &profile);
+    bounded_distances += profile.distance_computations;
     params.visited = VisitedKind::kHashUnbounded;
     gpusim::BlockContext block_b(0, 32, 48 * 1024, &device.spec().cost);
     SongSearchOne(block_b, built.graph, base, base.Point(q), params, 0,
-                  &unbounded_stats);
+                  &profile);
+    unbounded_distances += profile.distance_computations;
   }
   // Forgetting evictees (bounded) forces re-computation.
-  EXPECT_GT(bounded_stats.distance_computations,
-            unbounded_stats.distance_computations);
+  EXPECT_GT(bounded_distances, unbounded_distances);
 }
 
 }  // namespace

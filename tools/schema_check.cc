@@ -270,23 +270,18 @@ int CheckHdrEntry(const std::string& name, const Json& hdr) {
 }
 
 /// MetricsRegistry export: {"counters":{name:int}, "gauges":{name:number},
-/// "histograms":{name:{count,sum,max,mean,bounds[],buckets[]}}} with
-/// len(buckets) == len(bounds) + 1 and count == sum of buckets. When
-/// require_hdr is set (stats mode) the "hdr" object must exist, be
-/// non-empty, and every entry must pass CheckHdrEntry.
+/// "hdr":{name:entry}}. Every hdr entry present must pass CheckHdrEntry;
+/// when require_hdr is set (stats mode) the "hdr" object must exist and be
+/// non-empty.
 int CheckMetrics(const Json& root, bool require_hdr) {
   if (!root.Is(Json::Kind::kObject)) return Complain("root is not an object");
   const Json* counters = root.Get("counters");
   const Json* gauges = root.Get("gauges");
-  const Json* histograms = root.Get("histograms");
   if (counters == nullptr || !counters->Is(Json::Kind::kObject)) {
     return Complain("missing counters object");
   }
   if (gauges == nullptr || !gauges->Is(Json::Kind::kObject)) {
     return Complain("missing gauges object");
-  }
-  if (histograms == nullptr || !histograms->Is(Json::Kind::kObject)) {
-    return Complain("missing histograms object");
   }
   for (const auto& [name, value] : counters->object) {
     if (!IsNumber(value.get()) || value->number < 0) {
@@ -295,33 +290,6 @@ int CheckMetrics(const Json& root, bool require_hdr) {
   }
   for (const auto& [name, value] : gauges->object) {
     if (!IsNumber(value.get())) return Complain("gauge is not a number");
-  }
-  for (const auto& [name, hist] : histograms->object) {
-    if (!hist->Is(Json::Kind::kObject)) {
-      return Complain("histogram is not an object");
-    }
-    for (const char* key : {"count", "sum", "max"}) {
-      if (!IsNumber(hist->Get(key))) {
-        return Complain("histogram missing count/sum/max");
-      }
-    }
-    const Json* bounds = hist->Get("bounds");
-    const Json* buckets = hist->Get("buckets");
-    if (bounds == nullptr || !bounds->Is(Json::Kind::kArray) ||
-        buckets == nullptr || !buckets->Is(Json::Kind::kArray)) {
-      return Complain("histogram missing bounds/buckets arrays");
-    }
-    if (buckets->array.size() != bounds->array.size() + 1) {
-      return Complain("histogram buckets size != bounds size + 1");
-    }
-    double bucket_total = 0;
-    for (const JsonPtr& b : buckets->array) {
-      if (!IsNumber(b.get())) return Complain("bucket is not a number");
-      bucket_total += b->number;
-    }
-    if (bucket_total != hist->Get("count")->number) {
-      return Complain("histogram count != sum of buckets");
-    }
   }
   const Json* hdr = root.Get("hdr");
   std::size_t hdr_count = 0;
@@ -337,9 +305,8 @@ int CheckMetrics(const Json& root, bool require_hdr) {
       ++hdr_count;
     }
   }
-  std::printf("metrics ok: %zu counters, %zu gauges, %zu histograms, %zu hdr\n",
-              counters->object.size(), gauges->object.size(),
-              histograms->object.size(), hdr_count);
+  std::printf("metrics ok: %zu counters, %zu gauges, %zu hdr\n",
+              counters->object.size(), gauges->object.size(), hdr_count);
   return 0;
 }
 
