@@ -2,11 +2,49 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 
 namespace ganns {
 namespace {
 
-thread_local bool tls_in_worker = false;
+// Per-call state of one dynamic ParallelFor. It lives on the heap, co-owned
+// by the caller and every helper task the call enqueued, so a helper that
+// starts after the caller returned touches only this block: it finds the
+// range drained and exits without ever dereferencing `fn`.
+struct ForState {
+  const std::size_t n;
+  const std::size_t chunk;
+  // Points into the caller's frame; valid until `done` reaches `n`, and only
+  // dereferenced by a thread holding an unfinished claimed chunk.
+  const std::function<void(std::size_t)>* const fn;
+  std::atomic<std::size_t> next{0};  // claim counter
+  std::atomic<std::size_t> done{0};  // indices whose fn(i) has returned
+  std::mutex mutex;
+  bool finished = false;  // done == n; guarded by `mutex`
+  std::condition_variable all_done;
+};
+
+// Claims chunks off `state` and runs them until the range is drained.
+void Drain(ForState& state, std::atomic<std::uint64_t>& chunks_claimed) {
+  for (;;) {
+    const std::size_t begin =
+        state.next.fetch_add(state.chunk, std::memory_order_relaxed);
+    if (begin >= state.n) return;
+    chunks_claimed.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t end = std::min(state.n, begin + state.chunk);
+    for (std::size_t i = begin; i < end; ++i) (*state.fn)(i);
+    // acq_rel chains every chunk's writes through `done` to whichever
+    // thread completes the range; that thread hands them on to the caller
+    // through `mutex`.
+    const std::size_t count = end - begin;
+    if (state.done.fetch_add(count, std::memory_order_acq_rel) + count ==
+        state.n) {
+      std::lock_guard<std::mutex> lock(state.mutex);
+      state.finished = true;
+      state.all_done.notify_all();
+    }
+  }
+}
 
 }  // namespace
 
@@ -35,10 +73,7 @@ ThreadPool& ThreadPool::Global() {
   return *pool;
 }
 
-bool ThreadPool::InWorker() { return tls_in_worker; }
-
 void ThreadPool::WorkerLoop() {
-  tls_in_worker = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -56,11 +91,9 @@ void ThreadPool::ParallelFor(std::size_t n,
                              const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
   parallel_for_calls_.fetch_add(1, std::memory_order_relaxed);
-  // Nested call from inside a worker task: queueing would have the enclosing
-  // task wait on workers that may all be blocked the same way, so run inline
-  // on this thread. Same for trivial loops and pools with a single worker
-  // (where the caller would execute everything anyway).
-  if (tls_in_worker || threads_.size() <= 1 || n == 1) {
+  // Trivial loops and single-worker pools (where the caller would execute
+  // everything anyway) run inline.
+  if (threads_.size() <= 1 || n == 1) {
     inline_runs_.fetch_add(1, std::memory_order_relaxed);
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
@@ -72,44 +105,26 @@ void ThreadPool::ParallelFor(std::size_t n,
   // while still smoothing out wildly unequal per-index cost.
   const std::size_t chunk =
       std::max<std::size_t>(1, n / (threads_.size() * 8));
-  std::atomic<std::size_t> next{0};
-  const auto drain = [&] {
-    for (;;) {
-      const std::size_t begin =
-          next.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= n) break;
-      chunks_claimed_.fetch_add(1, std::memory_order_relaxed);
-      const std::size_t end = std::min(n, begin + chunk);
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    }
-  };
+  const auto state = std::make_shared<ForState>(n, chunk, &fn);
 
   const std::size_t num_helpers =
       std::min(threads_.size(), (n + chunk - 1) / chunk);
   helper_tasks_.fetch_add(num_helpers, std::memory_order_relaxed);
-  // `live`, `done_mutex` and `done_cv` live on this stack frame, so a helper
-  // must finish touching them before the caller can see live == 0: it
-  // decrements and notifies under `done_mutex`, which the caller's wait
-  // reacquires before returning.
-  std::size_t live = num_helpers;
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (std::size_t h = 0; h < num_helpers; ++h) {
-      tasks_.push([&] {
-        drain();
-        std::lock_guard<std::mutex> done_lock(done_mutex);
-        if (--live == 0) done_cv.notify_one();
-      });
+      tasks_.push([this, state] { Drain(*state, chunks_claimed_); });
     }
   }
   task_ready_.notify_all();
 
-  drain();  // the caller works too instead of blocking immediately
+  Drain(*state, chunks_claimed_);  // the caller works too
 
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return live == 0; });
+  // Every index is claimed by now, each by a thread that is running it, so
+  // the wait is for work in progress — never for a helper still queued.
+  // That is what lets a worker block here inside a nested call.
+  std::unique_lock<std::mutex> lock(state->mutex);
+  state->all_done.wait(lock, [&] { return state->finished; });
 }
 
 }  // namespace ganns

@@ -34,19 +34,21 @@ class ThreadPool {
 
   std::size_t num_threads() const { return threads_.size(); }
 
-  /// True on a thread currently executing inside any pool's worker loop.
-  /// ParallelFor uses this to run nested calls inline instead of queueing
-  /// work the enclosing task would deadlock waiting on.
-  static bool InWorker();
-
   /// Runs fn(i) for i in [0, n) and blocks until all calls return.
   ///
   /// Scheduling is dynamic: indices are handed out in chunks from a shared
   /// atomic counter, so workers that draw cheap iterations (e.g. small
   /// construction blocks) keep pulling work instead of idling behind a
   /// statically assigned shard — wall time tracks total work, not the
-  /// busiest shard. The calling thread participates in the loop. Nested
-  /// calls from inside a worker task run inline on the calling worker.
+  /// busiest shard. The calling thread participates in the loop.
+  ///
+  /// Nesting: a call made from inside a worker task shares the pool like any
+  /// other call, so e.g. a per-shard task's kernel launch spreads its blocks
+  /// over every worker. This cannot deadlock: the caller drains chunks until
+  /// every index is claimed, then waits only for claimed indices to finish
+  /// — never for a queued helper to start — and nesting depth is finite.
+  /// A helper that starts after the range is drained exits without touching
+  /// the caller's frame or `fn`.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Lifetime scheduling counters. Every field is a function of the
@@ -55,7 +57,8 @@ class ThreadPool {
   /// any thread interleaving — they can appear in deterministic exports.
   struct Stats {
     std::uint64_t parallel_for_calls = 0;  ///< ParallelFor invocations
-    std::uint64_t inline_runs = 0;  ///< calls that ran inline (nested/small)
+    /// Calls that ran inline on the caller: n == 1, or a single-worker pool.
+    std::uint64_t inline_runs = 0;
     std::uint64_t chunks_claimed = 0;  ///< dynamic chunks handed out
     std::uint64_t helper_tasks = 0;    ///< worker tasks enqueued
   };

@@ -83,9 +83,11 @@ KernelStats Device::Finish(
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
     static obs::Counter& launches = registry.GetCounter("gpusim.launches");
     static obs::Counter& blocks = registry.GetCounter("gpusim.blocks");
+    static obs::Gauge& sm_load_imbalance =
+        registry.GetGauge("gpusim.sm_load_imbalance");
     launches.Add(1);
     blocks.Add(static_cast<std::uint64_t>(grid_size));
-    registry.GetGauge("gpusim.sm_load_imbalance").Set(SmLoadImbalance());
+    sm_load_imbalance.Set(SmLoadImbalance());
   }
 
   if (!block_events.empty() || obs::TracingEnabled()) {

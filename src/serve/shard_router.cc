@@ -305,10 +305,11 @@ std::vector<std::vector<graph::Neighbor>> ShardedIndex::SearchBatch(
     stats->fanout_start_us = WallSpanNow() * 1e6;
   }
 
-  // One task per shard: each claims a worker and runs its kernel launch
-  // inline (Device::Launch's nested ParallelFor detects the worker context),
-  // so shards execute concurrently — the host-side analogue of n GPUs
-  // serving in parallel.
+  // One task per shard, so shards execute concurrently — the host-side
+  // analogue of n GPUs serving in parallel. Each shard's Device::Launch is a
+  // nested ParallelFor that shares the pool, so a shard's blocks spread over
+  // every idle worker instead of running serially on the one that claimed
+  // the shard.
   ThreadPool::Global().ParallelFor(num_shards, [&](std::size_t s) {
     const double start_us = WallSpanNow() * 1e6;
     shard_cycles[s] = SearchShard(

@@ -1,10 +1,18 @@
 // Unit tests for the common utilities: deterministic RNG, prefix sums, the
-// host thread pool, and the shared k-way merge's edge cases.
+// host thread pool (including nested calls that share it), and the shared
+// k-way merge's edge cases.
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <functional>
+#include <future>
+#include <memory>
+#include <mutex>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -126,6 +134,125 @@ TEST(ThreadPoolTest, ResultsIndependentOfPoolSize) {
   single.ParallelFor(n, [&](std::size_t i) { a[i] = std::sqrt(i * 3.5); });
   many.ParallelFor(n, [&](std::size_t i) { b[i] = std::sqrt(i * 3.5); });
   EXPECT_EQ(a, b);
+}
+
+// Meeting point for `parties` threads. Arrive() returns true once all of
+// them have arrived, or false when `kRendezvousTimeout` passes first — so a
+// schedule that runs the parties one after another fails instead of hanging.
+class Rendezvous {
+ public:
+  explicit Rendezvous(int parties) : parties_(parties) {}
+
+  bool Arrive() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (++arrived_ == parties_) {
+      all_arrived_.notify_all();
+      return true;
+    }
+    return all_arrived_.wait_for(lock, kRendezvousTimeout,
+                                 [this] { return arrived_ >= parties_; });
+  }
+
+ private:
+  static constexpr std::chrono::seconds kRendezvousTimeout{10};
+  const int parties_;
+  int arrived_ = 0;
+  std::mutex mutex_;
+  std::condition_variable all_arrived_;
+};
+
+TEST(ThreadPoolNestingTest, NestedCallsRunInParallel) {
+  ThreadPool pool(4);
+  // The outer rendezvous puts the two outer indices on different threads,
+  // so at least one of them is a worker. Inside each, the two inner indices
+  // must also meet: a nested call run inline on its worker would reach the
+  // inner rendezvous once and time out.
+  Rendezvous outer(2);
+  Rendezvous inner[] = {Rendezvous(2), Rendezvous(2)};
+  std::atomic<int> missed{0};
+  pool.ParallelFor(2, [&](std::size_t i) {
+    if (!outer.Arrive()) missed.fetch_add(1);
+    pool.ParallelFor(2, [&](std::size_t) {
+      if (!inner[i].Arrive()) missed.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(missed.load(), 0);
+}
+
+TEST(ThreadPoolNestingTest, DeepNestingOnSaturatedPoolVisitsEachIndexOnce) {
+  ThreadPool pool(4);
+  constexpr std::size_t kOuter = 6;
+  constexpr std::size_t kMiddle = 5;
+  constexpr std::size_t kInner = 7;
+  constexpr std::size_t kCallers = 3;
+  // Several external callers run the same three-level nest at once, so
+  // every worker is busy — mostly blocked inside nested calls — while more
+  // nested work keeps arriving.
+  std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(kOuter * kMiddle * kInner);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      pool.ParallelFor(kOuter, [&](std::size_t a) {
+        pool.ParallelFor(kMiddle, [&](std::size_t b) {
+          pool.ParallelFor(kInner, [&](std::size_t d) {
+            std::this_thread::sleep_for(std::chrono::microseconds(10));
+            hits[c][(a * kMiddle + b) * kInner + d].fetch_add(1);
+          });
+        });
+      });
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  for (const auto& h : hits) {
+    for (const auto& count : h) EXPECT_EQ(count.load(), 1);
+  }
+}
+
+TEST(ThreadPoolNestingTest, LateHelperNeverTouchesFinishedCall) {
+  ThreadPool pool(4);
+  // Pin all four workers plus one external thread on a gate: five indices,
+  // each held by the thread blocked in it.
+  constexpr std::size_t kBlockers = 5;
+  std::promise<void> gate;
+  const std::shared_future<void> gate_open = gate.get_future().share();
+  std::atomic<std::size_t> blocked{0};
+  std::thread blocker([&] {
+    pool.ParallelFor(kBlockers, [&](std::size_t) {
+      blocked.fetch_add(1);
+      gate_open.wait();
+    });
+  });
+  while (blocked.load() < kBlockers) std::this_thread::yield();
+
+  // No worker is free, so this caller drains every index itself and returns
+  // while the call's helper tasks are still queued. The loop body then dies
+  // before any of those helpers runs. A scheduler that waited for its
+  // helpers would never return here; the timeout turns that into a failure.
+  constexpr std::size_t kN = 16;
+  std::vector<int> visits(kN, 0);
+  std::atomic<bool> all_on_caller{true};
+  std::promise<void> returned;
+  std::thread caller([&] {
+    const std::thread::id self = std::this_thread::get_id();
+    auto fn = std::make_unique<std::function<void(std::size_t)>>(
+        [&](std::size_t i) {
+          ++visits[i];
+          if (std::this_thread::get_id() != self) all_on_caller = false;
+        });
+    pool.ParallelFor(kN, *fn);
+    fn.reset();
+    returned.set_value();
+  });
+  const bool returned_first = returned.get_future().wait_for(
+      std::chrono::seconds(10)) == std::future_status::ready;
+
+  gate.set_value();  // the workers now reach the stale helpers
+  blocker.join();
+  caller.join();
+  EXPECT_TRUE(returned_first);
+  EXPECT_TRUE(all_on_caller);
+  for (const int v : visits) EXPECT_EQ(v, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,15 +14,12 @@
 // same coverage as the default one.
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
 #include "common/random.h"
 #include "core/ganns_search.h"
 #include "data/dataset.h"
@@ -187,22 +184,6 @@ TEST_F(DistanceKernelTest, SearchPipelineInvariantAcrossKernels) {
     EXPECT_EQ(batch.sim_seconds, scalar_batch.sim_seconds);
     EXPECT_EQ(MeanRecall(batch.results, truth, params.k), scalar_recall);
   }
-}
-
-// The dynamic scheduler must tolerate ParallelFor called from inside a
-// ParallelFor body (runs the inner loop inline instead of deadlocking on the
-// pool's own workers).
-TEST(ThreadPoolNesting, NestedParallelForRunsInline) {
-  ThreadPool& pool = ThreadPool::Global();
-  constexpr std::size_t kOuter = 16;
-  constexpr std::size_t kInner = 16;
-  std::array<std::atomic<int>, kOuter * kInner> hits = {};
-  pool.ParallelFor(kOuter, [&](std::size_t i) {
-    pool.ParallelFor(kInner, [&](std::size_t j) {
-      hits[i * kInner + j].fetch_add(1, std::memory_order_relaxed);
-    });
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 }  // namespace

@@ -123,6 +123,32 @@ TEST_F(ServeTest, BatchExecutionMatchesSerialReference) {
   const auto batched = index.SearchBatch(routed, core::SearchKernel::kGanns);
   const auto serial = index.SearchSerial(routed, core::SearchKernel::kGanns);
   EXPECT_EQ(batched, serial);
+
+  // Host scheduling never leaks into simulated time: two stats-collecting
+  // runs of the same batch charge identical cycles and per-query hardness,
+  // however the pool interleaved the shards' blocks.
+  RouteStats first;
+  RouteStats second;
+  EXPECT_EQ(index.SearchBatch(routed, core::SearchKernel::kGanns, &first),
+            serial);
+  EXPECT_EQ(index.SearchBatch(routed, core::SearchKernel::kGanns, &second),
+            serial);
+  EXPECT_GT(first.sim_cycles, 0.0);
+  EXPECT_EQ(first.sim_cycles, second.sim_cycles);
+  ASSERT_EQ(first.shards.size(), second.shards.size());
+  for (std::size_t s = 0; s < first.shards.size(); ++s) {
+    EXPECT_EQ(first.shards[s].sim_cycles, second.shards[s].sim_cycles);
+  }
+  ASSERT_EQ(first.hardness.size(), routed.size());
+  ASSERT_EQ(second.hardness.size(), routed.size());
+  for (std::size_t q = 0; q < routed.size(); ++q) {
+    const graph::QueryHardness& a = first.hardness[q];
+    const graph::QueryHardness& b = second.hardness[q];
+    EXPECT_EQ(a.entry_distance, b.entry_distance) << "q=" << q;
+    EXPECT_EQ(a.early_fanout, b.early_fanout) << "q=" << q;
+    EXPECT_EQ(a.visited, b.visited) << "q=" << q;
+    EXPECT_EQ(a.budget, b.budget) << "q=" << q;
+  }
 }
 
 // (b) Concurrent submitters racing into the engine get exactly the answers
