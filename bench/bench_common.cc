@@ -87,7 +87,9 @@ std::string ProvenanceJson() {
   json += "\"flags\": \"" + field("GANNS_PROV_FLAGS") + "\", ";
   json += "\"wall_seconds\": \"" + field("GANNS_PROV_WALL_SECONDS") + "\", ";
   json += "\"telemetry_overhead\": \"" +
-          field("GANNS_PROV_TELEMETRY_OVERHEAD") + "\"}";
+          field("GANNS_PROV_TELEMETRY_OVERHEAD") + "\", ";
+  json += "\"telemetry_wall_overhead\": \"" +
+          field("GANNS_PROV_TELEMETRY_WALL_OVERHEAD") + "\"}";
   return json;
 }
 

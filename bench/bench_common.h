@@ -55,13 +55,15 @@ graph::ProximityGraph CachedNswGraph(const Workload& workload,
 void PrintHeader(const std::string& bench_name, const BenchConfig& config);
 
 /// JSON object recording what produced a BENCH_*.json: git sha, date, host,
-/// build flags, wall-clock duration, and the telemetry-overhead ratio
-/// (tracing-on / tracing-off sim_qps — expected 1.0, since instrumentation
-/// never charges simulated cycles), read from the GANNS_PROV_GIT_SHA /
-/// GANNS_PROV_DATE / GANNS_PROV_HOST / GANNS_PROV_FLAGS /
-/// GANNS_PROV_WALL_SECONDS / GANNS_PROV_TELEMETRY_OVERHEAD environment
-/// (exported by run_benches.sh; wall_seconds is stamped as "pending" and
-/// sed-replaced after the binary exits). Unset fields render as "unknown".
+/// build flags, wall-clock duration, and the two telemetry ratios of one
+/// serve run with tracing+metrics on vs off: telemetry_overhead is on/off
+/// sim_qps (expected 1.0, since instrumentation never charges simulated
+/// cycles), telemetry_wall_overhead is on/off wall_qps (the host cost).
+/// Read from the GANNS_PROV_GIT_SHA / GANNS_PROV_DATE / GANNS_PROV_HOST /
+/// GANNS_PROV_FLAGS / GANNS_PROV_WALL_SECONDS /
+/// GANNS_PROV_TELEMETRY_OVERHEAD / GANNS_PROV_TELEMETRY_WALL_OVERHEAD
+/// environment (exported by run_benches.sh; wall_seconds is stamped as
+/// "pending" and sed-replaced after the binary exits). Unset fields render as "unknown".
 /// All values are strings (schema_check bench requires it); bench_diff
 /// prints the block in regression reports and never gates on it.
 std::string ProvenanceJson();

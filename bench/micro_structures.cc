@@ -100,7 +100,7 @@ void BM_BitonicMergeKeepFirst(benchmark::State& state) {
     std::sort(b.begin(), b.end());
     gpusim::MergeSortedKeepFirst(
         warp, std::span<std::uint32_t>(a), std::span<const std::uint32_t>(b),
-        std::span<std::uint32_t>(scratch), ~std::uint32_t{0},
+        std::span<std::uint32_t>(scratch),
         [](std::uint32_t x, std::uint32_t y) { return x < y; },
         gpusim::CostCategory::kDataStructure);
     benchmark::DoNotOptimize(a.data());

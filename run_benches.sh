@@ -11,36 +11,44 @@ cd "$(dirname "$0")"
 exec > bench_output.txt 2>&1
 
 # Provenance, stamped into every BENCH_*.json the binaries write (see
-# bench::ProvenanceJson), so a regression report names the commit, time,
-# host, build flags, wall duration, and telemetry overhead that produced
-# the numbers.
-export GANNS_PROV_GIT_SHA="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+# bench::ProvenanceJson), so a regression report names the commit (suffixed
+# -dirty when the tree has uncommitted changes), time, host, build flags,
+# wall duration, and telemetry overhead that produced the numbers.
+export GANNS_PROV_GIT_SHA="$(git describe --always --dirty 2>/dev/null || echo unknown)"
 export GANNS_PROV_DATE="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 export GANNS_PROV_HOST="$(hostname 2>/dev/null || echo unknown)"
 export GANNS_PROV_FLAGS="$(grep -E '^CMAKE_BUILD_TYPE|^GANNS_(TRACING|SANITIZE|NATIVE_ARCH)' build/CMakeCache.txt 2>/dev/null | tr '\n' ' ' || echo unknown)"
 
-# Telemetry overhead: the same tiny serve run with tracing+metrics on vs
-# off. The ratio compares *simulated* QPS, which instrumentation must never
-# move (it observes, it never charges cycles) — so this is expected to be
-# exactly 1.000000 and doubles as a standing end-to-end check of the
-# two-clock rule in every provenance block.
+# Telemetry overhead: the same serve run with tracing+metrics on vs off,
+# compared on both clocks (on / off). The sim-QPS ratio must be exactly
+# 1.000000 — instrumentation observes, it never charges cycles — so it
+# doubles as a standing end-to-end check of the two-clock rule in every
+# provenance block. The wall-QPS ratio is what telemetry costs the host:
+# below 1 means the instrumented run served fewer requests per second.
 telemetry_overhead() {
-  local extract='s/.*"sim_qps": \([0-9.][0-9.]*\).*/\1/p'
   local off on
-  off=$(./build/tools/ganns serve-bench --n 2000 --queries 100 --shards 2 \
-          2>/dev/null | sed -n "$extract" | head -1)
-  on=$(./build/tools/ganns serve-bench --n 2000 --queries 100 --shards 2 \
+  off=$(./build/tools/ganns serve-bench --n 2000 --queries 1000 --shards 2 \
+          2>/dev/null | grep -m1 '"sim_qps"')
+  on=$(./build/tools/ganns serve-bench --n 2000 --queries 1000 --shards 2 \
          --trace-out /tmp/ganns_prov_trace.json \
          --stats-out /tmp/ganns_prov_stats.json \
-         2>/dev/null | sed -n "$extract" | head -1)
+         2>/dev/null | grep -m1 '"sim_qps"')
   rm -f /tmp/ganns_prov_trace.json /tmp/ganns_prov_stats.json
-  if [ -n "$off" ] && [ -n "$on" ] && [ "$off" != "0" ]; then
-    awk -v on="$on" -v off="$off" 'BEGIN { printf "%.6f", on / off }'
-  else
-    echo unknown
-  fi
+  ratio() { # <field>: prints on/off for one field of the two runs
+    local extract="s/.*\"$1\": \\([0-9.][0-9.]*\\).*/\\1/p" a b
+    a=$(sed -n "$extract" <<<"$on")
+    b=$(sed -n "$extract" <<<"$off")
+    if [ -n "$a" ] && [ -n "$b" ] && [ "$b" != "0" ]; then
+      awk -v on="$a" -v off="$b" 'BEGIN { printf "%.6f", on / off }'
+    else
+      echo unknown
+    fi
+  }
+  GANNS_PROV_TELEMETRY_OVERHEAD=$(ratio sim_qps)
+  GANNS_PROV_TELEMETRY_WALL_OVERHEAD=$(ratio wall_qps)
 }
-export GANNS_PROV_TELEMETRY_OVERHEAD="$(telemetry_overhead)"
+telemetry_overhead
+export GANNS_PROV_TELEMETRY_OVERHEAD GANNS_PROV_TELEMETRY_WALL_OVERHEAD
 
 # Each binary writes wall_seconds as the "pending" placeholder; stamp_wall
 # replaces it with the measured duration once the binary has exited.

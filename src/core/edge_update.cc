@@ -168,7 +168,7 @@ std::size_t ApplyBackwardEdges(gpusim::Device& device,
         gpusim::MergeSortedKeepFirst(
             warp, std::span<graph::Neighbor>(row),
             std::span<const graph::Neighbor>(incoming.data(), num_new),
-            std::span<graph::Neighbor>(scratch), graph::Neighbor{},
+            std::span<graph::Neighbor>(scratch),
             [](const graph::Neighbor& a, const graph::Neighbor& b) {
               return a < b;
             },

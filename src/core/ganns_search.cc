@@ -1,7 +1,6 @@
 #include "core/ganns_search.h"
 
-#include <bit>
-
+#include <algorithm>
 #include <optional>
 
 #include "common/logging.h"
@@ -75,11 +74,48 @@ struct Slot {
 
 constexpr Slot kSentinelSlot{};
 
-/// Strict weak order by (dist, id) — the sort key of phases (5)/(6), with
-/// ties broken by vertex id as the paper specifies.
-bool SlotLess(const Slot& a, const Slot& b) {
+/// (dist, id) order: the lazy check's lookup key. It ignores the explored
+/// flag, so the explored copy of a vertex in N still matches its probe.
+bool VertexLess(const Slot& a, const Slot& b) {
   if (a.dist != b.dist) return a.dist < b.dist;
   return a.id < b.id;
+}
+
+bool SameVertex(const Slot& a, const Slot& b) {
+  return a.dist == b.dist && a.id == b.id;
+}
+
+/// Strict total order by (dist, id, explored), explored first — the sort key
+/// of phases (5)/(6). The paper sorts on (dist, id) with the explored flag
+/// riding along; the flag as last key makes ties identical, which the host
+/// sort and merge need to reproduce the network's output.
+bool SlotLess(const Slot& a, const Slot& b) {
+  if (!SameVertex(a, b)) return VertexLess(a, b);
+  return a.explored && !b.explored;
+}
+
+/// Host side of phases (4)-(6), step one: compacts to the front of `t` the
+/// entries that can enter `n` and returns their count. An entry not below
+/// n's last slot cannot enter; with `lazy_check`, one whose (dist, id) is
+/// already in `n` is a redundant computation — counted and dropped.
+std::size_t FilterCandidates(std::span<const Slot> n, std::span<Slot> t,
+                             bool lazy_check, std::uint32_t& redundant) {
+  const Slot& last = n.back();
+  std::size_t kept = 0;
+  for (const Slot& probe : t) {
+    const bool enters = SlotLess(probe, last);
+    if (lazy_check) {
+      const Slot& hit =
+          enters ? *std::lower_bound(n.begin(), n.end(), probe, VertexLess)
+                 : last;
+      if (SameVertex(hit, probe)) {
+        ++redundant;
+        continue;
+      }
+    }
+    if (enters) t[kept++] = probe;
+  }
+  return kept;
 }
 
 }  // namespace
@@ -111,8 +147,9 @@ std::vector<graph::Neighbor> GannsSearchOne(
   // vertices of the current iteration.
   std::span<Slot> result_array = block.AllocShared<Slot>(l_n);    // N
   std::span<Slot> visiting = block.AllocShared<Slot>(l_t);        // T
-  std::span<Slot> merge_scratch = block.AllocShared<Slot>(
-      2 * gpusim::NextPow2(l_n > l_t ? l_n : l_t));
+  // The merge network's buffer. The host merges in place, but the device
+  // kernel holds it, so it counts against the shared-memory limit.
+  block.AllocShared<Slot>(2 * gpusim::NextPow2(std::max(l_n, l_t)));
 
   // Compressed path: in-loop distances come from the packed codes (narrower
   // loads); the PQ LUT is built — and charged — once per query up front.
@@ -215,46 +252,33 @@ std::vector<graph::Neighbor> GannsSearchOne(
     }
     phases.End(2);
 
-    // Phase (4): lazy check. Parallel binary search of each visiting vertex
-    // in the sorted array N; a hit means its distance was re-computed
-    // redundantly, and the slot is neutralized so the duplicate cannot
-    // propagate (it is marked explored and pushed to the tail by the sort).
+    // Phases (4)-(6) on the device: (4) lazy check, a parallel binary search
+    // of each visiting vertex in the sorted array N — a hit means its
+    // distance was re-computed redundantly, and the slot is dropped;
+    // (5) bitonic sort of T by (dist, id, explored); (6) bitonic merge
+    // keeping the l_n closest of T ∪ N in N. A vertex that was explored and
+    // later discarded from N can never re-enter: the l_n-th distance of N
+    // only decreases.
+    // Each phase charges its network's schedule between its own timer
+    // boundaries, so profiles and traces keep the device split. The host
+    // then does all three in one pass over the T entries that can enter N:
+    // filter and dedupe, sort the survivors, merge them into N from the
+    // first insertion point.
     if (!params.disable_lazy_check) {
       warp.ChargeBinarySearch(degree, l_n,
                               gpusim::CostCategory::kDataStructure);
-      for (std::size_t i = 0; i < degree; ++i) {
-        const Slot& probe = visiting[i];
-        std::size_t lo = 0;
-        std::size_t hi = l_n;
-        while (lo < hi) {
-          const std::size_t mid = (lo + hi) / 2;
-          if (SlotLess(result_array[mid], probe)) {
-            lo = mid + 1;
-          } else {
-            hi = mid;
-          }
-        }
-        if (lo < l_n && result_array[lo].id == probe.id &&
-            result_array[lo].dist == probe.dist) {
-          ++local.redundant_distances;
-          visiting[i] = kSentinelSlot;
-        }
-      }
     }
     phases.End(3);
-
-    // Phase (5): bitonic sort of T by (dist, id); sentinel slots sink to the
-    // tail because they carry infinite distance.
-    gpusim::BitonicSort(warp, visiting, SlotLess,
-                        gpusim::CostCategory::kDataStructure);
+    gpusim::ChargeBitonicSort(warp, l_t, gpusim::CostCategory::kDataStructure);
     phases.End(4);
-
-    // Phase (6): candidate update. Bitonic merge keeps the l_n closest
-    // vertices of T ∪ N in N. A vertex that was explored and later discarded
-    // from N can never re-enter: the l_n-th distance of N only decreases.
-    gpusim::MergeSortedKeepFirst(
-        warp, result_array, std::span<const Slot>(visiting), merge_scratch,
-        kSentinelSlot, SlotLess, gpusim::CostCategory::kDataStructure);
+    gpusim::ChargeMergeKeepFirst(warp, l_n, l_t,
+                                 gpusim::CostCategory::kDataStructure);
+    const std::size_t kept =
+        FilterCandidates(result_array, visiting.first(degree),
+                         !params.disable_lazy_check, local.redundant_distances);
+    std::sort(visiting.begin(), visiting.begin() + kept, SlotLess);
+    gpusim::MergeKeepFirstInPlace(
+        result_array, std::span<const Slot>(visiting.first(kept)), SlotLess);
     phases.End(5);
   }
 

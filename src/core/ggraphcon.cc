@@ -145,7 +145,6 @@ GpuBuildResult BuildNswGGraphCon(gpusim::Device& device,
           gpusim::MergeSortedKeepFirst(
               warp, std::span<graph::Neighbor>(merged),
               std::span<const graph::Neighbor>(prior), scratch,
-              graph::Neighbor{},
               [](const graph::Neighbor& a, const graph::Neighbor& b) {
                 return a < b;
               },

@@ -1,10 +1,10 @@
 #ifndef GANNS_GPUSIM_BITONIC_H_
 #define GANNS_GPUSIM_BITONIC_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <span>
-#include <utility>
 
 #include "common/logging.h"
 #include "gpusim/cost_model.h"
@@ -14,97 +14,94 @@ namespace ganns {
 namespace gpusim {
 
 /// Warp-parallel bitonic sorting network (Batcher, 1968), the phase-(5)/(6)
-/// primitive of the GANNS search kernel and the edge-list sorter of
-/// GGraphCon. The network is executed compare-exchange for compare-exchange,
-/// so the result (including tie handling via the caller's strict-weak `less`)
-/// is exactly what the GPU kernel produces; the cost model is charged one
-/// lane-strided pass per stage.
+/// primitive of the GANNS search kernel and the edge-list merger of
+/// GGraphCon. Each primitive is split in two halves:
+///   * the charge schedule (ChargeBitonicSort / ChargeMergeKeepFirst) issues
+///     exactly the Charge calls the network issues on the device — one
+///     lane-strided pass per stage plus the merge's load and write-back
+///     passes, same amounts in the same order — so simulated cycles are the
+///     network's to the last bit;
+///   * the host computation is an ordinary sort or two-pointer merge.
+/// Precondition: `less` is a strict total order on the values passed — two
+/// elements that tie are identical. Under it every correct sort or merge
+/// returns exactly the network's output, so the split moves no result.
 
 /// Smallest power of two >= n (n >= 1).
 inline std::size_t NextPow2(std::size_t n) {
   return n <= 1 ? 1 : std::size_t{1} << std::bit_width(n - 1);
 }
 
-/// In-place bitonic sort of `data` (size must be a power of two) into
-/// ascending order under `less`. Charges log2(L)*(log2(L)+1)/2 stages, each a
-/// lane-strided pass over L/2 compare-exchange pairs, to `category`.
-template <typename T, typename Less>
-void BitonicSort(Warp& warp, std::span<T> data, Less less,
-                 CostCategory category) {
-  const std::size_t len = data.size();
+/// Charges a bitonic sort of `len` elements (a power of two):
+/// log2(L)*(log2(L)+1)/2 stages, each a lane-strided pass over L/2
+/// compare-exchange pairs, to `category`.
+inline void ChargeBitonicSort(Warp& warp, std::size_t len,
+                              CostCategory category) {
   GANNS_CHECK_MSG((len & (len - 1)) == 0, "bitonic sort length " << len
                                           << " is not a power of two");
   if (len <= 1) return;
   const double per_pair = warp.params().alu_step + 2 * warp.params().shared_access;
-  // Stage loop of the classic network: k = size of the bitonic subsequences
-  // being produced, j = compare distance within the sub-stage.
   for (std::size_t k = 2; k <= len; k <<= 1) {
     for (std::size_t j = k >> 1; j > 0; j >>= 1) {
-      for (std::size_t i = 0; i < len; ++i) {
-        const std::size_t partner = i ^ j;
-        if (partner <= i) continue;
-        const bool ascending = (i & k) == 0;
-        if (less(data[partner], data[i]) == ascending) {
-          std::swap(data[i], data[partner]);
-        }
-      }
       warp.cost().Charge(category, warp.StepsFor(len / 2) * per_pair);
     }
   }
 }
 
-/// In-place bitonic *merge*: `data` must be a bitonic sequence (ascending
-/// prefix followed by a descending suffix); sorts it ascending in log2(L)
-/// stages. Used to merge the sorted arrays T and N in phase (6).
-template <typename T, typename Less>
-void BitonicMerge(Warp& warp, std::span<T> data, Less less,
-                  CostCategory category) {
-  const std::size_t len = data.size();
-  GANNS_CHECK_MSG((len & (len - 1)) == 0, "bitonic merge length " << len
-                                          << " is not a power of two");
-  if (len <= 1) return;
-  const double per_pair = warp.params().alu_step + 2 * warp.params().shared_access;
+/// Charges the bitonic merge of a sorted `a_size` array with a sorted
+/// `b_size` array keeping the first a_size: a load pass building the
+/// 2 * NextPow2(max) bitonic buffer, log2 of that many merge stages, and the
+/// write-back pass over `a`.
+inline void ChargeMergeKeepFirst(Warp& warp, std::size_t a_size,
+                                 std::size_t b_size, CostCategory category) {
+  const std::size_t len = 2 * NextPow2(std::max(a_size, b_size));
+  const double shared = warp.params().shared_access;
+  const double per_pair = warp.params().alu_step + 2 * shared;
+  warp.cost().Charge(category, warp.StepsFor(len) * shared);
   for (std::size_t j = len >> 1; j > 0; j >>= 1) {
-    for (std::size_t i = 0; i < len; ++i) {
-      const std::size_t partner = i ^ j;
-      if (partner <= i) continue;
-      if (less(data[partner], data[i])) {
-        std::swap(data[i], data[partner]);
-      }
-    }
     warp.cost().Charge(category, warp.StepsFor(len / 2) * per_pair);
+  }
+  warp.cost().Charge(category, warp.StepsFor(a_size) * shared);
+}
+
+/// Sorts `data` (size a power of two) ascending under `less`, charged as the
+/// bitonic network.
+template <typename T, typename Less>
+void BitonicSort(Warp& warp, std::span<T> data, Less less,
+                 CostCategory category) {
+  ChargeBitonicSort(warp, data.size(), category);
+  std::sort(data.begin(), data.end(), less);
+}
+
+/// Host half of MergeSortedKeepFirst: merges ascending `b` into ascending
+/// `a`, keeping the a.size() smallest of a ∪ b in `a`. Walks from the back so
+/// it needs no buffer, and stops as soon as `b` is exhausted — the untouched
+/// prefix of `a` is already in place.
+template <typename T, typename Less>
+void MergeKeepFirstInPlace(std::span<T> a, std::span<const T> b, Less less) {
+  std::size_t i = a.size();  // a[0..i) not yet consumed
+  std::size_t j = b.size();  // b[0..j) not yet consumed
+  std::size_t out = a.size() + b.size();
+  while (j > 0) {
+    --out;
+    const bool take_b = i == 0 || less(a[i - 1], b[j - 1]);
+    const T& next = take_b ? b[--j] : a[--i];
+    if (out < a.size()) a[out] = next;
   }
 }
 
 /// Merges two ascending sequences `a` and `b` (each already sorted under
-/// `less`) and writes the smallest a.size() elements back into `a`.
-/// `scratch` must have capacity 2 * NextPow2(max(|a|, |b|)); slack positions
-/// are filled with `sentinel`, which must compare greater-or-equal to every
-/// real element. This is the bitonic-merge-based candidate update of the
-/// GANNS kernel (phase 6) and the adjacency-list merge of GGraphCon step 3.
+/// `less`) and writes the smallest a.size() elements back into `a`, charged
+/// as the bitonic merge of the GANNS kernel's candidate update (phase 6) and
+/// of GGraphCon step 3. `scratch` is the network's shared-memory buffer: it
+/// must hold 2 * NextPow2(max(|a|, |b|)) elements, so the block's
+/// shared-memory limit applies as on the device.
 template <typename T, typename Less>
 void MergeSortedKeepFirst(Warp& warp, std::span<T> a, std::span<const T> b,
-                          std::span<T> scratch, const T& sentinel, Less less,
+                          std::span<T> scratch, Less less,
                           CostCategory category) {
-  const std::size_t half = NextPow2(a.size() > b.size() ? a.size() : b.size());
-  const std::size_t len = 2 * half;
-  GANNS_CHECK(scratch.size() >= len);
-  std::span<T> buffer = scratch.subspan(0, len);
-  // Layout: [a ascending, pad] [reverse(b) i.e. descending, pad-at-front]
-  // which forms a single bitonic (ascending-then-descending) sequence.
-  for (std::size_t i = 0; i < half; ++i) {
-    buffer[i] = i < a.size() ? a[i] : sentinel;
-  }
-  for (std::size_t i = 0; i < half; ++i) {
-    const std::size_t src = half - 1 - i;  // reverse b into descending order
-    buffer[half + i] = src < b.size() ? b[src] : sentinel;
-  }
-  warp.cost().Charge(category,
-                     warp.StepsFor(len) * warp.params().shared_access);
-  BitonicMerge(warp, buffer, less, category);
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] = buffer[i];
-  warp.cost().Charge(category,
-                     warp.StepsFor(a.size()) * warp.params().shared_access);
+  GANNS_CHECK(scratch.size() >= 2 * NextPow2(std::max(a.size(), b.size())));
+  ChargeMergeKeepFirst(warp, a.size(), b.size(), category);
+  MergeKeepFirstInPlace(a, b, less);
 }
 
 }  // namespace gpusim

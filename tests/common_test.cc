@@ -117,11 +117,12 @@ TEST(ThreadPoolTest, ParallelForVisitsEveryIndexExactlyOnce) {
 
 TEST(ThreadPoolTest, HandlesZeroAndSmallN) {
   ThreadPool pool(8);
-  int calls = 0;
+  // Atomic: the three indices may run on three threads at once.
+  std::atomic<int> calls{0};
   pool.ParallelFor(0, [&](std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(calls.load(), 0);
   pool.ParallelFor(3, [&](std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(calls.load(), 3);
 }
 
 TEST(ThreadPoolTest, ResultsIndependentOfPoolSize) {

@@ -2,12 +2,15 @@
 // result invariants, parameter effects (l_n, e), the lazy-check behaviour,
 // determinism, and the cost-model properties the paper's analysis predicts.
 
+#include <array>
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "core/ganns_search.h"
 #include "data/ground_truth.h"
+#include "data/quantize.h"
 #include "data/synthetic.h"
 #include "graph/cpu_nsw.h"
 
@@ -216,6 +219,107 @@ TEST_F(GannsSearchTest, EntryVertexIsHonored) {
   ASSERT_FALSE(found.empty());
   EXPECT_EQ(found[0].id, 123u);
   EXPECT_FLOAT_EQ(found[0].dist, 0.0f);
+}
+
+// ---- Pinned kernel outputs. ----
+// Sums over the fixture queries of every simulated profile field plus an
+// FNV-1a hash of the result ids. The lazy-check-on rows (exact and SQ8) were
+// recorded from the compare-exchange implementation of phases (5)/(6): the
+// host side of the candidate update may change, the simulated kernel may not.
+// The lazy-check-off row was recorded under the (dist, id, explored) slot
+// order, which fixes the tie order of explored and unexplored copies of a
+// vertex that the network left arbitrary.
+
+struct KernelPin {
+  double total_cycles = 0;
+  std::array<double, kNumGannsPhases> phase_cycles{};
+  std::uint64_t hops = 0;
+  std::uint64_t distance_computations = 0;
+  std::uint64_t redundant_distances = 0;
+  std::uint64_t ids_hash = 0xcbf29ce484222325ULL;
+};
+
+class GannsKernelPinTest : public GannsSearchTest {
+ protected:
+  KernelPin Run(const GannsParams& params,
+                const graph::SearchContext& ctx = {}) {
+    std::vector<GannsQueryProfile> profiles;
+    gpusim::Device device;
+    const auto batch = GannsSearchBatch(device, built_->graph, *base_,
+                                        *queries_, params, 32, 0, &profiles,
+                                        ctx);
+    KernelPin pin;
+    for (const GannsQueryProfile& p : profiles) {
+      pin.total_cycles += p.total_cycles;
+      for (int i = 0; i < kNumGannsPhases; ++i) {
+        pin.phase_cycles[i] += p.phase_cycles[i];
+      }
+      pin.hops += p.hops;
+      pin.distance_computations += p.distance_computations;
+      pin.redundant_distances += p.redundant_distances;
+    }
+    for (const auto& row : batch.results) {
+      for (const VertexId id : row) {
+        pin.ids_hash = (pin.ids_hash ^ id) * 0x100000001b3ULL;
+      }
+    }
+    return pin;
+  }
+
+  static GannsParams Params() {
+    GannsParams params;
+    params.k = 10;
+    params.l_n = 64;
+    return params;
+  }
+
+  static void ExpectPin(const KernelPin& got, const KernelPin& want) {
+    EXPECT_EQ(got.total_cycles, want.total_cycles);
+    for (int i = 0; i < kNumGannsPhases; ++i) {
+      EXPECT_EQ(got.phase_cycles[i], want.phase_cycles[i])
+          << GannsPhaseName(i);
+    }
+    EXPECT_EQ(got.hops, want.hops);
+    EXPECT_EQ(got.distance_computations, want.distance_computations);
+    EXPECT_EQ(got.redundant_distances, want.redundant_distances);
+    EXPECT_EQ(got.ids_hash, want.ids_hash);
+  }
+};
+
+TEST_F(GannsKernelPinTest, LazyCheckOnMatchesPinnedProfile) {
+  ExpectPin(Run(Params()), KernelPin{2387585,
+                                        {4165, 17010, 1869125, 51030, 212625,
+                                         232470},
+                                        2835,
+                                        74805,
+                                        50409,
+                                        0xdb8bbfa34e3e039fULL});
+}
+
+TEST_F(GannsKernelPinTest, Sq8CodesMatchPinnedProfile) {
+  data::QuantizerOptions options;
+  options.precision = data::Precision::kSq8;
+  const data::Quantizer q = data::Quantizer::Train(*base_, options);
+  const data::QuantizedCodes codes = data::QuantizedCodes::EncodeAll(q, *base_);
+  const data::SearchQuantization quant{&q, &codes, 4};
+  ExpectPin(Run(Params(), {&quant}), KernelPin{1305229,
+                                                   {4164, 17010, 747370, 51030,
+                                                    212625, 232470},
+                                                   2835,
+                                                   76377,
+                                                   50394,
+                                                   0xdb8bbfa34e3e039fULL});
+}
+
+TEST_F(GannsKernelPinTest, LazyCheckOffMatchesPinnedProfile) {
+  GannsParams params = Params();
+  params.disable_lazy_check = true;
+  ExpectPin(Run(params), KernelPin{2346577,
+                                    {3445, 16164, 1902850, 0, 202050, 220908},
+                                    2694,
+                                    76154,
+                                    0,
+                                    0x19e0f251e6f0ef1eULL});
 }
 
 TEST_F(GannsSearchTest, RejectsInvalidParameters) {

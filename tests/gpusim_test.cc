@@ -13,6 +13,7 @@
 #include "gpusim/block.h"
 #include "gpusim/device.h"
 #include "gpusim/warp.h"
+#include "graph/beam_search.h"
 
 namespace ganns {
 namespace gpusim {
@@ -258,10 +259,9 @@ TEST_P(BitonicMergeProperty, MergeKeepsSmallestInA) {
   Warp warp(32, &cost);
   std::vector<std::uint64_t> scratch(
       2 * NextPow2(std::max(a_size, b_size)));
-  constexpr std::uint64_t kSentinel = ~std::uint64_t{0};
   MergeSortedKeepFirst(warp, std::span<std::uint64_t>(a),
                        std::span<const std::uint64_t>(b),
-                       std::span<std::uint64_t>(scratch), kSentinel,
+                       std::span<std::uint64_t>(scratch),
                        [](std::uint64_t x, std::uint64_t y) { return x < y; },
                        CostCategory::kDataStructure);
   EXPECT_EQ(a, merged);
@@ -282,10 +282,227 @@ TEST(BitonicMergeTest, EmptyBLeavesAUntouched) {
   std::vector<int> b;
   std::vector<int> scratch(8, 0);
   MergeSortedKeepFirst(warp, std::span<int>(a), std::span<const int>(b),
-                       std::span<int>(scratch), 1 << 30,
+                       std::span<int>(scratch),
                        [](int x, int y) { return x < y; },
                        CostCategory::kOther);
   EXPECT_EQ(a, (std::vector<int>{1, 2, 3, 4}));
+}
+
+
+// ---- Network oracle: the compare-exchange bitonic network. ----
+// The primitives above charge the network's schedule but compute with
+// std::sort and a two-pointer merge. These are the network itself, executed
+// compare-exchange for compare-exchange with its per-stage charges; under a
+// strict total order (ties identical) both must agree byte for byte on the
+// output and bit for bit on every cost category.
+
+template <typename T, typename Less>
+void NetworkSort(Warp& warp, std::span<T> data, Less less,
+                 CostCategory category) {
+  const std::size_t len = data.size();
+  if (len <= 1) return;
+  const double per_pair = warp.params().alu_step + 2 * warp.params().shared_access;
+  for (std::size_t k = 2; k <= len; k <<= 1) {
+    for (std::size_t j = k >> 1; j > 0; j >>= 1) {
+      for (std::size_t i = 0; i < len; ++i) {
+        const std::size_t partner = i ^ j;
+        if (partner <= i) continue;
+        const bool ascending = (i & k) == 0;
+        if (less(data[partner], data[i]) == ascending) {
+          std::swap(data[i], data[partner]);
+        }
+      }
+      warp.cost().Charge(category, warp.StepsFor(len / 2) * per_pair);
+    }
+  }
+}
+
+template <typename T, typename Less>
+void NetworkMerge(Warp& warp, std::span<T> data, Less less,
+                  CostCategory category) {
+  const std::size_t len = data.size();
+  if (len <= 1) return;
+  const double per_pair = warp.params().alu_step + 2 * warp.params().shared_access;
+  for (std::size_t j = len >> 1; j > 0; j >>= 1) {
+    for (std::size_t i = 0; i < len; ++i) {
+      const std::size_t partner = i ^ j;
+      if (partner <= i) continue;
+      if (less(data[partner], data[i])) std::swap(data[i], data[partner]);
+    }
+    warp.cost().Charge(category, warp.StepsFor(len / 2) * per_pair);
+  }
+}
+
+/// [a ascending, sentinel pad][b reversed, sentinel pad at the front] is one
+/// bitonic sequence; merging it and keeping the first |a| is the update.
+template <typename T, typename Less>
+void NetworkMergeKeepFirst(Warp& warp, std::span<T> a, std::span<const T> b,
+                           const T& sentinel, Less less,
+                           CostCategory category) {
+  const std::size_t half = NextPow2(std::max(a.size(), b.size()));
+  std::vector<T> buffer(2 * half);
+  for (std::size_t i = 0; i < half; ++i) {
+    buffer[i] = i < a.size() ? a[i] : sentinel;
+    const std::size_t src = half - 1 - i;
+    buffer[half + i] = src < b.size() ? b[src] : sentinel;
+  }
+  warp.cost().Charge(category,
+                     warp.StepsFor(buffer.size()) * warp.params().shared_access);
+  NetworkMerge(warp, std::span<T>(buffer), less, category);
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] = buffer[i];
+  warp.cost().Charge(category,
+                     warp.StepsFor(a.size()) * warp.params().shared_access);
+}
+
+void ExpectSameCycles(const CostModel& got, const CostModel& want) {
+  for (int c = 0; c < kNumCostCategories; ++c) {
+    const auto category = static_cast<CostCategory>(c);
+    EXPECT_EQ(got.cycles(category), want.cycles(category)) << "category " << c;
+  }
+}
+
+constexpr auto kU64Less = [](std::uint64_t x, std::uint64_t y) { return x < y; };
+constexpr auto kNeighborLess = [](const graph::Neighbor& x,
+                                  const graph::Neighbor& y) { return x < y; };
+
+/// Runs the primitive and the network on the same inputs with `lanes`-wide
+/// warps and compares outputs and charges.
+template <typename T, typename Less>
+void ExpectSortMatchesNetwork(std::vector<T> values, Less less, int lanes) {
+  std::vector<T> expected = values;
+  CostModel want;
+  Warp oracle(lanes, &want);
+  NetworkSort(oracle, std::span<T>(expected), less, CostCategory::kDataStructure);
+  CostModel got;
+  Warp warp(lanes, &got);
+  BitonicSort(warp, std::span<T>(values), less, CostCategory::kDataStructure);
+  EXPECT_EQ(values, expected);
+  ExpectSameCycles(got, want);
+}
+
+template <typename T, typename Less>
+void ExpectMergeMatchesNetwork(std::vector<T> a, std::vector<T> b,
+                               const T& sentinel, Less less, int lanes) {
+  std::sort(a.begin(), a.end(), less);
+  std::sort(b.begin(), b.end(), less);
+  std::vector<T> expected = a;
+  CostModel want;
+  Warp oracle(lanes, &want);
+  NetworkMergeKeepFirst(oracle, std::span<T>(expected),
+                        std::span<const T>(b), sentinel, less,
+                        CostCategory::kDataStructure);
+  CostModel got;
+  Warp warp(lanes, &got);
+  std::vector<T> scratch(2 * NextPow2(std::max(a.size(), b.size())));
+  MergeSortedKeepFirst(warp, std::span<T>(a), std::span<const T>(b),
+                       std::span<T>(scratch), less,
+                       CostCategory::kDataStructure);
+  EXPECT_EQ(a, expected) << "|a|=" << a.size() << " |b|=" << b.size();
+  ExpectSameCycles(got, want);
+}
+
+std::vector<std::uint64_t> RandomValues(Rng& rng, std::size_t n,
+                                        std::uint64_t bound) {
+  std::vector<std::uint64_t> values(n);
+  for (auto& v : values) v = rng.NextBounded(bound);
+  return values;
+}
+
+std::vector<graph::Neighbor> RandomNeighbors(Rng& rng, std::size_t n) {
+  std::vector<graph::Neighbor> values(n);
+  for (auto& v : values) {
+    // Few distinct distances and ids: many (dist, id) ties, each identical.
+    v = {static_cast<Dist>(rng.NextBounded(8)) * 0.5f,
+         static_cast<VertexId>(rng.NextBounded(16))};
+  }
+  return values;
+}
+
+constexpr std::uint64_t kU64Sentinel = ~std::uint64_t{0};
+
+TEST(BitonicOracleTest, SortMatchesNetworkOnRandomSizes) {
+  Rng rng(101);
+  for (std::size_t len = 1; len <= 1024; len <<= 1) {
+    for (const int lanes : {32, 4}) {
+      ExpectSortMatchesNetwork(RandomValues(rng, len, ~std::uint64_t{0} >> 1),
+                               kU64Less, lanes);
+      ExpectSortMatchesNetwork(RandomValues(rng, len, 3), kU64Less, lanes);
+      ExpectSortMatchesNetwork(RandomNeighbors(rng, len), kNeighborLess, lanes);
+    }
+  }
+}
+
+TEST(BitonicOracleTest, SortMatchesNetworkWithSentinelPadding) {
+  Rng rng(102);
+  for (std::size_t len = 2; len <= 256; len <<= 1) {
+    std::vector<std::uint64_t> values = RandomValues(rng, len, 100);
+    std::fill(values.begin() + len / 3, values.end(), kU64Sentinel);
+    ExpectSortMatchesNetwork(values, kU64Less, 32);
+  }
+}
+
+TEST(BitonicOracleTest, MergeMatchesNetworkOnRandomSizes) {
+  Rng rng(103);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t a_size = 1 + rng.NextBounded(1024);
+    const std::size_t b_size = 1 + rng.NextBounded(1024);
+    const int lanes = trial % 2 == 0 ? 32 : 4;
+    ExpectMergeMatchesNetwork(RandomValues(rng, a_size, 1 << 20),
+                              RandomValues(rng, b_size, 1 << 20),
+                              kU64Sentinel, kU64Less, lanes);
+  }
+}
+
+TEST(BitonicOracleTest, MergeMatchesNetworkOnIdenticalDuplicates) {
+  Rng rng(104);
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t a_size = 1 + rng.NextBounded(300);
+    const std::size_t b_size = 1 + rng.NextBounded(300);
+    ExpectMergeMatchesNetwork(RandomValues(rng, a_size, 2),
+                              RandomValues(rng, b_size, 2), kU64Sentinel,
+                              kU64Less, 32);
+  }
+}
+
+TEST(BitonicOracleTest, MergeMatchesNetworkOnNeighborPairs) {
+  Rng rng(105);
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t a_size = 1 + rng.NextBounded(200);
+    const std::size_t b_size = 1 + rng.NextBounded(200);
+    ExpectMergeMatchesNetwork(RandomNeighbors(rng, a_size),
+                              RandomNeighbors(rng, b_size), graph::Neighbor{},
+                              kNeighborLess, 32);
+  }
+}
+
+TEST(BitonicOracleTest, MergeMatchesNetworkWithSentinelTails) {
+  // The search kernel's N carries sentinel slots past its valid prefix, and
+  // T carries them past the degree: sentinels on both sides of the merge.
+  Rng rng(106);
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t a_size = 1 + rng.NextBounded(128);
+    const std::size_t b_size = 1 + rng.NextBounded(64);
+    std::vector<std::uint64_t> a = RandomValues(rng, a_size, 500);
+    std::vector<std::uint64_t> b = RandomValues(rng, b_size, 500);
+    std::fill(a.begin() + rng.NextBounded(a_size + 1), a.end(), kU64Sentinel);
+    std::fill(b.begin() + rng.NextBounded(b_size + 1), b.end(), kU64Sentinel);
+    ExpectMergeMatchesNetwork(a, b, kU64Sentinel, kU64Less, 32);
+  }
+}
+
+TEST(BitonicOracleTest, MergeMatchesNetworkOnEmptyAndLongB) {
+  Rng rng(107);
+  for (const std::size_t a_size : {1, 7, 32, 100}) {
+    ExpectMergeMatchesNetwork(RandomValues(rng, a_size, 50),
+                              std::vector<std::uint64_t>{}, kU64Sentinel,
+                              kU64Less, 32);
+    ExpectMergeMatchesNetwork(RandomValues(rng, a_size, 50),
+                              RandomValues(rng, 4 * a_size + 3, 50),
+                              kU64Sentinel, kU64Less, 32);
+  }
+  ExpectMergeMatchesNetwork(std::vector<std::uint64_t>{},
+                            RandomValues(rng, 9, 50), kU64Sentinel, kU64Less,
+                            32);
 }
 
 }  // namespace
