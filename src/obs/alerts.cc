@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <set>
 
+#include "common/text_file.h"
 #include "obs/trace.h"
 
 namespace ganns {
@@ -315,11 +316,7 @@ std::string AlertEngine::ToJsonl() const {
 }
 
 bool AlertEngine::WriteJsonl(const std::string& path) const {
-  const std::string text = ToJsonl();
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), file);
-  return std::fclose(file) == 0 && written == text.size();
+  return WriteTextFile(path, ToJsonl());
 }
 
 }  // namespace obs

@@ -1,11 +1,11 @@
 #include "obs/federation.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <utility>
 
 #include "common/logging.h"
+#include "common/text_file.h"
 
 namespace ganns {
 namespace obs {
@@ -46,10 +46,25 @@ std::vector<std::pair<std::string, std::uint64_t>> DiffCounters(
   return deltas;
 }
 
+/// The window of one histogram between two bucket snapshots.
+HdrWindow WindowOf(const std::string& name,
+                   const HdrHistogram::BucketSnapshot& cur,
+                   const HdrHistogram::BucketSnapshot& prev,
+                   std::uint64_t total_count) {
+  HdrWindow window;
+  window.name = name;
+  window.count = HdrHistogram::DeltaCount(cur, prev);
+  window.p50 = HdrHistogram::DeltaQuantile(cur, prev, 0.50);
+  window.p99 = HdrHistogram::DeltaQuantile(cur, prev, 0.99);
+  window.max = HdrHistogram::DeltaQuantile(cur, prev, 1.0);
+  window.total_count = total_count;
+  return window;
+}
+
 /// Windowed HDR views between two snapshots (bucket-delta quantiles).
-std::vector<WindowSample::HdrWindow> DiffHdr(const MetricsSnapshot& cur,
-                                             const MetricsSnapshot& prev) {
-  std::vector<WindowSample::HdrWindow> windows;
+std::vector<HdrWindow> DiffHdr(const MetricsSnapshot& cur,
+                               const MetricsSnapshot& prev) {
+  std::vector<HdrWindow> windows;
   windows.reserve(cur.hdr.size());
   std::size_t p = 0;
   const HdrHistogram::BucketSnapshot empty;
@@ -58,42 +73,110 @@ std::vector<WindowSample::HdrWindow> DiffHdr(const MetricsSnapshot& cur,
     const HdrHistogram::BucketSnapshot& before =
         (p < prev.hdr.size() && prev.hdr[p].first == name) ? prev.hdr[p].second
                                                            : empty;
-    WindowSample::HdrWindow window;
-    window.name = name;
-    window.count = HdrHistogram::DeltaCount(snapshot, before);
-    window.p50 = HdrHistogram::DeltaQuantile(snapshot, before, 0.50);
-    window.p99 = HdrHistogram::DeltaQuantile(snapshot, before, 0.99);
-    window.max = HdrHistogram::DeltaQuantile(snapshot, before, 1.0);
-    window.total_count = snapshot.count;
-    windows.push_back(std::move(window));
+    windows.push_back(WindowOf(name, snapshot, before, snapshot.count));
   }
   return windows;
 }
 
-/// Sums sparse per-bucket snapshots into one (BucketSnapshot carries each
-/// bucket's own count, not a running total). Merging then delta-ing equals
-/// delta-ing then merging, so the cluster window quantile is exact.
-void MergeBucketSnapshot(std::map<std::uint32_t, std::uint64_t>& per_bucket,
-                         std::uint64_t& sum,
-                         const HdrHistogram::BucketSnapshot& snapshot) {
-  for (const auto& [index, count] : snapshot.buckets) {
-    per_bucket[index] += count;
+/// Sparse per-bucket counts summed across sources (BucketSnapshot carries
+/// each bucket's own count, not a running total). Merging then delta-ing
+/// equals delta-ing then merging, so the roll-up window quantile is exact.
+struct BucketSum {
+  std::map<std::uint32_t, std::uint64_t> per_bucket;
+  std::uint64_t sum = 0;
+
+  void Add(const HdrHistogram::BucketSnapshot& snapshot) {
+    for (const auto& [index, count] : snapshot.buckets) {
+      per_bucket[index] += count;
+    }
+    sum += snapshot.sum;
   }
-  sum += snapshot.sum;
+
+  HdrHistogram::BucketSnapshot Finish() const {
+    HdrHistogram::BucketSnapshot out;
+    out.buckets.reserve(per_bucket.size());
+    for (const auto& [index, count] : per_bucket) {
+      if (count == 0) continue;
+      out.buckets.emplace_back(index, count);
+      out.count += count;
+    }
+    out.sum = sum;
+    return out;
+  }
+};
+
+/// The roll-up of one scrape round: counter deltas summed by name, HDR
+/// buckets merged by name (cur and prev separately, so the merged delta is
+/// the true union of every source's window samples), and the largest value
+/// of the queue gauge.
+struct RollUp {
+  struct Hdr {
+    BucketSum cur, prev;
+    std::uint64_t total_count = 0;
+  };
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, Hdr> hdr;
+  double queue_gauge_max = 0;
+
+  void Add(const std::vector<std::pair<std::string, std::uint64_t>>& deltas,
+           const MetricsSnapshot& cur, const MetricsSnapshot& prev,
+           const std::string& queue_gauge) {
+    for (const auto& [name, delta] : deltas) counters[name] += delta;
+    for (const auto& [name, snapshot] : cur.hdr) {
+      Hdr& merge = hdr[name];
+      merge.cur.Add(snapshot);
+      merge.total_count += snapshot.count;
+    }
+    for (const auto& [name, snapshot] : prev.hdr) hdr[name].prev.Add(snapshot);
+    for (const auto& [name, value] : cur.gauges) {
+      if (name == queue_gauge && value > queue_gauge_max) {
+        queue_gauge_max = value;
+      }
+    }
+  }
+};
+
+/// The counters/gauges/hdr sections shared by node and roll-up windows.
+void AppendCounters(
+    std::string& out,
+    const std::vector<std::pair<std::string, std::uint64_t>>& deltas) {
+  out += "\"counters\":{";
+  bool first = true;
+  for (const auto& [name, delta] : deltas) {
+    if (!first) out += ",";
+    first = false;
+    out += "\"" + name + "\":" + std::to_string(delta);
+  }
+  out += "}";
 }
 
-HdrHistogram::BucketSnapshot FinishMerge(
-    const std::map<std::uint32_t, std::uint64_t>& per_bucket,
-    std::uint64_t sum) {
-  HdrHistogram::BucketSnapshot out;
-  out.buckets.reserve(per_bucket.size());
-  for (const auto& [index, count] : per_bucket) {
-    if (count == 0) continue;
-    out.buckets.emplace_back(index, count);
-    out.count += count;
+void AppendGauges(std::string& out,
+                  const std::vector<std::pair<std::string, double>>& gauges) {
+  out += "\"gauges\":{";
+  bool first = true;
+  for (const auto& [name, value] : gauges) {
+    if (!first) out += ",";
+    first = false;
+    out += "\"" + name + "\":";
+    AppendFixed(out, value, 6);
   }
-  out.sum = sum;
-  return out;
+  out += "}";
+}
+
+void AppendHdr(std::string& out, const std::vector<HdrWindow>& hdr) {
+  out += "\"hdr\":{";
+  bool first = true;
+  for (const HdrWindow& window : hdr) {
+    if (!first) out += ",";
+    first = false;
+    out += "\"" + window.name + "\":{\"count\":" +
+           std::to_string(window.count) +
+           ",\"p50\":" + std::to_string(window.p50) +
+           ",\"p99\":" + std::to_string(window.p99) +
+           ",\"max\":" + std::to_string(window.max) +
+           ",\"total_count\":" + std::to_string(window.total_count) + "}";
+  }
+  out += "}";
 }
 
 }  // namespace
@@ -116,6 +199,8 @@ MetricsFederation::MetricsFederation(FederationOptions options)
     : options_(options) {
   GANNS_CHECK(options_.scrape_interval_us > 0);
   next_scrape_us_ = options_.scrape_interval_us;
+  // Interned up front so every export shows the eviction count, even at 0.
+  MetricsRegistry::Global().GetCounter("obs.series.overwritten");
 }
 
 void MetricsFederation::AddNode(NodeHooks hooks) {
@@ -142,22 +227,11 @@ FederatedWindow MetricsFederation::Scrape(std::uint64_t now_us) {
   FederatedWindow window;
   window.seq = next_seq_++;
   window.t_us = now_us;
-  window.interval_us = has_prev_t_ ? now_us - prev_t_us_ : 0;
+  window.interval_us = now_us - prev_t_us_;
   prev_t_us_ = now_us;
-  has_prev_t_ = true;
   ++scrapes_;
 
-  // Cluster-level accumulators: counter deltas summed by name, HDR bucket
-  // deltas merged by name (cur and prev separately, so the merged delta is
-  // the true union of every node's window samples).
-  std::map<std::string, std::uint64_t> cluster_counters;
-  struct HdrMerge {
-    std::map<std::uint32_t, std::uint64_t> cur_buckets, prev_buckets;
-    std::uint64_t cur_sum = 0, prev_sum = 0;
-    std::uint64_t total_count = 0;
-  };
-  std::map<std::string, HdrMerge> cluster_hdr;
-
+  RollUp rollup;
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
     NodeState& state = nodes_[n];
     NodeWindow node_window;
@@ -176,29 +250,17 @@ FederatedWindow MetricsFederation::Scrape(std::uint64_t now_us) {
     const std::uint64_t response_bytes =
         node_window.scrape_ok ? SnapshotWireBytes(cur) : 0;
     if (state.hooks.charge != nullptr) {
-      state.hooks.charge(options_.scrape_request_bytes, response_bytes);
+      state.hooks.charge(kScrapeRequestBytes, response_bytes);
     }
-    window.scrape_bytes += options_.scrape_request_bytes + response_bytes;
+    window.scrape_bytes += kScrapeRequestBytes + response_bytes;
 
     node_window.counter_deltas = DiffCounters(cur, state.prev);
     node_window.gauges = cur.gauges;
     node_window.hdr = DiffHdr(cur, state.prev);
-
-    for (const auto& [name, delta] : node_window.counter_deltas) {
-      cluster_counters[name] += delta;
-    }
-    for (const auto& [name, snapshot] : cur.hdr) {
-      HdrMerge& merge = cluster_hdr[name];
-      MergeBucketSnapshot(merge.cur_buckets, merge.cur_sum, snapshot);
-      merge.total_count += snapshot.count;
-    }
-    for (const auto& [name, snapshot] : state.prev.hdr) {
-      HdrMerge& merge = cluster_hdr[name];
-      MergeBucketSnapshot(merge.prev_buckets, merge.prev_sum, snapshot);
-    }
+    rollup.Add(node_window.counter_deltas, cur, state.prev,
+               options_.queue_gauge);
 
     state.prev = cur;
-    state.has_prev = true;
     if (node_window.scrape_ok) state.last = std::move(cur);
     window.nodes.push_back(std::move(node_window));
   }
@@ -207,39 +269,16 @@ FederatedWindow MetricsFederation::Scrape(std::uint64_t now_us) {
   // delta arithmetic, no NIC charge.
   if (control_ != nullptr) {
     MetricsSnapshot cur = control_();
-    for (const auto& [name, delta] : DiffCounters(cur, control_prev_)) {
-      cluster_counters[name] += delta;
-    }
-    for (const auto& [name, snapshot] : cur.hdr) {
-      HdrMerge& merge = cluster_hdr[name];
-      MergeBucketSnapshot(merge.cur_buckets, merge.cur_sum, snapshot);
-      merge.total_count += snapshot.count;
-    }
-    for (const auto& [name, snapshot] : control_prev_.hdr) {
-      HdrMerge& merge = cluster_hdr[name];
-      MergeBucketSnapshot(merge.prev_buckets, merge.prev_sum, snapshot);
-    }
-    for (const auto& [name, value] : cur.gauges) {
-      if (name == options_.queue_gauge) window.queue_saturation = value;
-    }
+    rollup.Add(DiffCounters(cur, control_prev_), cur, control_prev_,
+               options_.queue_gauge);
     control_prev_ = std::move(cur);
     control_has_prev_ = true;
   }
 
-  window.counter_deltas.assign(cluster_counters.begin(),
-                               cluster_counters.end());
-  for (const auto& [name, merge] : cluster_hdr) {
-    const HdrHistogram::BucketSnapshot cur =
-        FinishMerge(merge.cur_buckets, merge.cur_sum);
-    const HdrHistogram::BucketSnapshot prev =
-        FinishMerge(merge.prev_buckets, merge.prev_sum);
-    WindowSample::HdrWindow hdr;
-    hdr.name = name;
-    hdr.count = HdrHistogram::DeltaCount(cur, prev);
-    hdr.p50 = HdrHistogram::DeltaQuantile(cur, prev, 0.50);
-    hdr.p99 = HdrHistogram::DeltaQuantile(cur, prev, 0.99);
-    hdr.max = HdrHistogram::DeltaQuantile(cur, prev, 1.0);
-    hdr.total_count = merge.total_count;
+  window.counter_deltas.assign(rollup.counters.begin(), rollup.counters.end());
+  for (const auto& [name, merge] : rollup.hdr) {
+    HdrWindow hdr = WindowOf(name, merge.cur.Finish(), merge.prev.Finish(),
+                             merge.total_count);
     if (name == options_.latency_hdr) {
       window.slo_sample_count = hdr.count;
       if (options_.slo_deadline_us > 0 && hdr.count > 0) {
@@ -249,9 +288,19 @@ FederatedWindow MetricsFederation::Scrape(std::uint64_t now_us) {
     }
     window.hdr.push_back(std::move(hdr));
   }
+  window.queue_saturation = rollup.queue_gauge_max;
 
   scrape_bytes_ += window.scrape_bytes;
+  MetricsRegistry& registry = MetricsRegistry::Global();
   windows_.push_back(window);
+  if (windows_.size() > kWindowRingCapacity) {
+    windows_.pop_front();
+    ++overwritten_;
+    registry.GetCounter("obs.series.overwritten").Add();
+  }
+  // Fed back so the cumulative exports carry the live SLO position; on the
+  // serve stream (which scrapes this registry) it lands in the next window.
+  registry.GetGauge("obs.series.slo_headroom").Set(window.slo_headroom);
   return window;
 }
 
@@ -267,53 +316,19 @@ std::string MetricsFederation::WindowJson(const FederatedWindow& window) {
     first_node = false;
     out += "{\"node\":" + std::to_string(node.node) + ",\"state\":\"" +
            node.state + "\",\"scrape_ok\":" +
-           (node.scrape_ok ? "true" : "false") + ",\"counters\":{";
-    bool first = true;
-    for (const auto& [name, delta] : node.counter_deltas) {
-      if (!first) out += ",";
-      first = false;
-      out += "\"" + name + "\":" + std::to_string(delta);
-    }
-    out += "},\"gauges\":{";
-    first = true;
-    for (const auto& [name, value] : node.gauges) {
-      if (!first) out += ",";
-      first = false;
-      out += "\"" + name + "\":";
-      AppendFixed(out, value, 6);
-    }
-    out += "},\"hdr\":{";
-    first = true;
-    for (const WindowSample::HdrWindow& hdr : node.hdr) {
-      if (!first) out += ",";
-      first = false;
-      out += "\"" + hdr.name + "\":{\"count\":" + std::to_string(hdr.count) +
-             ",\"p50\":" + std::to_string(hdr.p50) +
-             ",\"p99\":" + std::to_string(hdr.p99) +
-             ",\"max\":" + std::to_string(hdr.max) +
-             ",\"total_count\":" + std::to_string(hdr.total_count) + "}";
-    }
-    out += "}}";
+           (node.scrape_ok ? "true" : "false") + ",";
+    AppendCounters(out, node.counter_deltas);
+    out += ",";
+    AppendGauges(out, node.gauges);
+    out += ",";
+    AppendHdr(out, node.hdr);
+    out += "}";
   }
-  out += "],\"cluster\":{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, delta] : window.counter_deltas) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + name + "\":" + std::to_string(delta);
-  }
-  out += "},\"hdr\":{";
-  first = true;
-  for (const WindowSample::HdrWindow& hdr : window.hdr) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + hdr.name + "\":{\"count\":" + std::to_string(hdr.count) +
-           ",\"p50\":" + std::to_string(hdr.p50) +
-           ",\"p99\":" + std::to_string(hdr.p99) +
-           ",\"max\":" + std::to_string(hdr.max) +
-           ",\"total_count\":" + std::to_string(hdr.total_count) + "}";
-  }
-  out += "}},\"derived\":{\"slo_headroom\":";
+  out += "],\"cluster\":{";
+  AppendCounters(out, window.counter_deltas);
+  out += ",";
+  AppendHdr(out, window.hdr);
+  out += "},\"derived\":{\"slo_headroom\":";
   AppendFixed(out, window.slo_headroom, 6);
   out += ",\"slo_samples\":" + std::to_string(window.slo_sample_count);
   out += ",\"queue_saturation\":";
@@ -332,78 +347,51 @@ std::string MetricsFederation::ToJsonl() const {
 }
 
 bool MetricsFederation::WriteJsonl(const std::string& path) const {
-  const std::string text = ToJsonl();
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), file);
-  return std::fclose(file) == 0 && written == text.size();
+  return WriteTextFile(path, ToJsonl());
 }
 
 std::string MetricsFederation::ToPrometheus() const {
-  // Group by metric family so every family gets one TYPE line followed by
-  // the per-node labeled samples, node order within a family.
-  std::map<std::string, std::vector<std::string>> counters, gauges, summaries;
-  const auto label = [](std::size_t node) {
-    return "{node=\"" + std::to_string(node) + "\"}";
-  };
+  // Every source is one (snapshot, node label) pair: the nodes in id order,
+  // then the control registry as node="cluster".
+  std::vector<std::pair<const MetricsSnapshot*, std::string>> sources;
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    const MetricsSnapshot& snapshot = nodes_[n].last;
-    for (const auto& [name, value] : snapshot.counters) {
-      counters[PrometheusName(name)].push_back(
-          PrometheusName(name) + label(n) + " " + std::to_string(value));
-    }
-    for (const auto& [name, value] : snapshot.gauges) {
-      std::string line = PrometheusName(name) + label(n) + " ";
-      AppendFixed(line, value, 6);
-      gauges[PrometheusName(name)].push_back(std::move(line));
-    }
-    const HdrHistogram::BucketSnapshot empty;
-    for (const auto& [name, hdr] : snapshot.hdr) {
-      const std::string prom = PrometheusName(name);
-      std::vector<std::string>& lines = summaries[prom];
-      for (const auto& [quantile_label, q] :
-           {std::pair<const char*, double>{"0.5", 0.50},
-            {"0.9", 0.90},
-            {"0.99", 0.99}}) {
-        lines.push_back(prom + "{node=\"" + std::to_string(n) +
-                        "\",quantile=\"" + quantile_label + "\"} " +
-                        std::to_string(
-                            HdrHistogram::DeltaQuantile(hdr, empty, q)));
-      }
-      lines.push_back(prom + "_sum" + label(n) + " " +
-                      std::to_string(hdr.sum));
-      lines.push_back(prom + "_count" + label(n) + " " +
-                      std::to_string(hdr.count));
-    }
+    sources.emplace_back(&nodes_[n].last,
+                         "node=\"" + std::to_string(n) + "\"");
   }
   if (control_has_prev_) {
-    const MetricsSnapshot& snapshot = control_prev_;
-    for (const auto& [name, value] : snapshot.counters) {
-      counters[PrometheusName(name)].push_back(PrometheusName(name) +
-                                               "{node=\"cluster\"} " +
-                                               std::to_string(value));
+    sources.emplace_back(&control_prev_, "node=\"cluster\"");
+  }
+
+  // Group by metric family so every family gets one TYPE line followed by
+  // the labeled samples, source order within a family.
+  std::map<std::string, std::vector<std::string>> counters, gauges, summaries;
+  const HdrHistogram::BucketSnapshot empty;
+  for (const auto& [snapshot, label] : sources) {
+    const std::string braced = "{" + label + "}";
+    for (const auto& [name, value] : snapshot->counters) {
+      const std::string prom = PrometheusName(name);
+      counters[prom].push_back(prom + braced + " " + std::to_string(value));
     }
-    for (const auto& [name, value] : snapshot.gauges) {
-      std::string line = PrometheusName(name) + "{node=\"cluster\"} ";
+    for (const auto& [name, value] : snapshot->gauges) {
+      const std::string prom = PrometheusName(name);
+      std::string line = prom + braced + " ";
       AppendFixed(line, value, 6);
-      gauges[PrometheusName(name)].push_back(std::move(line));
+      gauges[prom].push_back(std::move(line));
     }
-    const HdrHistogram::BucketSnapshot empty;
-    for (const auto& [name, hdr] : snapshot.hdr) {
+    for (const auto& [name, hdr] : snapshot->hdr) {
       const std::string prom = PrometheusName(name);
       std::vector<std::string>& lines = summaries[prom];
       for (const auto& [quantile_label, q] :
            {std::pair<const char*, double>{"0.5", 0.50},
             {"0.9", 0.90},
             {"0.99", 0.99}}) {
-        lines.push_back(prom + "{node=\"cluster\",quantile=\"" +
-                        quantile_label + "\"} " +
+        lines.push_back(prom + "{" + label + ",quantile=\"" + quantile_label +
+                        "\"} " +
                         std::to_string(
                             HdrHistogram::DeltaQuantile(hdr, empty, q)));
       }
-      lines.push_back(prom + "_sum{node=\"cluster\"} " +
-                      std::to_string(hdr.sum));
-      lines.push_back(prom + "_count{node=\"cluster\"} " +
+      lines.push_back(prom + "_sum" + braced + " " + std::to_string(hdr.sum));
+      lines.push_back(prom + "_count" + braced + " " +
                       std::to_string(hdr.count));
     }
   }
@@ -424,11 +412,7 @@ std::string MetricsFederation::ToPrometheus() const {
 }
 
 bool MetricsFederation::WritePrometheus(const std::string& path) const {
-  const std::string text = ToPrometheus();
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), file);
-  return std::fclose(file) == 0 && written == text.size();
+  return WriteTextFile(path, ToPrometheus());
 }
 
 }  // namespace obs

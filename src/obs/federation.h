@@ -1,40 +1,61 @@
 #ifndef GANNS_OBS_FEDERATION_H_
 #define GANNS_OBS_FEDERATION_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/timeseries.h"
 
 namespace ganns {
 namespace obs {
 
-/// Configuration of the cluster monitoring plane.
+/// Windows the engine keeps, on either clock; older windows are evicted and
+/// counted (`overwritten()`, mirrored as the `obs.series.overwritten`
+/// counter) — the ring never loses data silently.
+inline constexpr std::size_t kWindowRingCapacity = 256;
+
+/// Modeled wire size of the monitor's scrape request (the response size is
+/// derived from the snapshot contents — see SnapshotWireBytes).
+inline constexpr std::uint64_t kScrapeRequestBytes = 128;
+
+/// Configuration of the window engine. The clock is whatever time the caller
+/// passes to AdvanceTo/Scrape: simulated microseconds for the cluster plane,
+/// wall microseconds for the serve stream.
 struct FederationOptions {
   bool enabled = false;
-  /// Simulated microseconds between scrape rounds. Every node is scraped at
-  /// every round, so the federated windows are aligned across nodes.
+  /// Microseconds between scrape rounds. Every node is scraped at every
+  /// round, so the federated windows are aligned across nodes.
   std::uint64_t scrape_interval_us = 5000;
-  /// Modeled wire size of the monitor's scrape request (the response size is
-  /// derived from the snapshot contents — see SnapshotWireBytes).
-  std::uint64_t scrape_request_bytes = 128;
-  /// Cluster latency SLO in microseconds: each federated window publishes
+  /// Latency SLO in microseconds: each window publishes
   /// slo_headroom = windowed p99(latency_hdr) / slo_deadline_us. 0 disables
   /// the derived signal (and with it the burn-rate alert input).
   std::uint64_t slo_deadline_us = 0;
-  /// HDR histogram (cluster-level, usually from the control registry) the
-  /// SLO headroom is derived from.
+  /// HDR histogram (from any scraped registry) the SLI is derived from.
   std::string latency_hdr = "cluster.batch_us";
-  /// Control-registry gauge exported as the window's queue saturation.
+  /// Gauge exported as the window's queue saturation (the largest value any
+  /// scraped registry holds at the cut).
   std::string queue_gauge = "cluster.agg.pending_saturation";
+};
+
+/// Windowed view of one HDR histogram: quantiles of exactly the samples
+/// recorded during the window (bucket-delta computed, never a reset).
+struct HdrWindow {
+  std::string name;
+  std::uint64_t count = 0;       ///< samples in this window
+  std::uint64_t p50 = 0;
+  std::uint64_t p99 = 0;
+  std::uint64_t max = 0;         ///< bucket upper bound of the window max
+  std::uint64_t total_count = 0; ///< cumulative since the source started
 };
 
 /// How the monitor reaches one node. The cluster layer wires these to the
 /// node's registry and Transport; keeping them as callbacks lets obs stay
-/// below cluster in the dependency order.
+/// below cluster in the dependency order. Only `snapshot` is required.
 struct NodeHooks {
   /// Whether the node's process is up (a crashed node fails its scrape).
   std::function<bool()> alive;
@@ -59,26 +80,26 @@ struct NodeWindow {
   std::string state = "up";
   std::vector<std::pair<std::string, std::uint64_t>> counter_deltas;
   std::vector<std::pair<std::string, double>> gauges;
-  std::vector<WindowSample::HdrWindow> hdr;
+  std::vector<HdrWindow> hdr;
 };
 
-/// One scrape round merged into a cluster view: per-node windows plus
-/// cluster-level counter sums and bucket-merged HDR quantiles (the alert
-/// engine's input). Everything is on the cluster's simulated clock, so the
-/// sequence of windows replays bit-for-bit.
+/// One scrape round merged into a roll-up view: per-node windows plus
+/// counter sums and bucket-merged HDR quantiles across every node and the
+/// control registry (the alert engine's input).
 struct FederatedWindow {
   std::uint64_t seq = 0;
-  std::uint64_t t_us = 0;         ///< simulated scrape time
-  std::uint64_t interval_us = 0;  ///< since the previous window (0 for first)
+  std::uint64_t t_us = 0;         ///< scrape time on the caller's clock
+  /// Since the previous window; the first window measures from time 0, the
+  /// origin its deltas are cumulative from.
+  std::uint64_t interval_us = 0;
 
   std::vector<NodeWindow> nodes;
 
-  /// Cluster-level view: node counter deltas summed by name, plus the
-  /// control registry's deltas; HDR windows are computed on bucket-merged
-  /// snapshots, so the cluster p99 is the true quantile over every node's
-  /// samples, not an average of per-node quantiles.
+  /// Roll-up: counter deltas summed by name; HDR windows computed on
+  /// bucket-merged snapshots, so the roll-up p99 is the true quantile over
+  /// every node's samples, not an average of per-node quantiles.
   std::vector<std::pair<std::string, std::uint64_t>> counter_deltas;
-  std::vector<WindowSample::HdrWindow> hdr;
+  std::vector<HdrWindow> hdr;
 
   /// Windowed p99(latency_hdr) / slo_deadline_us (0 when empty/disabled).
   double slo_headroom = 0;
@@ -86,7 +107,7 @@ struct FederatedWindow {
   /// carried no SLI data at all (burn-rate alerting holds state rather than
   /// treating silence as recovery).
   std::uint64_t slo_sample_count = 0;
-  /// Control-registry queue_gauge value at the scrape.
+  /// Largest queue_gauge value among the scraped registries.
   double queue_saturation = 0;
   /// Wire bytes this scrape round charged through the node NICs.
   std::uint64_t scrape_bytes = 0;
@@ -97,21 +118,28 @@ struct FederatedWindow {
 /// pair. Pure function of the snapshot contents.
 std::uint64_t SnapshotWireBytes(const MetricsSnapshot& snapshot);
 
-/// The monitoring plane: scrapes every registered node's registry on a
-/// fixed simulated interval, diffs consecutive snapshots into federated
-/// windows (TimeSeriesCollector's bucket-delta arithmetic, applied
-/// per node and to the bucket-merged cluster view), and exports the window
-/// stream as JSONL and the cumulative per-node state as Prometheus text
-/// with node labels.
+/// The window engine for both clocks: scrapes every registered node's
+/// registry on a fixed interval, diffs consecutive snapshots into windows
+/// (per node and for the bucket-merged roll-up), keeps the latest
+/// kWindowRingCapacity of them, and exports the stream as JSONL and the
+/// cumulative per-node state as Prometheus text with node labels.
 ///
-/// Determinism: scrape times live on the caller-advanced simulated clock,
+/// The cluster plane drives it on the simulated clock with one node per
+/// simulated machine plus a control registry; `serve-bench --series-out`
+/// drives a one-node instance over the global registry on the wall clock.
+/// After every cut the engine publishes the window's slo_headroom as the
+/// global `obs.series.slo_headroom` gauge, so the cumulative exports carry
+/// the live SLO position.
+///
+/// Determinism: on the simulated clock, scrape times come from the caller,
 /// snapshots are name-sorted, and exports print fixed-precision — so for a
 /// fixed workload the JSONL and Prometheus bytes are identical across
 /// reruns, and (because charge() is accounted off the serving clock and the
-/// plane draws no randomness) enabling the plane cannot move search results
-/// or serving sim seconds.
+/// engine draws no randomness) enabling it cannot move search results or
+/// serving sim seconds.
 ///
-/// Single-threaded like the cluster router that drives it.
+/// Thread-safety: one thread drives the engine (AdvanceTo/Scrape and the
+/// readers); the scraped registries may be written concurrently.
 class MetricsFederation {
  public:
   explicit MetricsFederation(FederationOptions options);
@@ -121,23 +149,26 @@ class MetricsFederation {
 
   /// Cluster-scope registry scraped locally (the router's own control
   /// metrics: batch latency, lost sub-queries, aggregator totals). Not
-  /// charged to any NIC.
+  /// charged to any NIC and not listed among the nodes.
   void SetControl(std::function<MetricsSnapshot()> control);
 
-  /// Advances the monitor's simulated clock, cutting one window per elapsed
-  /// scrape interval. Returns the windows cut by this call.
+  /// Advances the monitor's clock, cutting one window per elapsed scrape
+  /// interval. Returns the windows cut by this call.
   std::vector<FederatedWindow> AdvanceTo(std::uint64_t now_us);
 
   /// Cuts one window at `now_us` unconditionally (final flush at shutdown).
   FederatedWindow Scrape(std::uint64_t now_us);
 
-  const std::vector<FederatedWindow>& windows() const { return windows_; }
+  /// The retained windows, oldest first.
+  const std::deque<FederatedWindow>& windows() const { return windows_; }
+  /// Windows evicted from the ring since construction.
+  std::uint64_t overwritten() const { return overwritten_; }
   std::uint64_t scrapes() const { return scrapes_; }
   /// Total wire bytes charged for scrape traffic.
   std::uint64_t scrape_bytes() const { return scrape_bytes_; }
 
-  /// One JSON object per federated window, oldest first (the
-  /// `ganns cluster-top` input).
+  /// One JSON object per retained window, oldest first (the `ganns top`
+  /// input).
   std::string ToJsonl() const;
   bool WriteJsonl(const std::string& path) const;
   static std::string WindowJson(const FederatedWindow& window);
@@ -152,7 +183,6 @@ class MetricsFederation {
   struct NodeState {
     NodeHooks hooks;
     MetricsSnapshot prev;
-    bool has_prev = false;
     MetricsSnapshot last;  ///< latest successful scrape (Prometheus source)
     std::string last_state = "up";
   };
@@ -163,10 +193,10 @@ class MetricsFederation {
   MetricsSnapshot control_prev_;
   bool control_has_prev_ = false;
 
-  std::vector<FederatedWindow> windows_;
+  std::deque<FederatedWindow> windows_;
+  std::uint64_t overwritten_ = 0;
   std::uint64_t next_scrape_us_ = 0;
   std::uint64_t prev_t_us_ = 0;
-  bool has_prev_t_ = false;
   std::uint64_t next_seq_ = 0;
   std::uint64_t scrapes_ = 0;
   std::uint64_t scrape_bytes_ = 0;

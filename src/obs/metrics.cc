@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 
+#include "common/text_file.h"
 #include "common/thread_pool.h"
 
 namespace ganns {
@@ -193,19 +194,11 @@ std::string MetricsRegistry::ToPrometheus() const {
 }
 
 bool MetricsRegistry::WritePrometheus(const std::string& path) const {
-  const std::string text = ToPrometheus();
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), file);
-  return std::fclose(file) == 0 && written == text.size();
+  return WriteTextFile(path, ToPrometheus());
 }
 
 bool MetricsRegistry::WriteJson(const std::string& path) const {
-  const std::string json = ToJson();
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), file);
-  return std::fclose(file) == 0 && written == json.size();
+  return WriteTextFile(path, ToJson());
 }
 
 void SnapshotRuntimeMetrics() {

@@ -40,9 +40,9 @@ class Gauge {
 };
 
 /// One instant's view of every counter, gauge, and HDR histogram in the
-/// registry, name-sorted. The time-series collector diffs consecutive
-/// snapshots into windowed deltas; HDR entries carry full sparse bucket
-/// state so window quantiles are exact (HdrHistogram::DeltaQuantile).
+/// registry, name-sorted. The window engine (obs/federation) diffs
+/// consecutive snapshots into windowed deltas; HDR entries carry full sparse
+/// bucket state so window quantiles are exact (HdrHistogram::DeltaQuantile).
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;

@@ -10,6 +10,7 @@
 #include <unordered_map>
 
 #include "common/logging.h"
+#include "common/text_file.h"
 #include "common/timer.h"
 
 namespace ganns {
@@ -294,11 +295,7 @@ std::string TraceRecorder::ToJson() const {
 }
 
 bool TraceRecorder::WriteJson(const std::string& path) const {
-  const std::string json = ToJson();
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), file);
-  return std::fclose(file) == 0 && written == json.size();
+  return WriteTextFile(path, ToJson());
 }
 
 }  // namespace obs

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/text_file.h"
 #include "obs/metrics.h"
 
 namespace ganns {
@@ -229,11 +230,7 @@ std::string FlightRecorder::ToJson() const {
 }
 
 bool FlightRecorder::WriteJson(const std::string& path) const {
-  const std::string json = ToJson();
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), file);
-  return std::fclose(file) == 0 && written == json.size();
+  return WriteTextFile(path, ToJson());
 }
 
 std::string FlightRecorder::HardnessJsonl() const {
@@ -258,11 +255,7 @@ std::string FlightRecorder::HardnessJsonl() const {
 }
 
 bool FlightRecorder::WriteHardnessJsonl(const std::string& path) const {
-  const std::string text = HardnessJsonl();
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), file);
-  return std::fclose(file) == 0 && written == text.size();
+  return WriteTextFile(path, HardnessJsonl());
 }
 
 }  // namespace serve

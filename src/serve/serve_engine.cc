@@ -164,12 +164,21 @@ ServeEngine::ServeEngine(ShardedIndex& index, ServeOptions options)
   if (obs::MetricsEnabled()) {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
     queue_depth_gauge_ = &registry.GetGauge("serve.queue_depth");
-    registry.GetGauge("serve.queue_capacity")
-        .Set(static_cast<double>(options_.queue_capacity));
+    queue_saturation_gauge_ = &registry.GetGauge("serve.queue_saturation");
   }
 }
 
 ServeEngine::~ServeEngine() { Shutdown(); }
+
+void ServeEngine::PublishQueueDepth() {
+  if (queue_depth_gauge_ == nullptr) return;
+  const double depth = static_cast<double>(queue_.size());
+  queue_depth_gauge_->Set(depth);
+  queue_saturation_gauge_->Set(
+      options_.queue_capacity > 0
+          ? depth / static_cast<double>(options_.queue_capacity)
+          : 0.0);
+}
 
 void ServeEngine::Start() {
   GANNS_CHECK_MSG(!batcher_.joinable(), "ServeEngine started twice");
@@ -207,9 +216,7 @@ std::future<QueryResponse> ServeEngine::Submit(QueryRequest request) {
 
   switch (queue_.Push(std::move(pending))) {
     case BoundedQueue<Pending>::PushResult::kOk: {
-      if (queue_depth_gauge_ != nullptr) {
-        queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
-      }
+      PublishQueueDepth();
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++counters_.admitted;
       if (obs::MetricsEnabled()) {
@@ -312,9 +319,7 @@ void ServeEngine::ProcessBatch(std::vector<Pending>& batch) {
   const double formed_us = (tracing || flight) ? WallSpanNow() * 1e6 : 0.0;
   obs::MetricsRegistry* registry =
       metrics ? &obs::MetricsRegistry::Global() : nullptr;
-  if (queue_depth_gauge_ != nullptr) {
-    queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
-  }
+  PublishQueueDepth();
 
   // Partition out requests whose deadline passed while they queued: they
   // are answered kDeadlineExceeded and never occupy a kernel slot (the

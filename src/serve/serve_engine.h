@@ -88,6 +88,8 @@ class ServeEngine {
 
   void BatchLoop();
   void ProcessBatch(std::vector<Pending>& batch);
+  /// Sets the queue depth and saturation gauges (no-op with metrics off).
+  void PublishQueueDepth();
 
   /// Appends one sampled request's complete span tree (serve.request root
   /// with queue/batch/fan-out/shard/merge stages nested inside) onto
@@ -109,6 +111,9 @@ class ServeEngine {
   /// metrics are on (nullptr otherwise) so the submit path pays one atomic
   /// store, not a registry lookup.
   obs::Gauge* queue_depth_gauge_ = nullptr;
+  /// Depth / capacity, published next to the depth: the window engine's
+  /// queue_gauge for the serve stream.
+  obs::Gauge* queue_saturation_gauge_ = nullptr;
 
   /// Monotonic micro-batch sequence (batcher-thread only); keys flight
   /// recorder batch contexts to the requests they served. Starts at 1 —

@@ -1,17 +1,20 @@
 // Unit tests for the common utilities: deterministic RNG, prefix sums, the
-// host thread pool (including nested calls that share it), and the shared
-// k-way merge's edge cases.
+// host thread pool (including nested calls that share it), the shared
+// k-way merge's edge cases, and the artifact file writer.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <fstream>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,11 +23,26 @@
 #include "common/kway_merge.h"
 #include "common/prefix_sum.h"
 #include "common/random.h"
+#include "common/text_file.h"
 #include "common/thread_pool.h"
 #include "graph/beam_search.h"
 
 namespace ganns {
 namespace {
+
+TEST(TextFileTest, WritesExactBytesAndFailsOnMissingDirectory) {
+  const std::string path = ::testing::TempDir() + "ganns_text_file_test.txt";
+  const std::string text = std::string("line one\nline\0two\n", 18);
+  ASSERT_TRUE(WriteTextFile(path, text));
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream read;
+  read << in.rdbuf();
+  EXPECT_EQ(read.str(), text);
+
+  // An unopenable path reports failure instead of silently dropping data.
+  EXPECT_FALSE(WriteTextFile(
+      ::testing::TempDir() + "ganns_missing_dir/nested/out.txt", text));
+}
 
 TEST(RngTest, SameSeedSameStream) {
   Rng a(42);

@@ -50,10 +50,10 @@ std::uint64_t Delta(const std::vector<std::pair<std::string, std::uint64_t>>&
   return 0;
 }
 
-const WindowSample::HdrWindow* Hdr(
-    const std::vector<WindowSample::HdrWindow>& windows,
+const HdrWindow* Hdr(
+    const std::vector<HdrWindow>& windows,
     const std::string& name) {
-  for (const WindowSample::HdrWindow& window : windows) {
+  for (const HdrWindow& window : windows) {
     if (window.name == name) return &window;
   }
   return nullptr;
@@ -100,6 +100,9 @@ TEST(FederationTest, CutsAlignedWindowsWithPerNodeDeltas) {
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first[0].seq, 0u);
   EXPECT_EQ(first[0].t_us, 100u);
+  // Window 0's deltas are cumulative from the clock origin, so its interval
+  // is too: a rate over it (served / interval) must not divide by zero.
+  EXPECT_EQ(first[0].interval_us, 100u);
   ASSERT_EQ(first[0].nodes.size(), 2u);
   EXPECT_TRUE(first[0].nodes[0].scrape_ok);
   EXPECT_EQ(Delta(first[0].nodes[0].counter_deltas,
@@ -157,7 +160,7 @@ TEST(FederationTest, ClusterHdrIsTrueMergedQuantile) {
   }
   const auto first = federation.AdvanceTo(100);
   ASSERT_EQ(first.size(), 1u);
-  const WindowSample::HdrWindow* merged =
+  const HdrWindow* merged =
       Hdr(first[0].hdr, "cluster.node.serve_us");
   ASSERT_NE(merged, nullptr);
   EXPECT_EQ(merged->count, 100u);
@@ -186,7 +189,6 @@ TEST(FederationTest, DeadNodeFailsScrapeWithZeroDeltas) {
   FederationOptions options;
   options.enabled = true;
   options.scrape_interval_us = 100;
-  options.scrape_request_bytes = 128;
   MetricsFederation federation(options);
 
   FakeNode node;
@@ -207,7 +209,7 @@ TEST(FederationTest, DeadNodeFailsScrapeWithZeroDeltas) {
     EXPECT_EQ(delta, 0u) << name;
   }
   // Only the request probe hits a dead node's wire — no response bytes.
-  EXPECT_EQ(node.charged_bytes, bytes_before + 128);
+  EXPECT_EQ(node.charged_bytes, bytes_before + kScrapeRequestBytes);
 
   // After revival the missed increments surface in one catch-up window
   // rather than being lost.

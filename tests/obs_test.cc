@@ -4,6 +4,8 @@
 // simulated cycle totals or search results.
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -19,9 +21,9 @@
 #include "data/synthetic.h"
 #include "graph/cpu_nsw.h"
 #include "graph/diagnostics.h"
+#include "obs/federation.h"
 #include "obs/hdr_histogram.h"
 #include "obs/metrics.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "song/song_search.h"
 
@@ -507,7 +509,20 @@ TEST_F(ObsTest, RegistryHdrExportsJsonAndPrometheus) {
             std::string::npos);
 }
 
-std::uint64_t WindowCounterDelta(const WindowSample& window,
+/// The serve time-series shape: a one-node window engine over the global
+/// registry. Tests drive its clock explicitly.
+std::unique_ptr<MetricsFederation> GlobalSeries(
+    FederationOptions options = {}) {
+  options.latency_hdr = "serve.latency_us";
+  options.queue_gauge = "serve.queue_saturation";
+  auto series = std::make_unique<MetricsFederation>(options);
+  NodeHooks hooks;
+  hooks.snapshot = [] { return MetricsRegistry::Global().Snapshot(); };
+  series->AddNode(std::move(hooks));
+  return series;
+}
+
+std::uint64_t WindowCounterDelta(const FederatedWindow& window,
                                  const std::string& name) {
   for (const auto& [counter, delta] : window.counter_deltas) {
     if (counter == name) return delta;
@@ -515,16 +530,16 @@ std::uint64_t WindowCounterDelta(const WindowSample& window,
   return 0;
 }
 
-const WindowSample::HdrWindow* FindHdrWindow(const WindowSample& window,
-                                             const std::string& name) {
-  for (const WindowSample::HdrWindow& hdr : window.hdr) {
+const HdrWindow* FindHdrWindow(const FederatedWindow& window,
+                               const std::string& name) {
+  for (const HdrWindow& hdr : window.hdr) {
     if (hdr.name == name) return &hdr;
   }
   return nullptr;
 }
 
-double WindowGauge(const WindowSample& window, const std::string& name) {
-  for (const auto& [gauge, value] : window.gauges) {
+double WindowGauge(const FederatedWindow& window, const std::string& name) {
+  for (const auto& [gauge, value] : window.nodes.at(0).gauges) {
     if (gauge == name) return value;
   }
   return -1.0;
@@ -536,17 +551,17 @@ TEST_F(ObsTest, TimeSeriesWindowsAreCumulativeDeltas) {
   HdrHistogram& hdr = registry.GetHdr("test.obs.ts_hdr");
   hdr.Reset();
 
-  TimeSeriesCollector collector;
+  const auto series = GlobalSeries();
   counter.Add(3);
   hdr.Record(100);
   hdr.Record(200);
-  const WindowSample first = collector.Tick();
-  // The first window deltas against zero: it sees the full cumulative value.
+  const FederatedWindow first = series->Scrape(1000);
+  // The first window deltas against zero: it sees the full cumulative value,
+  // and its interval spans the same stretch — from the clock origin.
   EXPECT_EQ(first.seq, 0u);
-  EXPECT_EQ(first.interval_us, 0.0);
+  EXPECT_EQ(first.interval_us, first.t_us);
   EXPECT_EQ(WindowCounterDelta(first, "test.obs.ts_counter"), 3u);
-  const WindowSample::HdrWindow* window_hdr =
-      FindHdrWindow(first, "test.obs.ts_hdr");
+  const HdrWindow* window_hdr = FindHdrWindow(first, "test.obs.ts_hdr");
   ASSERT_NE(window_hdr, nullptr);
   EXPECT_EQ(window_hdr->count, 2u);
   EXPECT_EQ(window_hdr->total_count, 2u);
@@ -556,11 +571,11 @@ TEST_F(ObsTest, TimeSeriesWindowsAreCumulativeDeltas) {
 
   counter.Add(5);
   hdr.Record(40);
-  const WindowSample second = collector.Tick();
+  const FederatedWindow second = series->Scrape(2500);
   // The second window must report only what happened since the first cut —
   // even though the underlying metrics are cumulative and never reset.
   EXPECT_EQ(second.seq, 1u);
-  EXPECT_GT(second.interval_us, 0.0);
+  EXPECT_EQ(second.interval_us, 1500u);
   EXPECT_EQ(WindowCounterDelta(second, "test.obs.ts_counter"), 5u);
   window_hdr = FindHdrWindow(second, "test.obs.ts_hdr");
   ASSERT_NE(window_hdr, nullptr);
@@ -575,43 +590,55 @@ TEST_F(ObsTest, TimeSeriesRingEvictionsAreCounted) {
       MetricsRegistry::Global().GetCounter("obs.series.overwritten");
   const std::uint64_t evictions_before = evictions.value();
 
-  TimeSeriesOptions options;
-  options.ring_capacity = 2;
-  TimeSeriesCollector collector(options);
-  for (int i = 0; i < 5; ++i) collector.Tick();
+  const auto series = GlobalSeries();
+  for (std::uint64_t i = 1; i <= kWindowRingCapacity + 3; ++i) {
+    series->Scrape(i);
+  }
 
-  // 5 windows through a 2-slot ring: 3 evictions, all accounted — both on
-  // the collector and mirrored into the registry (never silent).
-  EXPECT_EQ(collector.overwritten(), 3u);
+  // Three windows past the ring's capacity: 3 evictions, all accounted —
+  // both on the engine and mirrored into the registry (never silent).
+  EXPECT_EQ(series->overwritten(), 3u);
   EXPECT_EQ(evictions.value() - evictions_before, 3u);
-  const std::vector<WindowSample> windows = collector.Windows();
-  ASSERT_EQ(windows.size(), 2u);
-  EXPECT_EQ(windows[0].seq, 3u);
-  EXPECT_EQ(windows[1].seq, 4u);
+  ASSERT_EQ(series->windows().size(), kWindowRingCapacity);
+  EXPECT_EQ(series->windows().front().seq, 3u);
+  EXPECT_EQ(series->windows().back().seq, kWindowRingCapacity + 2);
 }
 
 TEST_F(ObsTest, TimeSeriesDerivesSloHeadroomAndQueueSaturation) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   HdrHistogram& latency = registry.GetHdr("serve.latency_us");
   latency.Reset();
-  registry.GetGauge("serve.queue_depth").Set(6);
-  registry.GetGauge("serve.queue_capacity").Set(8);
+  // ServeEngine publishes depth / capacity next to the depth gauge.
+  registry.GetGauge("serve.queue_saturation").Set(0.75);
 
-  TimeSeriesOptions options;
+  FederationOptions options;
   options.slo_deadline_us = 200;
-  TimeSeriesCollector collector(options);
+  const auto series = GlobalSeries(options);
   for (int i = 0; i < 10; ++i) latency.Record(180);
-  const WindowSample window = collector.Tick();
+  const FederatedWindow window = series->Scrape(1000);
 
   // Windowed p99 is exactly 180 (every sample is 180, below the exact-bucket
-  // limit), so headroom = 180 / 200. Saturation = depth / capacity.
+  // limit), so headroom = 180 / 200. Saturation is the queue gauge's value.
   EXPECT_DOUBLE_EQ(window.slo_headroom, 0.9);
+  EXPECT_EQ(window.slo_sample_count, 10u);
   EXPECT_DOUBLE_EQ(window.queue_saturation, 0.75);
 
-  // The derived signals feed back into the registry, so the *next* window's
-  // gauge set (and the cumulative Prometheus view) carries them.
-  const WindowSample next = collector.Tick();
-  EXPECT_DOUBLE_EQ(WindowGauge(next, "serve.slo_headroom"), 0.9);
+  // The derived signals reach the cumulative exports (--stats-out writes
+  // ToJson, --prom-out ToPrometheus), eviction count included.
+  const std::string json = registry.ToJson();
+  EXPECT_NE(json.find("\"obs.series.slo_headroom\":0.9"), std::string::npos);
+  EXPECT_NE(json.find("\"serve.queue_saturation\":0.75"), std::string::npos);
+  EXPECT_NE(json.find("\"obs.series.overwritten\":"), std::string::npos);
+  const std::string prom = registry.ToPrometheus();
+  EXPECT_NE(prom.find("ganns_obs_series_slo_headroom 0.9"), std::string::npos);
+  EXPECT_NE(prom.find("ganns_serve_queue_saturation 0.75"), std::string::npos);
+  EXPECT_NE(prom.find("# TYPE ganns_obs_series_overwritten counter"),
+            std::string::npos);
+
+  // The headroom feeds back into the registry, so the *next* window's gauge
+  // set carries it.
+  const FederatedWindow next = series->Scrape(2000);
+  EXPECT_DOUBLE_EQ(WindowGauge(next, "obs.series.slo_headroom"), 0.9);
   EXPECT_DOUBLE_EQ(WindowGauge(next, "serve.queue_saturation"), 0.75);
   // An empty window has no p99: headroom drops to 0 rather than repeating.
   EXPECT_DOUBLE_EQ(next.slo_headroom, 0.0);
@@ -622,10 +649,10 @@ TEST_F(ObsTest, TimeSeriesWindowJsonIsDeterministicAndSorted) {
   registry.GetCounter("test.obs.ts_json_zz").Add(2);
   registry.GetCounter("test.obs.ts_json_aa").Add(1);
 
-  TimeSeriesCollector collector;
-  const WindowSample window = collector.Tick();
-  const std::string json = TimeSeriesCollector::WindowJson(window);
-  EXPECT_EQ(json, TimeSeriesCollector::WindowJson(window));
+  const auto series = GlobalSeries();
+  const FederatedWindow window = series->Scrape(1000);
+  const std::string json = MetricsFederation::WindowJson(window);
+  EXPECT_EQ(json, MetricsFederation::WindowJson(window));
   for (const char* section :
        {"\"counters\":{", "\"gauges\":{", "\"hdr\":{", "\"derived\":{"}) {
     EXPECT_NE(json.find(section), std::string::npos) << section;
@@ -636,28 +663,39 @@ TEST_F(ObsTest, TimeSeriesWindowJsonIsDeterministicAndSorted) {
   ASSERT_NE(z, std::string::npos);
   EXPECT_LT(a, z);
 
-  collector.Tick();
-  const std::string jsonl = collector.ToJsonl();
+  series->Scrape(2000);
+  const std::string jsonl = series->ToJsonl();
   EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 2);
   EXPECT_EQ(jsonl.compare(0, json.size(), json), 0);
 }
 
-// Metric writers race the background sampler; the cut windows must still
+// Metric writers race a scraping thread; the cut windows must still
 // partition the recorded totals exactly (no sample lost or double-counted
-// across window boundaries). Also the TSan gate's coverage of the collector,
-// via the obs_concurrency_test rebuild of this file.
+// across window boundaries). Also the TSan gate's coverage of the window
+// engine, via the obs_concurrency_test rebuild of this file.
 TEST_F(ObsTest, TimeSeriesConcurrentWritersPartitionExactly) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   Counter& counter = registry.GetCounter("test.obs.ts_conc_counter");
   HdrHistogram& hdr = registry.GetHdr("test.obs.ts_conc_hdr");
+  counter.Reset();  // window 0 deltas against zero; repeats must too
   hdr.Reset();
   const std::uint64_t counter_before = counter.value();
 
-  TimeSeriesOptions options;
-  options.interval_ms = 1;
-  options.ring_capacity = 1 << 16;  // no evictions: every window retained
-  TimeSeriesCollector collector(options);
-  collector.Start();
+  FederationOptions options;
+  options.scrape_interval_us = 1000;
+  const auto series = GlobalSeries(options);
+  std::atomic<bool> writing{true};
+  std::uint64_t now_us = 0;
+  std::thread scraper([&] {
+    // Stays below the ring capacity (the final cut below takes the last
+    // slot), so every window is retained.
+    while (writing.load() &&
+           series->windows().size() + 1 < kWindowRingCapacity) {
+      now_us += options.scrape_interval_us;
+      series->AdvanceTo(now_us);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
 
   constexpr int kThreads = 4;
   constexpr std::uint64_t kPerThread = 20000;
@@ -671,23 +709,23 @@ TEST_F(ObsTest, TimeSeriesConcurrentWritersPartitionExactly) {
     });
   }
   for (std::thread& w : workers) w.join();
-  collector.Stop();
-  collector.Tick();  // final cut picks up the tail after the last period
+  writing.store(false);
+  scraper.join();
+  series->Scrape(now_us + 1);  // final cut picks up the tail
 
   constexpr std::uint64_t kTotal = kThreads * kPerThread;
   EXPECT_EQ(counter.value() - counter_before, kTotal);
   std::uint64_t counter_sum = 0;
   std::uint64_t hdr_sum = 0;
-  for (const WindowSample& window : collector.Windows()) {
+  for (const FederatedWindow& window : series->windows()) {
     counter_sum += WindowCounterDelta(window, "test.obs.ts_conc_counter");
-    if (const WindowSample::HdrWindow* w =
-            FindHdrWindow(window, "test.obs.ts_conc_hdr")) {
+    if (const HdrWindow* w = FindHdrWindow(window, "test.obs.ts_conc_hdr")) {
       hdr_sum += w->count;
     }
   }
   EXPECT_EQ(counter_sum, kTotal);
   EXPECT_EQ(hdr_sum, kTotal);
-  EXPECT_EQ(collector.overwritten(), 0u);
+  EXPECT_EQ(series->overwritten(), 0u);
 }
 
 }  // namespace

@@ -657,6 +657,32 @@ TEST_F(ServeTraceTest, ServeLatencyHdrMatchesOfflineQuantiles) {
   }
 }
 
+// The engine publishes queue saturation (depth / capacity) next to the
+// depth gauge: the serve time-series reads it as its queue_gauge.
+TEST_F(ServeTraceTest, QueueSaturationGaugeIsDepthOverCapacity) {
+  obs::SetMetricsEnabled(true);
+  ShardedIndex index = ShardedIndex::Build(*base_, 2, {});
+  ServeOptions options;
+  options.queue_capacity = 4;
+  ServeEngine engine(index, options);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+
+  std::vector<std::future<QueryResponse>> futures;
+  for (std::size_t q = 0; q < 3; ++q) {
+    futures.push_back(engine.Submit(MakeRequest(q, 64)));
+  }
+  EXPECT_DOUBLE_EQ(registry.GetGauge("serve.queue_depth").value(), 3.0);
+  EXPECT_DOUBLE_EQ(registry.GetGauge("serve.queue_saturation").value(), 0.75);
+
+  engine.Start();
+  for (auto& future : futures) {
+    EXPECT_EQ(future.get().status, StatusCode::kOk);
+  }
+  engine.Shutdown();
+  // The batcher drained the queue, and saturation followed the depth down.
+  EXPECT_DOUBLE_EQ(registry.GetGauge("serve.queue_saturation").value(), 0.0);
+}
+
 // ---------------------------------------------------------------------------
 // Tail-based flight recorder.
 // ---------------------------------------------------------------------------

@@ -55,10 +55,8 @@
 //                [--metric serve.latency_us] [--quantile p99]
 //                [--path counters.cluster.served_queries]
 //                [--watch [--iterations N] [--interval-ms 1000]]
-//   ganns top    <series.jsonl> [--rows 10] [--follow]
-//                [--iterations N] [--interval-ms 1000]
-//   ganns cluster-top <federation.jsonl> [--alerts alerts.jsonl] [--rows 10]
-//                [--follow] [--iterations N] [--interval-ms 1000]
+//   ganns top    <series.jsonl|federation.jsonl> [--alerts alerts.jsonl]
+//                [--rows 10] [--follow] [--iterations N] [--interval-ms 1000]
 //
 // `update` builds a sharded NSW index, applies a deterministic mixed
 // insert/remove workload through the online write paths, and reports the
@@ -100,7 +98,7 @@
 // gets a private metrics registry scraped over its simulated NIC on a fixed
 // interval (--scrape-interval-us), the merged windows feed the deterministic
 // alert engine (default rules, or --alert-rules specs), and the artifacts
-// are the federated window JSONL (`ganns cluster-top` input), Prometheus
+// are the federated window JSONL (`ganns top` input), Prometheus
 // text with per-node labels, and the alert transition log. The plane is
 // charged off the serving clock and draws no randomness, so results and
 // simulated seconds are bit-identical with it on or off. --sample N stamps
@@ -114,11 +112,18 @@
 // --watch it re-reads the file on an interval (a poor man's dashboard over
 // an artifact a live serve-bench keeps rewriting).
 //
-// `top` renders a --series-out time-series ring in the terminal: one row
-// per window with QPS, windowed latency percentiles, SLO headroom, queue
-// saturation, and drops. --follow re-reads and redraws on an interval;
-// --iterations bounds the number of renders (tests use --iterations 1 for
-// a single plain-text render).
+// `serve-bench --series-out` writes the serving time-series: a one-node
+// window engine (the one the cluster plane uses) over the process registry
+// on the wall clock, one window per --series-interval-ms plus a final one
+// at shutdown, in the same JSONL shape as --federation-out.
+//
+// `top` renders either window stream in the terminal: one row per window
+// with the latency-SLI rate, SLO headroom, queue saturation and scrape
+// bytes, then the latest window's nodes, histograms (count/p50/p99/max)
+// and counter rates, and with --alerts the alerts firing as of that window.
+// --follow re-reads and redraws on an interval; --iterations bounds the
+// number of renders (tests use --iterations 1 for a single plain-text
+// render).
 //
 // `profile` generates a synthetic corpus, builds an NSW graph with
 // GGraphCon, runs the search with full tracing + per-query profiling, and
@@ -132,18 +137,20 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <future>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/cluster_router.h"
+#include "common/text_file.h"
 #include "core/ganns_index.h"
 #include "core/ganns_search.h"
 #include "core/ggraphcon.h"
@@ -155,7 +162,6 @@
 #include "obs/alerts.h"
 #include "obs/federation.h"
 #include "obs/metrics.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "serve/flight_recorder.h"
 #include "serve/serve_engine.h"
@@ -567,6 +573,67 @@ double Percentile(const std::vector<double>& sorted, double q) {
   return sorted[std::min(rank, sorted.size() - 1)];
 }
 
+/// The serve time-series: a one-node window engine over the global registry
+/// on the wall clock (microseconds since the series started, so window 0
+/// spans the whole run up to its cut). A sampler thread advances it on the
+/// scrape schedule; Stop joins the sampler and cuts one final window, so
+/// runs shorter than an interval still export their data.
+class WallSeries {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  explicit WallSeries(const obs::FederationOptions& options)
+      : engine_(options) {
+    obs::NodeHooks hooks;
+    hooks.snapshot = [] { return obs::MetricsRegistry::Global().Snapshot(); };
+    engine_.AddNode(std::move(hooks));
+    sampler_ = std::thread([this, interval_us = options.scrape_interval_us] {
+      std::unique_lock<std::mutex> lock(mutex_);
+      for (std::uint64_t due_us = interval_us;; due_us += interval_us) {
+        if (stop_cv_.wait_until(lock,
+                                origin_ + std::chrono::microseconds(due_us),
+                                [this] { return stop_; })) {
+          return;
+        }
+        engine_.AdvanceTo(NowUs());
+      }
+    });
+  }
+  ~WallSeries() { Stop(); }
+
+  WallSeries(const WallSeries&) = delete;
+  WallSeries& operator=(const WallSeries&) = delete;
+
+  void Stop() {
+    if (!sampler_.joinable()) return;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+    }
+    stop_cv_.notify_all();
+    sampler_.join();
+    engine_.Scrape(NowUs());
+  }
+
+  /// Read after Stop(); the sampler thread owns the engine until then.
+  const obs::MetricsFederation& engine() const { return engine_; }
+
+ private:
+  std::uint64_t NowUs() const {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                              origin_)
+            .count());
+  }
+
+  obs::MetricsFederation engine_;
+  const Clock::time_point origin_ = Clock::now();
+  std::mutex mutex_;
+  std::condition_variable stop_cv_;
+  bool stop_ = false;
+  std::thread sampler_;
+};
+
 int CmdServeBench(const Args& args) {
   const data::DatasetSpec& spec =
       data::PaperDataset(args.Get("dataset").value_or("SIFT1M"));
@@ -660,16 +727,18 @@ int CmdServeBench(const Args& args) {
     serve::FlightRecorder::Global().Configure(flight_options);
     serve::FlightRecorder::Global().SetEnabled(true);
   }
-  std::optional<obs::TimeSeriesCollector> series;
+  std::optional<WallSeries> series;
   if (series_out.has_value()) {
-    obs::TimeSeriesOptions series_options;
-    series_options.interval_ms = args.Int("series-interval-ms", 100);
+    obs::FederationOptions series_options;
+    series_options.scrape_interval_us = static_cast<std::uint64_t>(
+        1000 * std::max(1L, args.Int("series-interval-ms", 100)));
     if (deadline_us > 0) {
       series_options.slo_deadline_us =
           static_cast<std::uint64_t>(deadline_us);
     }
+    series_options.latency_hdr = "serve.latency_us";
+    series_options.queue_gauge = "serve.queue_saturation";
     series.emplace(series_options);
-    series->Start();
   }
 
   serve::ServeEngine engine(*index, serve_options);
@@ -706,12 +775,7 @@ int CmdServeBench(const Args& args) {
       std::chrono::duration<double>(serve::ServeClock::now() - bench_start)
           .count();
   engine.Shutdown();
-  if (series.has_value()) {
-    // Stop the sampler, then cut one final window so short runs (shorter
-    // than one interval) still export a non-empty ring.
-    series->Stop();
-    series->Tick();
-  }
+  if (series.has_value()) series->Stop();
 
   const serve::ServeCounters counters = engine.counters();
   const double sim_seconds = engine.total_sim_seconds();
@@ -750,14 +814,10 @@ int CmdServeBench(const Args& args) {
   json += line;
 
   if (const auto out = args.Get("json"); out.has_value()) {
-    std::FILE* file = std::fopen(out->c_str(), "w");
-    if (file == nullptr ||
-        std::fwrite(json.data(), 1, json.size(), file) != json.size()) {
-      if (file != nullptr) std::fclose(file);
+    if (!WriteTextFile(*out, json)) {
       std::fprintf(stderr, "failed to write %s\n", out->c_str());
       return 1;
     }
-    std::fclose(file);
     std::printf("wrote %s\n", out->c_str());
   }
   std::fputs(json.c_str(), stdout);
@@ -785,13 +845,14 @@ int CmdServeBench(const Args& args) {
     std::printf("wrote Prometheus metrics to %s\n", prom_out->c_str());
   }
   if (series.has_value()) {
-    if (!series->WriteJsonl(*series_out)) {
+    const obs::MetricsFederation& stream = series->engine();
+    if (!stream.WriteJsonl(*series_out)) {
       std::fprintf(stderr, "failed to write %s\n", series_out->c_str());
       return 1;
     }
     std::printf("wrote %zu time-series windows to %s (%llu overwritten)\n",
-                series->Windows().size(), series_out->c_str(),
-                static_cast<unsigned long long>(series->overwritten()));
+                stream.windows().size(), series_out->c_str(),
+                static_cast<unsigned long long>(stream.overwritten()));
   }
   if (flight_out.has_value()) {
     serve::FlightRecorder& recorder = serve::FlightRecorder::Global();
@@ -1049,14 +1110,10 @@ int CmdClusterBench(const Args& args) {
   json += "  \"node_stats\": " + cluster_index.NodesJson() + "\n}\n";
 
   if (const auto out = args.Get("json"); out.has_value()) {
-    std::FILE* file = std::fopen(out->c_str(), "w");
-    if (file == nullptr ||
-        std::fwrite(json.data(), 1, json.size(), file) != json.size()) {
-      if (file != nullptr) std::fclose(file);
+    if (!WriteTextFile(*out, json)) {
       std::fprintf(stderr, "failed to write %s\n", out->c_str());
       return 1;
     }
-    std::fclose(file);
     std::printf("wrote %s\n", out->c_str());
   }
   std::fputs(json.c_str(), stdout);
@@ -1319,14 +1376,10 @@ int CmdUpdate(const Args& args) {
   json += line;
 
   if (const auto out = args.Get("json"); out.has_value()) {
-    std::FILE* file = std::fopen(out->c_str(), "w");
-    if (file == nullptr ||
-        std::fwrite(json.data(), 1, json.size(), file) != json.size()) {
-      if (file != nullptr) std::fclose(file);
+    if (!WriteTextFile(*out, json)) {
       std::fprintf(stderr, "failed to write %s\n", out->c_str());
       return 1;
     }
-    std::fclose(file);
     std::printf("wrote %s\n", out->c_str());
   }
   std::fputs(json.c_str(), stdout);
@@ -1608,218 +1661,104 @@ int CmdStat(int argc, char** argv) {
   return 0;
 }
 
-/// Reads a --series-out / --federation-out JSONL file into one parsed window
-/// object per line. With `tolerate_partial_tail` (the live-view modes), a
-/// final line that fails to parse is treated as a write in progress and
-/// dropped — the next poll re-reads the file and picks it up once complete.
-/// A malformed line anywhere else is always an error.
-std::vector<tools::JsonPtr> ReadSeriesWindows(const std::string& path,
-                                              std::string* error,
-                                              bool tolerate_partial_tail) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    *error = "cannot open " + path;
-    return {};
-  }
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  std::vector<tools::JsonPtr> windows;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    tools::Parser parser(lines[i]);
-    tools::JsonPtr window = parser.Parse();
-    if (window == nullptr) {
-      if (tolerate_partial_tail && i + 1 == lines.size()) break;
-      *error = path + ":" + std::to_string(i + 1) + ": " + parser.error();
-      return {};
-    }
-    windows.push_back(std::move(window));
-  }
-  return windows;
-}
-
-double SeriesNumber(const tools::Json& window, const char* section,
-                    const char* name) {
-  const tools::Json* object = window.Get(section);
-  if (object == nullptr || !object->Is(tools::Json::Kind::kObject)) return 0;
-  const tools::Json* value = object->Get(name);
+double Number(const tools::Json* scope, const char* name) {
+  const tools::Json* value = scope != nullptr ? scope->Get(name) : nullptr;
   return value != nullptr && value->Is(tools::Json::Kind::kNumber)
              ? value->number
              : 0;
 }
 
-/// Renders the last `rows` windows of the ring as a fixed-width table.
-void RenderTop(const std::vector<tools::JsonPtr>& windows, std::size_t rows) {
-  std::printf("%6s %8s %9s %8s %8s %9s %6s %9s\n", "seq", "win_ms", "qps",
-              "p50_us", "p99_us", "headroom", "qsat", "rejected");
+/// Renders a window stream (`serve-bench --series-out` or `cluster-bench
+/// --federation-out`; one engine writes both): a trend row per window, then
+/// the latest window's nodes, roll-up histograms and counters, then any
+/// alerts firing as of that window. Nothing here depends on metric names:
+/// throughput is the window's latency-SLI sample rate (derived.slo_samples
+/// per second) and latency comes from the roll-up histograms.
+void RenderTop(const std::vector<tools::JsonPtr>& windows,
+               const std::vector<tools::JsonPtr>& alert_events,
+               std::size_t rows) {
+  std::printf("%6s %10s %8s %9s %9s %6s %9s\n", "seq", "t_ms", "win_ms",
+              "sli/s", "headroom", "qsat", "scrape_b");
   const std::size_t first = windows.size() > rows ? windows.size() - rows : 0;
   for (std::size_t i = first; i < windows.size(); ++i) {
     const tools::Json& window = *windows[i];
-    const double interval_us =
-        window.Get("interval_us") != nullptr ? window.Get("interval_us")->number
-                                             : 0;
-    const double served = SeriesNumber(window, "counters", "serve.served");
-    const double qps = interval_us > 0 ? served / (interval_us / 1e6) : 0;
-    const tools::Json* hdr = window.Get("hdr");
-    const tools::Json* latency =
-        hdr != nullptr ? hdr->Get("serve.latency_us") : nullptr;
-    const double p50 = latency != nullptr && latency->Get("p50") != nullptr
-                           ? latency->Get("p50")->number
-                           : 0;
-    const double p99 = latency != nullptr && latency->Get("p99") != nullptr
-                           ? latency->Get("p99")->number
-                           : 0;
-    std::printf("%6.0f %8.1f %9.0f %8.0f %8.0f %9.3f %6.3f %9.0f\n",
-                window.Get("seq") != nullptr ? window.Get("seq")->number : 0,
-                interval_us / 1000.0, qps, p50, p99,
-                SeriesNumber(window, "derived", "slo_headroom"),
-                SeriesNumber(window, "derived", "queue_saturation"),
-                SeriesNumber(window, "counters", "serve.rejected"));
-  }
-  std::printf("%zu of %zu windows shown\n", windows.size() - first,
-              windows.size());
-}
-
-/// `ganns top`: live terminal view over a --series-out ring. One render by
-/// default; --follow (or --iterations N) re-reads the file every
-/// --interval-ms and redraws.
-int CmdTop(int argc, char** argv) {
-  if (argc < 3 || std::strncmp(argv[2], "--", 2) == 0) {
-    std::fprintf(stderr,
-                 "usage: ganns top <series.jsonl> [--rows 10] [--follow] "
-                 "[--iterations N] [--interval-ms 1000]\n");
-    return 2;
-  }
-  const std::string path = argv[2];
-  const Args args(argc, argv, 3);
-  const auto rows = static_cast<std::size_t>(args.Int("rows", 10));
-  const bool follow = args.Flag("follow");
-  const long iterations = args.Int("iterations", follow ? 0 : 1);
-  const long interval_ms = args.Int("interval-ms", 1000);
-
-  for (long i = 0; iterations <= 0 || i < iterations; ++i) {
-    if (i > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
-    }
-    std::string error;
-    // A live view additionally tolerates a truncated final line (a window
-    // mid-append): it renders what parsed and retries the tail next poll.
-    const std::vector<tools::JsonPtr> windows =
-        ReadSeriesWindows(path, &error, /*tolerate_partial_tail=*/
-                          iterations != 1);
-    if (!error.empty()) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      // A single-shot render fails loudly; a live view tolerates a file
-      // mid-rewrite and tries again next interval.
-      if (iterations == 1) return 1;
-      continue;
-    }
-    if (follow) std::printf("\033[2J\033[H");  // clear + home before redraw
-    RenderTop(windows, rows);
-    std::fflush(stdout);
-  }
-  return 0;
-}
-
-/// Pulls a named number out of one federated window's per-node "counters" /
-/// "gauges" / "hdr.<metric>.<field>" sections (0 when absent).
-double NodeNumber(const tools::Json& node, const char* section,
-                  const char* name) {
-  const tools::Json* object = node.Get(section);
-  if (object == nullptr || !object->Is(tools::Json::Kind::kObject)) return 0;
-  const tools::Json* value = object->Get(name);
-  return value != nullptr && value->Is(tools::Json::Kind::kNumber)
-             ? value->number
-             : 0;
-}
-
-double HdrField(const tools::Json& scope, const char* metric,
-                const char* field) {
-  const tools::Json* hdr = scope.Get("hdr");
-  if (hdr == nullptr) return 0;
-  const tools::Json* entry = hdr->Get(metric);
-  if (entry == nullptr || !entry->Is(tools::Json::Kind::kObject)) return 0;
-  const tools::Json* value = entry->Get(field);
-  return value != nullptr && value->Is(tools::Json::Kind::kNumber)
-             ? value->number
-             : 0;
-}
-
-/// Renders the cluster dashboard: a trend row per federated window (cluster
-/// scope), then the latest window's per-node table, then any alerts firing
-/// as of that window.
-void RenderClusterTop(const std::vector<tools::JsonPtr>& windows,
-                      const std::vector<tools::JsonPtr>& alert_events,
-                      std::size_t rows) {
-  std::printf("%5s %9s %8s %9s %9s %9s %6s %6s %9s\n", "seq", "t_ms",
-              "win_ms", "qps", "p99_us", "headroom", "qsat", "lost",
-              "scrape_b");
-  const std::size_t first = windows.size() > rows ? windows.size() - rows : 0;
-  for (std::size_t i = first; i < windows.size(); ++i) {
-    const tools::Json& window = *windows[i];
-    const tools::Json* cluster = window.Get("cluster");
-    const double interval_us =
-        window.Get("interval_us") != nullptr
-            ? window.Get("interval_us")->number
-            : 0;
-    const double served =
-        cluster != nullptr
-            ? NodeNumber(*cluster, "counters", "cluster.served_queries")
-            : 0;
-    std::printf(
-        "%5.0f %9.2f %8.2f %9.0f %9.0f %9.3f %6.3f %6.0f %9.0f\n",
-        window.Get("seq") != nullptr ? window.Get("seq")->number : 0,
-        (window.Get("t_us") != nullptr ? window.Get("t_us")->number : 0) /
-            1000.0,
-        interval_us / 1000.0,
-        interval_us > 0 ? served / (interval_us / 1e6) : 0,
-        cluster != nullptr ? HdrField(*cluster, "cluster.batch_us", "p99") : 0,
-        SeriesNumber(window, "derived", "slo_headroom"),
-        SeriesNumber(window, "derived", "queue_saturation"),
-        cluster != nullptr
-            ? NodeNumber(*cluster, "counters", "cluster.lost_sub_queries")
-            : 0,
-        window.Get("scrape_bytes") != nullptr
-            ? window.Get("scrape_bytes")->number
-            : 0);
+    const tools::Json* derived = window.Get("derived");
+    const double interval_us = Number(&window, "interval_us");
+    std::printf("%6.0f %10.2f %8.2f %9.0f %9.3f %6.3f %9.0f\n",
+                Number(&window, "seq"), Number(&window, "t_us") / 1000.0,
+                interval_us / 1000.0,
+                interval_us > 0
+                    ? Number(derived, "slo_samples") / (interval_us / 1e6)
+                    : 0,
+                Number(derived, "slo_headroom"),
+                Number(derived, "queue_saturation"),
+                Number(&window, "scrape_bytes"));
   }
   if (windows.empty()) {
-    std::printf("no federated windows yet\n");
+    std::printf("no windows yet\n");
     return;
   }
 
+  // Node health is the latest window's; the histogram and counter tables
+  // show the latest window that carried SLI samples (a shutdown flush is
+  // often empty), falling back to the latest.
   const tools::Json& last = *windows.back();
+  const tools::Json* detail = &last;
+  for (std::size_t i = windows.size(); i-- > 0;) {
+    if (Number(windows[i]->Get("derived"), "slo_samples") > 0) {
+      detail = windows[i].get();
+      break;
+    }
+  }
+  const double detail_interval_s = Number(detail, "interval_us") / 1e6;
   const tools::Json* nodes = last.Get("nodes");
   if (nodes != nullptr && nodes->Is(tools::Json::Kind::kArray)) {
-    std::printf("%5s %8s %7s %9s %9s %9s %9s %9s\n", "node", "state",
-                "scrape", "served", "p99_us", "recv_b", "sent_b", "timeouts");
+    std::printf("%6s %8s %7s\n", "node", "state", "scrape");
     for (const tools::JsonPtr& node : nodes->array) {
       const tools::Json* state = node->Get("state");
       const tools::Json* scrape_ok = node->Get("scrape_ok");
-      std::printf(
-          "%5.0f %8s %7s %9.0f %9.0f %9.0f %9.0f %9.0f\n",
-          node->Get("node") != nullptr ? node->Get("node")->number : 0,
-          state != nullptr && state->Is(tools::Json::Kind::kString)
-              ? state->string.c_str()
-              : "?",
-          scrape_ok != nullptr && scrape_ok->Is(tools::Json::Kind::kBool) &&
-                  scrape_ok->boolean
-              ? "ok"
-              : "FAIL",
-          NodeNumber(*node, "counters", "cluster.node.served_queries"),
-          HdrField(*node, "cluster.node.serve_us", "p99"),
-          NodeNumber(*node, "counters", "cluster.node.recv_bytes"),
-          NodeNumber(*node, "counters", "cluster.node.sent_bytes"),
-          NodeNumber(*node, "counters", "cluster.node.timeouts"));
+      std::printf("%6.0f %8s %7s\n", Number(node.get(), "node"),
+                  state != nullptr && state->Is(tools::Json::Kind::kString)
+                      ? state->string.c_str()
+                      : "?",
+                  scrape_ok != nullptr &&
+                          scrape_ok->Is(tools::Json::Kind::kBool) &&
+                          scrape_ok->boolean
+                      ? "ok"
+                      : "FAIL");
+    }
+  }
+  const tools::Json* rollup = detail->Get("cluster");
+  const tools::Json* hdr = rollup != nullptr ? rollup->Get("hdr") : nullptr;
+  if (hdr != nullptr && hdr->Is(tools::Json::Kind::kObject)) {
+    std::printf("window %.0f:\n", Number(detail, "seq"));
+    std::printf("%-34s %9s %9s %9s %9s\n", "histogram", "count", "p50", "p99",
+                "max");
+    for (const auto& [name, entry] : hdr->object) {
+      if (Number(entry.get(), "count") == 0) continue;
+      std::printf("%-34s %9.0f %9.0f %9.0f %9.0f\n", name.c_str(),
+                  Number(entry.get(), "count"), Number(entry.get(), "p50"),
+                  Number(entry.get(), "p99"), Number(entry.get(), "max"));
+    }
+  }
+  const tools::Json* counters =
+      rollup != nullptr ? rollup->Get("counters") : nullptr;
+  if (counters != nullptr && counters->Is(tools::Json::Kind::kObject)) {
+    std::printf("%-34s %9s %9s\n", "counter", "delta", "per_s");
+    for (const auto& [name, delta] : counters->object) {
+      if (!delta->Is(tools::Json::Kind::kNumber) || delta->number == 0) {
+        continue;
+      }
+      std::printf("%-34s %9.0f %9.0f\n", name.c_str(), delta->number,
+                  detail_interval_s > 0 ? delta->number / detail_interval_s
+                                        : 0);
     }
   }
 
   // Replay the alert log up to the rendered window: a (rule, node) pair is
   // shown iff its latest transition at or before t_us is a firing.
   if (!alert_events.empty()) {
-    const double now_us =
-        last.Get("t_us") != nullptr ? last.Get("t_us")->number : 0;
+    const double now_us = Number(&last, "t_us");
     std::map<std::string, bool> firing;
     for (const tools::JsonPtr& event : alert_events) {
       const tools::Json* t = event->Get("t_us");
@@ -1849,16 +1788,15 @@ void RenderClusterTop(const std::vector<tools::JsonPtr>& windows,
               windows.size());
 }
 
-/// `ganns cluster-top`: terminal dashboard over a cluster-bench
-/// --federation-out JSONL stream (optionally joined with --alerts-out
-/// events). One render by default; --follow/--iterations re-read and redraw
-/// like `ganns top`.
-int CmdClusterTop(int argc, char** argv) {
+/// `ganns top`: terminal dashboard over a window stream, optionally joined
+/// with a `cluster-bench --alerts-out` log. One render by default; --follow
+/// (or --iterations N) re-reads the files every --interval-ms and redraws.
+int CmdTop(int argc, char** argv) {
   if (argc < 3 || std::strncmp(argv[2], "--", 2) == 0) {
     std::fprintf(stderr,
-                 "usage: ganns cluster-top <federation.jsonl> "
-                 "[--alerts alerts.jsonl] [--rows 10] [--follow] "
-                 "[--iterations N] [--interval-ms 1000]\n");
+                 "usage: ganns top <windows.jsonl> [--alerts alerts.jsonl] "
+                 "[--rows 10] [--follow] [--iterations N] "
+                 "[--interval-ms 1000]\n");
     return 2;
   }
   const std::string path = argv[2];
@@ -1868,6 +1806,9 @@ int CmdClusterTop(int argc, char** argv) {
   const long iterations = args.Int("iterations", follow ? 0 : 1);
   const long interval_ms = args.Int("interval-ms", 1000);
   const auto alerts_path = args.Get("alerts");
+  // A live view tolerates a truncated final line (a window mid-append): it
+  // renders what parsed and retries the tail next poll.
+  const bool live = iterations != 1;
 
   for (long i = 0; iterations <= 0 || i < iterations; ++i) {
     if (i > 0) {
@@ -1875,21 +1816,20 @@ int CmdClusterTop(int argc, char** argv) {
     }
     std::string error;
     const std::vector<tools::JsonPtr> windows =
-        ReadSeriesWindows(path, &error, /*tolerate_partial_tail=*/
-                          iterations != 1);
+        tools::ReadJsonlFile(path, &error, live);
     std::vector<tools::JsonPtr> alert_events;
     if (error.empty() && alerts_path.has_value()) {
-      alert_events = ReadSeriesWindows(*alerts_path, &error,
-                                       /*tolerate_partial_tail=*/
-                                       iterations != 1);
+      alert_events = tools::ReadJsonlFile(*alerts_path, &error, live);
     }
     if (!error.empty()) {
       std::fprintf(stderr, "%s\n", error.c_str());
-      if (iterations == 1) return 1;
+      // A single-shot render fails loudly; a live view tolerates a file
+      // mid-rewrite and tries again next interval.
+      if (!live) return 1;
       continue;
     }
     if (follow) std::printf("\033[2J\033[H");  // clear + home before redraw
-    RenderClusterTop(windows, alert_events, rows);
+    RenderTop(windows, alert_events, rows);
     std::fflush(stdout);
   }
   return 0;
@@ -1899,7 +1839,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: ganns "
                "<gen|build|search|eval|profile|serve-bench|cluster-bench|"
-               "update|stat|top|cluster-top> "
+               "update|stat|top> "
                "--flag value ...\n"
                "run with a subcommand to see its required flags\n");
   return 2;
@@ -1912,7 +1852,6 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   if (command == "stat") return CmdStat(argc, argv);
   if (command == "top") return CmdTop(argc, argv);
-  if (command == "cluster-top") return CmdClusterTop(argc, argv);
   const Args args(argc, argv, 2);
   if (command == "gen") return CmdGen(args);
   if (command == "build") return CmdBuild(args);

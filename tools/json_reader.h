@@ -239,6 +239,38 @@ inline JsonPtr ParseJsonFile(const std::string& path, std::string* error) {
   return root;
 }
 
+/// Reads a JSONL file: one JSON value per non-empty line. On failure returns
+/// an empty vector and writes "cannot open <path>" or "<path>:<line>:
+/// <message>" into *error. With `tolerate_partial_tail` (a live view over a
+/// file still being appended to), a final line that fails to parse is a
+/// write in progress and is dropped — the next read picks it up once
+/// complete. A malformed line anywhere else is always an error.
+inline std::vector<JsonPtr> ReadJsonlFile(const std::string& path,
+                                          std::string* error,
+                                          bool tolerate_partial_tail = false) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    *error = "cannot open " + path;
+    return {};
+  }
+  std::vector<std::string> lines;
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  std::vector<JsonPtr> values;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].empty()) continue;
+    Parser parser(lines[i]);
+    JsonPtr value = parser.Parse();
+    if (value == nullptr) {
+      if (tolerate_partial_tail && i + 1 == lines.size()) break;
+      *error = path + ":" + std::to_string(i + 1) + ": " + parser.error();
+      return {};
+    }
+    values.push_back(std::move(value));
+  }
+  return values;
+}
+
 }  // namespace tools
 }  // namespace ganns
 

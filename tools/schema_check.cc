@@ -25,9 +25,13 @@
 //                                         both the bench results array and
 //                                         the single `ganns cluster-bench
 //                                         --json` report
-//   schema_check federation <fed.jsonl>   federated window stream
-//                                         (`cluster-bench --federation-out`):
+//   schema_check federation <fed.jsonl>   window stream of the one window
+//                                         engine (`cluster-bench
+//                                         --federation-out`, `serve-bench
+//                                         --series-out`):
 //                                         monotone seq / non-decreasing time,
+//                                         interval_us = t_us minus the
+//                                         previous cut (window 0: t_us),
 //                                         per-node state + scrape_ok +
 //                                         counters/gauges/hdr sections,
 //                                         cluster roll-up and the derived
@@ -978,46 +982,19 @@ int CheckFlight(const Json& root) {
 // Federated windows and alert events (JSONL artifacts)
 // ---------------------------------------------------------------------------
 
-/// Parses a JSONL file: one JSON object per non-empty line. Returns false
-/// (with *why set) on the first malformed line.
-bool ReadJsonl(const std::string& path, std::vector<JsonPtr>* lines,
-               std::string* why) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    *why = "cannot open " + path;
-    return false;
-  }
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    ganns::tools::Parser parser(line);
-    JsonPtr node = parser.Parse();
-    if (node == nullptr) {
-      *why = "line " + std::to_string(line_no) + ": " + parser.error();
-      return false;
-    }
-    lines->push_back(std::move(node));
-  }
-  return true;
-}
-
 int ComplainWindow(std::size_t index, const char* what) {
   std::fprintf(stderr, "schema error: record %zu: %s\n", index, what);
   return 1;
 }
 
-/// Federated window stream (`cluster-bench --federation-out`): every line a
-/// window with a monotone seq, non-decreasing simulated time, per-node
-/// sections (state, scrape_ok, counters/gauges/hdr), a cluster roll-up, and
-/// the derived alert inputs.
+/// Window stream (`cluster-bench --federation-out`, `serve-bench
+/// --series-out`): every line a window with a monotone seq, non-decreasing
+/// time, per-node sections (state, scrape_ok, counters/gauges/hdr), a
+/// roll-up, and the derived signals.
 int CheckFederation(const std::string& path) {
-  std::vector<JsonPtr> windows;
   std::string why;
-  if (!ReadJsonl(path, &windows, &why)) {
-    return Complain(why.c_str());
-  }
+  const std::vector<JsonPtr> windows = ganns::tools::ReadJsonlFile(path, &why);
+  if (!why.empty()) return Complain(why.c_str());
   if (windows.empty()) return Complain("no federated windows");
   double prev_seq = -1;
   double prev_t = -1;
@@ -1033,14 +1010,23 @@ int CheckFederation(const std::string& path) {
             i, (std::string("window missing non-negative ") + key).c_str());
       }
     }
-    if (window.Get("seq")->number <= prev_seq) {
+    const double seq = window.Get("seq")->number;
+    const double t_us = window.Get("t_us")->number;
+    if (seq <= prev_seq) {
       return ComplainWindow(i, "seq not strictly increasing");
     }
-    prev_seq = window.Get("seq")->number;
-    if (window.Get("t_us")->number < prev_t) {
-      return ComplainWindow(i, "t_us decreased");
+    if (t_us < prev_t) return ComplainWindow(i, "t_us decreased");
+    // Each window spans from the previous cut; window 0 spans from the
+    // clock origin its deltas are cumulative from. (A ring that evicted the
+    // previous window leaves nothing to compare against.)
+    const double span_start = seq == 0 ? 0 : seq == prev_seq + 1 ? prev_t : -1;
+    if (span_start >= 0 &&
+        window.Get("interval_us")->number != t_us - span_start) {
+      return ComplainWindow(i, "interval_us is not t_us minus the previous "
+                               "cut (window 0: t_us)");
     }
-    prev_t = window.Get("t_us")->number;
+    prev_seq = seq;
+    prev_t = t_us;
 
     const Json* nodes = window.Get("nodes");
     if (nodes == nullptr || !nodes->Is(Json::Kind::kArray) ||
@@ -1122,11 +1108,9 @@ int CheckFederation(const std::string& path) {
 /// gate's expected sequence.
 int CheckAlerts(const std::string& path,
                 const std::vector<std::string>& must_fire_and_resolve) {
-  std::vector<JsonPtr> events;
   std::string why;
-  if (!ReadJsonl(path, &events, &why)) {
-    return Complain(why.c_str());
-  }
+  const std::vector<JsonPtr> events = ganns::tools::ReadJsonlFile(path, &why);
+  if (!why.empty()) return Complain(why.c_str());
   std::map<std::string, bool> firing;     // (rule, node) -> currently firing
   std::map<std::string, int> fired;       // rule -> firings seen
   std::map<std::string, int> resolved;    // rule -> resolutions seen
