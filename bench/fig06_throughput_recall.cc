@@ -15,11 +15,10 @@ constexpr std::size_t kK = 10;
 void PrintSeries(const char* dataset,
                  const std::vector<ganns::bench::SweepPoint>& points) {
   for (const auto& p : points) {
-    // sim_sec is the deterministic simulated duration; host_sec is the wall
-    // clock the simulation itself took (machine-dependent, reference only).
-    std::printf("%-10s %-6s %-16s %8.3f %12.0f %12.3e %12.3e\n", dataset,
+    // sim_sec is the deterministic simulated duration of the batch.
+    std::printf("%-10s %-6s %-16s %8.3f %12.0f %12.3e\n", dataset,
                 p.algorithm.c_str(), p.setting.c_str(), p.recall, p.qps,
-                p.sim_seconds, p.host_seconds);
+                p.sim_seconds);
   }
 }
 
@@ -30,8 +29,8 @@ int main() {
   const bench::BenchConfig config = bench::BenchConfig::FromEnv();
   bench::PrintHeader("Figure 6: throughput vs recall (k=10, NSW graphs)",
                      config);
-  std::printf("%-10s %-6s %-16s %8s %12s %12s %12s\n", "dataset", "algo",
-              "setting", "recall", "QPS", "sim_sec", "host_sec");
+  std::printf("%-10s %-6s %-16s %8s %12s %12s\n", "dataset", "algo",
+              "setting", "recall", "QPS", "sim_sec");
 
   for (const data::DatasetSpec& spec : data::PaperDatasets()) {
     const bench::Workload workload =

@@ -19,7 +19,6 @@ SweepPoint FromBatch(const std::string& algorithm, const std::string& setting,
   point.recall = data::MeanRecall(batch.results, workload.truth, k);
   point.qps = batch.qps;
   point.sim_seconds = batch.sim_seconds;
-  point.host_seconds = batch.kernel.wall_seconds;
   const double total = batch.kernel.work_total();
   if (total > 0) {
     point.distance_fraction =

@@ -21,9 +21,6 @@ struct SweepPoint {
   double recall = 0;
   double qps = 0;
   double sim_seconds = 0;
-  /// Host wall-clock seconds the simulation of this point took (reference
-  /// only — machine-dependent, never part of reproducibility claims).
-  double host_seconds = 0;
   double distance_fraction = 0;  ///< share of work cycles in kDistance
   double ds_fraction = 0;        ///< share of work cycles in kDataStructure
 };

@@ -5,34 +5,30 @@
 //    read-path reference point);
 //  * mixed: apply an alternating insert/remove workload (10% of the corpus
 //    each) through the online write paths, then search the mutated graph.
-//    Reports update throughput on both clocks — simulated updates/s charges
-//    the insert search + link work to the shard's update device; wall
-//    updates/s is host timing — plus the post-workload recall against a
+//    Reports simulated updates/s (the insert search + link work charged to
+//    the shard's update device) plus the post-workload recall against a
 //    brute-force oracle over the *surviving* points;
 //  * post_compact: force a synchronous compaction of every shard (rebuild
 //    over the survivors) and search again. Compaction must not cost recall:
 //    the gate compares this phase's recall against the same survivor oracle;
 //  * concurrent: the serving engine drains a closed-loop query load while
 //    this thread applies a second insert/remove wave through the write
-//    paths — the mixed read/write operating point. Reader latency and
-//    writer throughput here depend on the host schedule, so only the
-//    served count (deterministic: no deadlines, every request completes)
-//    is gated; the wall numbers are informational.
+//    paths — the mixed read/write operating point. How reads and writes
+//    interleave depends on the host schedule, so the phase reports only the
+//    served count (deterministic: no deadlines, every request completes).
 //
 // Auto-compaction is disabled so the phase boundaries — and therefore every
 // simulated-clock number — are deterministic: recall, sim_qps, and sim_ups
-// reproduce bit-for-bit across runs at a fixed seed. Wall updates/s and
-// wall QPS vary with the machine and stay informational in bench_diff.
+// reproduce bit-for-bit across runs at a fixed seed. Host wall time under a
+// mixed read/write load is measured by perfbench's stream-rw workload.
 // Writes the table as JSON (argv[1], default BENCH_update.json).
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
+#include <future>
 #include <map>
 #include <string>
 #include <vector>
-
-#include <future>
 
 #include "bench/bench_common.h"
 #include "serve/serve_engine.h"
@@ -128,7 +124,6 @@ int main(int argc, char** argv) {
       live.emplace(v, std::vector<float>(point.begin(), point.end()));
     }
     std::size_t applied = 0;
-    const auto wall_start = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < 2 * num_updates; ++i) {
       if (i % 2 == 0) {
         auto victim = live.begin();
@@ -149,10 +144,6 @@ int main(int argc, char** argv) {
         }
       }
     }
-    const double wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count();
     const double sim_seconds = index.update_sim_seconds();
 
     // Survivor oracle shared by the mixed and post-compaction phases.
@@ -175,11 +166,9 @@ int main(int argc, char** argv) {
         RunSearch(index, workload, survivor_truth, gid_to_row);
     const double sim_ups =
         sim_seconds > 0 ? static_cast<double>(applied) / sim_seconds : 0.0;
-    const double wall_ups =
-        wall_seconds > 0 ? static_cast<double>(applied) / wall_seconds : 0.0;
     std::printf("shards=%zu mixed: recall@%zu=%.4f sim_qps=%.0f "
-                "sim_ups=%.0f wall_ups=%.0f tombstones=%.3f\n",
-                shards, kK, mixed.recall, mixed.sim_qps, sim_ups, wall_ups,
+                "sim_ups=%.0f tombstones=%.3f\n",
+                shards, kK, mixed.recall, mixed.sim_qps, sim_ups,
                 max_tombstones);
 
     for (std::size_t s = 0; s < index.num_shards(); ++s) index.Compact(s);
@@ -199,7 +188,6 @@ int main(int argc, char** argv) {
     const std::size_t num_queries = workload.queries.size();
     serve::ServeEngine engine(index, serve::ServeOptions{});
     engine.Start();
-    const auto mixed_start = std::chrono::steady_clock::now();
     std::vector<std::future<serve::QueryResponse>> futures;
     futures.reserve(num_queries);
     for (std::size_t q = 0; q < num_queries; ++q) {
@@ -211,43 +199,23 @@ int main(int argc, char** argv) {
       request.budget = kBudget;
       futures.push_back(engine.Submit(std::move(request)));
     }
-    std::size_t concurrent_applied = 0;
     for (std::size_t i = 0; i < 2 * num_updates; ++i) {
       if (i % 2 == 0) {
         auto victim = live.begin();
         std::advance(victim, (i * 131) % live.size());
-        if (index.Remove(victim->first)) ++concurrent_applied;
+        index.Remove(victim->first);
         live.erase(victim);
-      } else if (index.Insert(pool2.Point(static_cast<VertexId>(i / 2)))
-                     .has_value()) {
-        ++concurrent_applied;
+      } else {
+        index.Insert(pool2.Point(static_cast<VertexId>(i / 2)));
       }
     }
-    const double write_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      mixed_start)
-            .count();
     std::uint64_t served = 0;
     for (auto& future : futures) {
       if (future.get().status == serve::StatusCode::kOk) ++served;
     }
-    const double mixed_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      mixed_start)
-            .count();
     engine.Shutdown();
-    const double concurrent_wall_qps =
-        mixed_wall_seconds > 0
-            ? static_cast<double>(served) / mixed_wall_seconds
-            : 0.0;
-    const double concurrent_wall_ups =
-        write_wall_seconds > 0
-            ? static_cast<double>(concurrent_applied) / write_wall_seconds
-            : 0.0;
-    std::printf("shards=%zu concurrent: served=%llu wall_qps=%.0f "
-                "wall_ups=%.0f\n",
-                shards, static_cast<unsigned long long>(served),
-                concurrent_wall_qps, concurrent_wall_ups);
+    std::printf("shards=%zu concurrent: served=%llu\n", shards,
+                static_cast<unsigned long long>(served));
 
     char buffer[512];
     std::snprintf(buffer, sizeof(buffer),
@@ -258,9 +226,9 @@ int main(int argc, char** argv) {
     json += buffer;
     std::snprintf(buffer, sizeof(buffer),
                   "     \"mixed\": {\"recall\": %.4f, \"sim_qps\": %.0f, "
-                  "\"applied\": %zu, \"sim_ups\": %.0f, \"wall_ups\": %.0f, "
+                  "\"applied\": %zu, \"sim_ups\": %.0f, "
                   "\"tombstone_fraction\": %.4f},\n",
-                  mixed.recall, mixed.sim_qps, applied, sim_ups, wall_ups,
+                  mixed.recall, mixed.sim_qps, applied, sim_ups,
                   max_tombstones);
     json += buffer;
     std::snprintf(buffer, sizeof(buffer),
@@ -270,10 +238,8 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(index.compactions()));
     json += buffer;
     std::snprintf(buffer, sizeof(buffer),
-                  "     \"concurrent\": {\"served\": %llu, "
-                  "\"wall_qps\": %.0f, \"wall_ups\": %.0f}}",
-                  static_cast<unsigned long long>(served),
-                  concurrent_wall_qps, concurrent_wall_ups);
+                  "     \"concurrent\": {\"served\": %llu}}",
+                  static_cast<unsigned long long>(served));
     json += buffer;
     first = false;
   }

@@ -7,6 +7,12 @@
 # faithfully) run at GANNS_SCALE=4000 to stay tractable on one core. Every
 # section header echoes its scale. Raise the scales on bigger machines —
 # construction speedups grow with corpus size (see EXPERIMENTS.md).
+#
+# One harness per clock: apart from the micro_* benchmarks, which time host
+# code by design, every row these binaries print or write is simulated
+# device time or a count, so BENCH_*.json reproduces across machines. Host
+# wall time (served req/s, latency under load, CPU and memory) is measured
+# by perfbench: python3 perfbench/run.py, see perfbench/README.md.
 cd "$(dirname "$0")"
 exec > bench_output.txt 2>&1
 
@@ -19,36 +25,27 @@ export GANNS_PROV_DATE="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 export GANNS_PROV_HOST="$(hostname 2>/dev/null || echo unknown)"
 export GANNS_PROV_FLAGS="$(grep -E '^CMAKE_BUILD_TYPE|^GANNS_(TRACING|SANITIZE|NATIVE_ARCH)' build/CMakeCache.txt 2>/dev/null | tr '\n' ' ' || echo unknown)"
 
-# Telemetry overhead: the same serve run with tracing+metrics on vs off,
-# compared on both clocks (on / off). The sim-QPS ratio must be exactly
-# 1.000000 — instrumentation observes, it never charges cycles — so it
-# doubles as a standing end-to-end check of the two-clock rule in every
-# provenance block. The wall-QPS ratio is what telemetry costs the host:
-# below 1 means the instrumented run served fewer requests per second.
+# Telemetry overhead: sim QPS of the same serve run with tracing+metrics on,
+# divided by the run with them off. It must be exactly 1.000000 —
+# instrumentation observes, it never charges cycles — so it doubles as a
+# standing end-to-end check of the two-clock rule in every provenance
+# block. What telemetry costs the host is perfbench's obs.tracing_overhead.
 telemetry_overhead() {
-  local off on
+  local extract='s/.*"sim_qps": \([0-9.][0-9.]*\).*/\1/p' off on
   off=$(./build/tools/ganns serve-bench --n 2000 --queries 1000 --shards 2 \
-          2>/dev/null | grep -m1 '"sim_qps"')
+          2>/dev/null | sed -n "$extract" | head -n1)
   on=$(./build/tools/ganns serve-bench --n 2000 --queries 1000 --shards 2 \
          --trace-out /tmp/ganns_prov_trace.json \
          --stats-out /tmp/ganns_prov_stats.json \
-         2>/dev/null | grep -m1 '"sim_qps"')
+         2>/dev/null | sed -n "$extract" | head -n1)
   rm -f /tmp/ganns_prov_trace.json /tmp/ganns_prov_stats.json
-  ratio() { # <field>: prints on/off for one field of the two runs
-    local extract="s/.*\"$1\": \\([0-9.][0-9.]*\\).*/\\1/p" a b
-    a=$(sed -n "$extract" <<<"$on")
-    b=$(sed -n "$extract" <<<"$off")
-    if [ -n "$a" ] && [ -n "$b" ] && [ "$b" != "0" ]; then
-      awk -v on="$a" -v off="$b" 'BEGIN { printf "%.6f", on / off }'
-    else
-      echo unknown
-    fi
-  }
-  GANNS_PROV_TELEMETRY_OVERHEAD=$(ratio sim_qps)
-  GANNS_PROV_TELEMETRY_WALL_OVERHEAD=$(ratio wall_qps)
+  if [ -n "$on" ] && [ -n "$off" ] && [ "$off" != "0" ]; then
+    awk -v on="$on" -v off="$off" 'BEGIN { printf "%.6f", on / off }'
+  else
+    echo unknown
+  fi
 }
-telemetry_overhead
-export GANNS_PROV_TELEMETRY_OVERHEAD GANNS_PROV_TELEMETRY_WALL_OVERHEAD
+export GANNS_PROV_TELEMETRY_OVERHEAD="$(telemetry_overhead)"
 
 # Each binary writes wall_seconds as the "pending" placeholder; stamp_wall
 # replaces it with the measured duration once the binary has exited.
@@ -77,8 +74,8 @@ for b in table2_nsw_vs_cpu fig12_graph_quality fig13_vary_dmax \
   echo
 done
 
-# Online serving engine: closed- and open-loop load over 1/2/4 shards on a
-# synthetic 100k x 128 corpus. Writes BENCH_serve.json.
+# Online serving engine: closed-loop load over 1/2/4 shards on a synthetic
+# 100k x 128 corpus. Writes BENCH_serve.json.
 echo "===== bench/serve_throughput ====="
 t0=$SECONDS
 GANNS_SCALE=100000 GANNS_QUERIES=500 ./build/bench/serve_throughput BENCH_serve.json

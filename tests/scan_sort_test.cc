@@ -101,6 +101,42 @@ INSTANTIATE_TEST_SUITE_P(
                       ScanCase{8192, 16}, ScanCase{1 << 15, 17},
                       ScanCase{1 << 17, 18}));
 
+/// Simulated cycles of one GlobalBitonicSort of `data` on a fresh default
+/// device.
+double SortCycles(std::vector<std::uint64_t> data) {
+  Device device;
+  device.ResetTimeline();
+  GlobalBitonicSort(device, std::span<std::uint64_t>(data),
+                    [](std::uint64_t a, std::uint64_t b) { return a < b; },
+                    32, CostCategory::kDataStructure);
+  return device.timeline_cycles();
+}
+
+// Pins the sort's simulated schedule, so a host-side rewrite of the network
+// (compute with std::sort, charge the compare-exchange stages) must
+// reproduce it exactly. The network is data-oblivious: sorted, reversed and
+// random inputs of one size charge identical cycles.
+TEST(GlobalSortSchedule, PinnedCyclesAreDataOblivious) {
+  struct Pin {
+    std::size_t size;
+    double cycles;
+  };
+  for (const Pin pin : {Pin{1024, 26960}, Pin{2048, 32080}, Pin{1 << 15, 73200}}) {
+    SCOPED_TRACE(pin.size);
+    std::vector<std::uint64_t> sorted(pin.size);
+    for (std::size_t i = 0; i < pin.size; ++i) sorted[i] = i;
+    std::vector<std::uint64_t> reversed(sorted.rbegin(), sorted.rend());
+    Rng rng(pin.size);
+    std::vector<std::uint64_t> random(pin.size);
+    for (auto& v : random) v = rng.NextU64();
+
+    const double cycles = SortCycles(sorted);
+    EXPECT_EQ(cycles, pin.cycles);
+    EXPECT_EQ(SortCycles(reversed), cycles);
+    EXPECT_EQ(SortCycles(random), cycles);
+  }
+}
+
 TEST(GlobalSortDeathTest, NonPowerOfTwoIsFatal) {
   Device device;
   std::vector<int> data(100);

@@ -188,6 +188,20 @@ TEST_F(ServeTest, ConcurrentSubmittersGetDeterministicResults) {
   }
   engine.Shutdown();
   EXPECT_EQ(engine.counters().served, kQueries);
+
+  // Paced arrivals, the light-load end of an open loop: one request in
+  // flight at a time, so the window flushes every batch at size 1. The
+  // answers and the served count must not change.
+  ServeEngine paced(index, ServeOptions{});
+  paced.Start();
+  for (std::size_t q = 0; q < kQueries; ++q) {
+    const QueryResponse response = paced.Submit(MakeRequest(q, 64)).get();
+    EXPECT_EQ(response.status, StatusCode::kOk);
+    EXPECT_EQ(response.batch_size, 1u);
+    EXPECT_EQ(response.neighbors, expected[q]) << "q=" << q;
+  }
+  paced.Shutdown();
+  EXPECT_EQ(paced.counters().served, kQueries);
 }
 
 // (c) Admission control: beyond queue_capacity pending requests,

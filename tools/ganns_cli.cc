@@ -262,6 +262,55 @@ data::Dataset LoadFvecsOrDie(const std::string& path, const char* what,
   return *std::move(dataset);
 }
 
+/// Paths of the trace / metrics-registry / Prometheus artifacts a command
+/// writes after its run (each absent unless its flag was given).
+struct TelemetryOut {
+  std::optional<std::string> trace = std::nullopt;
+  std::optional<std::string> stats = std::nullopt;
+  std::optional<std::string> prom = std::nullopt;
+};
+
+/// Reads --trace-out / --stats-out / --prom-out and switches on the
+/// subsystem each requested artifact needs (results are identical either
+/// way — instrumentation never charges simulated cycles).
+TelemetryOut EnableTelemetry(const Args& args) {
+  TelemetryOut out{args.Get("trace-out"), args.Get("stats-out"),
+                   args.Get("prom-out")};
+  if (out.trace.has_value()) obs::SetTracingEnabled(true);
+  if (out.stats.has_value() || out.prom.has_value()) {
+    obs::SetMetricsEnabled(true);
+  }
+  return out;
+}
+
+/// Writes every requested artifact; `stats_noun` names the registry JSON in
+/// the progress line. Returns false at the first failed write.
+bool WriteTelemetry(const TelemetryOut& out, const char* stats_noun) {
+  if (out.trace.has_value()) {
+    if (!obs::TraceRecorder::Global().WriteJson(*out.trace)) {
+      std::fprintf(stderr, "failed to write %s\n", out.trace->c_str());
+      return false;
+    }
+    std::printf("wrote %zu trace events to %s\n",
+                obs::TraceRecorder::Global().size(), out.trace->c_str());
+  }
+  if (out.stats.has_value()) {
+    if (!obs::MetricsRegistry::Global().WriteJson(*out.stats)) {
+      std::fprintf(stderr, "failed to write %s\n", out.stats->c_str());
+      return false;
+    }
+    std::printf("wrote %s to %s\n", stats_noun, out.stats->c_str());
+  }
+  if (out.prom.has_value()) {
+    if (!obs::MetricsRegistry::Global().WritePrometheus(*out.prom)) {
+      std::fprintf(stderr, "failed to write %s\n", out.prom->c_str());
+      return false;
+    }
+    std::printf("wrote Prometheus metrics to %s\n", out.prom->c_str());
+  }
+  return true;
+}
+
 int CmdGen(const Args& args) {
   const data::DatasetSpec& spec = data::PaperDataset(args.Require("dataset"));
   const std::size_t n = static_cast<std::size_t>(args.Int("n", 20000));
@@ -354,8 +403,8 @@ int CmdSearch(const Args& args) {
   params.l_n = static_cast<std::size_t>(args.Int("ln", 64));
   params.e = static_cast<std::size_t>(args.Int("e", 0));
 
-  const auto trace_out = args.Get("trace-out");
-  if (trace_out.has_value()) {
+  const TelemetryOut telemetry{.trace = args.Get("trace-out")};
+  if (telemetry.trace.has_value()) {
     obs::SetTracingEnabled(true);
     obs::SetMetricsEnabled(true);
   }
@@ -365,15 +414,7 @@ int CmdSearch(const Args& args) {
               "simulated QPS\n",
               queries.size(), k, params.l_n, params.EffectiveE(),
               index->timing().last_search_qps);
-
-  if (trace_out.has_value()) {
-    if (!obs::TraceRecorder::Global().WriteJson(*trace_out)) {
-      std::fprintf(stderr, "failed to write %s\n", trace_out->c_str());
-      return 1;
-    }
-    std::printf("wrote %zu trace events to %s\n",
-                obs::TraceRecorder::Global().size(), trace_out->c_str());
-  }
+  if (!WriteTelemetry(telemetry, "metrics")) return 1;
 
   if (const auto out = args.Get("out"); out.has_value()) {
     std::vector<std::vector<std::int32_t>> ids(rows.size());
@@ -537,23 +578,12 @@ int CmdProfile(const Args& args) {
               k, data::MeanRecall(batch.results, truth, k), batch.qps,
               device.SmLoadImbalance());
 
-  if (const auto out = args.Get("trace-out"); out.has_value()) {
-    if (!obs::TraceRecorder::Global().WriteJson(*out)) {
-      std::fprintf(stderr, "failed to write %s\n", out->c_str());
-      return 1;
-    }
-    std::printf("wrote %zu trace events to %s\n",
-                obs::TraceRecorder::Global().size(), out->c_str());
-  }
-  if (const auto out = args.Get("metrics-out"); out.has_value()) {
-    obs::SnapshotRuntimeMetrics();
-    if (!obs::MetricsRegistry::Global().WriteJson(*out)) {
-      std::fprintf(stderr, "failed to write %s\n", out->c_str());
-      return 1;
-    }
-    std::printf("wrote metrics to %s\n", out->c_str());
-  }
-  return 0;
+  // profile names its registry export --metrics-out and records the thread
+  // pool's counters into it first.
+  obs::SnapshotRuntimeMetrics();
+  const TelemetryOut telemetry{.trace = args.Get("trace-out"),
+                               .stats = args.Get("metrics-out")};
+  return WriteTelemetry(telemetry, "metrics") ? 0 : 1;
 }
 
 core::SearchKernel ParseServeKernel(const Args& args) {
@@ -702,19 +732,12 @@ int CmdServeBench(const Args& args) {
   }
 
   // Observability artifacts are opt-in per flag; requesting one turns the
-  // matching subsystem on for this run (results are identical either way —
-  // instrumentation never charges simulated cycles).
-  const auto trace_out = args.Get("trace-out");
-  const auto stats_out = args.Get("stats-out");
-  const auto prom_out = args.Get("prom-out");
+  // matching subsystem on for this run.
+  const TelemetryOut telemetry = EnableTelemetry(args);
   const auto series_out = args.Get("series-out");
   const auto flight_out = args.Get("flight-out");
   const auto hardness_out = args.Get("hardness-out");
-  if (trace_out.has_value()) obs::SetTracingEnabled(true);
-  if (stats_out.has_value() || prom_out.has_value() ||
-      series_out.has_value()) {
-    obs::SetMetricsEnabled(true);
-  }
+  if (series_out.has_value()) obs::SetMetricsEnabled(true);
   if (flight_out.has_value() || hardness_out.has_value()) {
     serve::FlightRecorderOptions flight_options;
     flight_options.deadline_fraction = args.Double("slo-fraction", 0.8);
@@ -822,28 +845,7 @@ int CmdServeBench(const Args& args) {
   }
   std::fputs(json.c_str(), stdout);
 
-  if (trace_out.has_value()) {
-    if (!obs::TraceRecorder::Global().WriteJson(*trace_out)) {
-      std::fprintf(stderr, "failed to write %s\n", trace_out->c_str());
-      return 1;
-    }
-    std::printf("wrote %zu trace events to %s\n",
-                obs::TraceRecorder::Global().size(), trace_out->c_str());
-  }
-  if (stats_out.has_value()) {
-    if (!obs::MetricsRegistry::Global().WriteJson(*stats_out)) {
-      std::fprintf(stderr, "failed to write %s\n", stats_out->c_str());
-      return 1;
-    }
-    std::printf("wrote serving stats to %s\n", stats_out->c_str());
-  }
-  if (prom_out.has_value()) {
-    if (!obs::MetricsRegistry::Global().WritePrometheus(*prom_out)) {
-      std::fprintf(stderr, "failed to write %s\n", prom_out->c_str());
-      return 1;
-    }
-    std::printf("wrote Prometheus metrics to %s\n", prom_out->c_str());
-  }
+  if (!WriteTelemetry(telemetry, "serving stats")) return 1;
   if (series.has_value()) {
     const obs::MetricsFederation& stream = series->engine();
     if (!stream.WriteJsonl(*series_out)) {
@@ -908,9 +910,7 @@ int CmdClusterBench(const Args& args) {
   const std::size_t batch_size =
       std::max<std::size_t>(1, static_cast<std::size_t>(args.Int("batch", 16)));
 
-  const auto trace_out = args.Get("trace-out");
-  const auto stats_out = args.Get("stats-out");
-  const auto prom_out = args.Get("prom-out");
+  const TelemetryOut telemetry = EnableTelemetry(args);
   // Federation artifacts switch the monitoring plane on, the way --trace-out
   // switches tracing on. --federation alone enables the plane without
   // writing anything (the report still shows scrape traffic).
@@ -920,10 +920,6 @@ int CmdClusterBench(const Args& args) {
   const bool plane_on = federation_out.has_value() ||
                         fed_prom_out.has_value() || alerts_out.has_value() ||
                         args.Flag("federation");
-  if (trace_out.has_value()) obs::SetTracingEnabled(true);
-  if (stats_out.has_value() || prom_out.has_value()) {
-    obs::SetMetricsEnabled(true);
-  }
 
   const data::Dataset base = data::GenerateBase(spec, n, seed);
   const data::Dataset queries =
@@ -1014,7 +1010,7 @@ int CmdClusterBench(const Args& args) {
   // emit child spans on the owning nodes' tracks, stitched to a
   // serve.request root by Perfetto flow events. Requires --trace-out.
   if (const long sample = args.Int("sample", 0);
-      sample > 0 && trace_out.has_value()) {
+      sample > 0 && telemetry.trace.has_value()) {
     for (std::size_t q = 0; q < num_queries;
          q += static_cast<std::size_t>(sample)) {
       routed[q].trace.sampled = true;
@@ -1118,28 +1114,7 @@ int CmdClusterBench(const Args& args) {
   }
   std::fputs(json.c_str(), stdout);
 
-  if (trace_out.has_value()) {
-    if (!obs::TraceRecorder::Global().WriteJson(*trace_out)) {
-      std::fprintf(stderr, "failed to write %s\n", trace_out->c_str());
-      return 1;
-    }
-    std::printf("wrote %zu trace events to %s\n",
-                obs::TraceRecorder::Global().size(), trace_out->c_str());
-  }
-  if (stats_out.has_value()) {
-    if (!obs::MetricsRegistry::Global().WriteJson(*stats_out)) {
-      std::fprintf(stderr, "failed to write %s\n", stats_out->c_str());
-      return 1;
-    }
-    std::printf("wrote cluster stats to %s\n", stats_out->c_str());
-  }
-  if (prom_out.has_value()) {
-    if (!obs::MetricsRegistry::Global().WritePrometheus(*prom_out)) {
-      std::fprintf(stderr, "failed to write %s\n", prom_out->c_str());
-      return 1;
-    }
-    std::printf("wrote Prometheus metrics to %s\n", prom_out->c_str());
-  }
+  if (!WriteTelemetry(telemetry, "cluster stats")) return 1;
   if (federation_out.has_value()) {
     if (cluster_index.federation() == nullptr ||
         !cluster_index.federation()->WriteJsonl(*federation_out)) {
@@ -1214,13 +1189,7 @@ int CmdUpdate(const Args& args) {
   build_options.update.host_updates = args.Flag("host");
   build_options.update.auto_compact = !args.Flag("no-auto-compact");
 
-  const auto trace_out = args.Get("trace-out");
-  const auto stats_out = args.Get("stats-out");
-  const auto prom_out = args.Get("prom-out");
-  if (trace_out.has_value()) obs::SetTracingEnabled(true);
-  if (stats_out.has_value() || prom_out.has_value()) {
-    obs::SetMetricsEnabled(true);
-  }
+  const TelemetryOut telemetry = EnableTelemetry(args);
 
   const data::Dataset base = data::GenerateBase(spec, n, seed);
   const data::Dataset queries =
@@ -1384,28 +1353,7 @@ int CmdUpdate(const Args& args) {
   }
   std::fputs(json.c_str(), stdout);
 
-  if (trace_out.has_value()) {
-    if (!obs::TraceRecorder::Global().WriteJson(*trace_out)) {
-      std::fprintf(stderr, "failed to write %s\n", trace_out->c_str());
-      return 1;
-    }
-    std::printf("wrote %zu trace events to %s\n",
-                obs::TraceRecorder::Global().size(), trace_out->c_str());
-  }
-  if (stats_out.has_value()) {
-    if (!obs::MetricsRegistry::Global().WriteJson(*stats_out)) {
-      std::fprintf(stderr, "failed to write %s\n", stats_out->c_str());
-      return 1;
-    }
-    std::printf("wrote update stats to %s\n", stats_out->c_str());
-  }
-  if (prom_out.has_value()) {
-    if (!obs::MetricsRegistry::Global().WritePrometheus(*prom_out)) {
-      std::fprintf(stderr, "failed to write %s\n", prom_out->c_str());
-      return 1;
-    }
-    std::printf("wrote Prometheus metrics to %s\n", prom_out->c_str());
-  }
+  if (!WriteTelemetry(telemetry, "update stats")) return 1;
   return 0;
 }
 

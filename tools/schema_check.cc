@@ -7,7 +7,9 @@
 //                                         coherent percentile summaries)
 //   schema_check bench   <BENCH_*.json>   bench artifact: provenance block
 //                                         plus a results/quantized row array
-//                                         (quantized rows are field-checked)
+//                                         (quantized rows are field-checked;
+//                                         wall_* / latency_us / open_qps keys
+//                                         in any row are rejected)
 //   schema_check prom    <metrics.prom>   Prometheus text exposition: name
 //                                         charset, TYPE declarations, label
 //                                         quoting/escaping and ordering,
@@ -314,13 +316,31 @@ int CheckMetrics(const Json& root, bool require_hdr) {
   return 0;
 }
 
+/// Bench rows are simulated-clock only; host wall time is perfbench's
+/// clock. Fails on the first key under `node` named wall_*, latency_us or
+/// open_qps, naming it by its dotted path.
+int RejectWallFields(const Json& node, const std::string& path) {
+  for (const auto& [key, value] : node.object) {
+    const std::string child = path + "." + key;
+    if (key.rfind("wall_", 0) == 0 || key == "latency_us" ||
+        key == "open_qps") {
+      return Complain((child + ": wall-clock field in a bench row").c_str());
+    }
+    if (value->Is(Json::Kind::kObject)) {
+      if (const int rc = RejectWallFields(*value, child); rc != 0) return rc;
+    }
+  }
+  return 0;
+}
+
 /// BENCH_*.json artifact: a provenance object (git sha/date/host/flags
 /// strings, see bench::ProvenanceJson) plus at least one row array named
-/// "results" or "quantized". Rows must be objects; "quantized" rows (the
-/// compressed-search table) are field-checked: precision string, numeric
-/// rerank_factor / sim_qps / resident_bytes_per_vector, recall in [0, 1],
-/// and a positive byte count — so bench_diff never gates on a malformed
-/// artifact that happens to flatten to plausible paths.
+/// "results" or "quantized". Rows must be objects free of wall-clock keys
+/// (RejectWallFields); "quantized" rows (the compressed-search table) are
+/// field-checked: precision string, numeric rerank_factor / sim_qps /
+/// resident_bytes_per_vector, recall in [0, 1], and a positive byte count —
+/// so bench_diff never gates on a malformed artifact that happens to
+/// flatten to plausible paths.
 int CheckBench(const Json& root) {
   if (!root.Is(Json::Kind::kObject)) return Complain("root is not an object");
   const Json* provenance = root.Get("provenance");
@@ -342,10 +362,13 @@ int CheckBench(const Json& root) {
     }
     if (array->array.empty()) return Complain("row section is empty");
     ++arrays;
-    for (const JsonPtr& row : array->array) {
+    for (std::size_t i = 0; i < array->array.size(); ++i) {
+      const JsonPtr& row = array->array[i];
       if (!row->Is(Json::Kind::kObject)) {
         return Complain("bench row is not an object");
       }
+      const std::string path = std::string(section) + "." + std::to_string(i);
+      if (const int rc = RejectWallFields(*row, path); rc != 0) return rc;
       ++rows;
       if (std::strcmp(section, "quantized") != 0) continue;
       if (!IsString(row->Get("precision"))) {
