@@ -1,11 +1,13 @@
 #include "bench/bench_common.h"
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <string>
 
 #include "common/logging.h"
 
@@ -65,7 +67,13 @@ graph::ProximityGraph CachedNswGraph(const Workload& workload,
     return *std::move(cached);
   }
   graph::CpuBuildResult built = graph::BuildNswCpu(workload.base, params);
-  built.graph.SaveTo(path.str());
+  // Write under a per-process name and rename into place, so a concurrent
+  // bench run reading the cache never sees a half-written file.
+  const std::string tmp = path.str() + ".tmp" + std::to_string(::getpid());
+  if (!built.graph.SaveTo(tmp) ||
+      std::rename(tmp.c_str(), path.str().c_str()) != 0) {
+    std::remove(tmp.c_str());
+  }
   return std::move(built.graph);
 }
 

@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
+#include <cstdlib>
 #include <memory>
+
+#include "common/logging.h"
 
 namespace ganns {
 namespace {
@@ -69,8 +74,23 @@ ThreadPool::~ThreadPool() {
 }
 
 ThreadPool& ThreadPool::Global() {
-  static ThreadPool* pool = new ThreadPool();
+  static ThreadPool* pool = new ThreadPool(GlobalSize());
   return *pool;
+}
+
+std::size_t ThreadPool::GlobalSize() {
+  const char* env = std::getenv("GANNS_THREADS");
+  if (env == nullptr) {
+    return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(env, &end, 10);
+  GANNS_CHECK_MSG(std::isdigit(static_cast<unsigned char>(*env)) &&
+                      *end == '\0' && errno == 0 && parsed > 0,
+                  "GANNS_THREADS must be a positive integer, got '" << env
+                                                                    << "'");
+  return static_cast<std::size_t>(parsed);
 }
 
 void ThreadPool::WorkerLoop() {

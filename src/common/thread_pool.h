@@ -29,8 +29,13 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Process-wide pool sized to hardware concurrency.
+  /// Process-wide pool of GlobalSize() workers.
   static ThreadPool& Global();
+
+  /// Worker count of Global(): the positive integer in the GANNS_THREADS
+  /// environment variable, or hardware concurrency when it is unset. Any
+  /// other value is a fatal error naming the variable.
+  static std::size_t GlobalSize();
 
   std::size_t num_threads() const { return threads_.size(); }
 

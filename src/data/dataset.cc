@@ -17,6 +17,32 @@ void Dataset::Append(std::span<const float> point) {
   values_.resize(values_.size() + (padded_dim_ - dim_), 0.0f);
 }
 
+void Dataset::AppendPaddedRows(std::span<const float> rows) {
+  GANNS_CHECK_MSG(padded_dim_ > 0 && rows.size() % padded_dim_ == 0,
+                  rows.size() << " floats are not whole rows of stride "
+                              << padded_dim_);
+  values_.insert(values_.end(), rows.begin(), rows.end());
+}
+
+std::size_t Dataset::ReadRows(std::FILE* file, std::size_t n) {
+  const std::size_t first = values_.size();
+  values_.resize(first + n * padded_dim_, 0.0f);
+  float* out = values_.data() + first;
+  std::size_t read = 0;
+  if (padded_dim_ == dim_) {
+    read = std::fread(out, sizeof(float) * dim_, n, file);
+  } else {
+    while (read < n &&
+           std::fread(out + read * padded_dim_, sizeof(float), dim_, file) ==
+               dim_) {
+      ++read;
+    }
+  }
+  // Drop the rows past the short read, including a partly read one.
+  values_.resize(first + read * padded_dim_);
+  return read;
+}
+
 void Dataset::SetRow(VertexId i, std::span<const float> point) {
   GANNS_CHECK_MSG(std::size_t{i} < size(),
                   "row " << i << " out of range (size " << size() << ")");

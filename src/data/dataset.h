@@ -2,6 +2,7 @@
 #define GANNS_DATA_DATASET_H_
 
 #include <cstddef>
+#include <cstdio>
 #include <span>
 #include <string>
 #include <vector>
@@ -73,6 +74,17 @@ class Dataset {
 
   /// Appends one vector; must have exactly dim() components.
   void Append(std::span<const float> point);
+
+  /// Appends rows already in this dataset's padded layout (stride
+  /// padded_dim(), zero padding), e.g. a contiguous block of values() of a
+  /// dataset with the same dim. One copy, no per-row work.
+  void AppendPaddedRows(std::span<const float> rows);
+
+  /// Appends up to n rows of dim() unpadded floats read from `file`. Reads
+  /// the block with one fread when rows need no padding, row by row
+  /// otherwise. Returns the number of complete rows read; a short read
+  /// leaves exactly that many rows appended.
+  std::size_t ReadRows(std::FILE* file, std::size_t n);
 
   /// Overwrites row i in place (padding floats stay zero). Used by the index
   /// lifecycle when an insert reuses a compacted slot.

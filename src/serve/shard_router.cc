@@ -12,16 +12,12 @@
 
 namespace ganns {
 namespace serve {
-namespace {
-
-std::shared_ptr<const std::vector<VertexId>> IotaGlobalIds(VertexId offset,
-                                                           std::size_t n) {
+std::shared_ptr<const std::vector<VertexId>> ShardedIndex::IotaGlobalIds(
+    VertexId offset, std::size_t n) {
   auto ids = std::make_shared<std::vector<VertexId>>(n);
   std::iota(ids->begin(), ids->end(), offset);
   return ids;
 }
-
-}  // namespace
 
 /// The builders produce exactly-sized graphs; the serving layer
 /// over-provisions so online inserts have slots to claim.
@@ -128,8 +124,9 @@ void ShardedIndex::PublishSnapshot(std::size_t s,
 data::Dataset ShardedIndex::SliceDataset(const data::Dataset& base,
                                          VertexId begin, VertexId end) {
   data::Dataset slice(base.name() + ".shard", base.dim(), base.metric());
-  slice.Reserve(end - begin);
-  for (VertexId v = begin; v < end; ++v) slice.Append(base.Point(v));
+  const std::size_t stride = base.padded_dim();
+  slice.AppendPaddedRows(
+      base.values().subspan(begin * stride, (end - begin) * stride));
   return slice;
 }
 
@@ -212,18 +209,26 @@ ShardedIndex ShardedIndex::Build(const data::Dataset& base,
   index.initial_total_ = base.size();
   index.writes_->next_global_id = static_cast<VertexId>(base.size());
   index.shards_.reserve(num_shards);
-  // Contiguous split with the remainder spread over the leading shards, so
-  // shard sizes differ by at most one point.
-  const std::size_t per_shard = base.size() / num_shards;
-  const std::size_t remainder = base.size() % num_shards;
-  VertexId begin = 0;
+  const std::vector<VertexId> bounds = ShardBounds(base.size(), num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
-    const VertexId end = begin + static_cast<VertexId>(per_shard) +
-                         (s < remainder ? 1 : 0);
-    index.shards_.push_back(BuildShard(base, begin, end, options));
-    begin = end;
+    index.shards_.push_back(
+        BuildShard(base, bounds[s], bounds[s + 1], options));
   }
   return index;
+}
+
+std::vector<VertexId> ShardedIndex::ShardBounds(std::size_t total,
+                                                std::size_t num_shards) {
+  // Contiguous split with the remainder spread over the leading shards, so
+  // shard sizes differ by at most one point.
+  const std::size_t per_shard = total / num_shards;
+  const std::size_t remainder = total % num_shards;
+  std::vector<VertexId> bounds(num_shards + 1, 0);
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    bounds[s + 1] = bounds[s] + static_cast<VertexId>(per_shard) +
+                    (s < remainder ? 1 : 0);
+  }
+  return bounds;
 }
 
 double ShardedIndex::SearchShard(std::size_t s,

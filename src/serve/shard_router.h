@@ -328,6 +328,29 @@ class ShardedIndex {
   static std::unique_ptr<Shard> BuildShard(const data::Dataset& base,
                                            VertexId begin, VertexId end,
                                            const ShardBuildOptions& options);
+  /// One shard's contribution to the shared id state, gathered by a
+  /// parallel LoadShards task and applied after the join in shard order.
+  struct LoadedIds {
+    /// One past the largest global id the shard has ever issued.
+    VertexId next_global_id = 0;
+    /// (global id, slot) of live points the offset arithmetic does not
+    /// resolve: inserted points and compaction-moved initial ones.
+    std::vector<std::pair<VertexId, VertexId>> moved;
+  };
+  /// Parses `path` into the shard covering [begin, end) of `base`, touching
+  /// no shared state. Returns nullptr with `error` set on failure.
+  static std::unique_ptr<Shard> LoadShard(const std::string& path,
+                                          const data::Dataset& base,
+                                          VertexId begin, VertexId end,
+                                          const ShardBuildOptions& options,
+                                          LoadedIds& ids, std::string& error);
+  /// Shard s covers global ids [bounds[s], bounds[s + 1]) of a `total`-point
+  /// corpus; Build and LoadShards split alike.
+  static std::vector<VertexId> ShardBounds(std::size_t total,
+                                           std::size_t num_shards);
+  /// A pristine shard's slot -> global id map: offset + slot.
+  static std::shared_ptr<const std::vector<VertexId>> IotaGlobalIds(
+      VertexId offset, std::size_t n);
   static data::Dataset SliceDataset(const data::Dataset& base, VertexId begin,
                                     VertexId end);
   static core::GpuBuildParams MakeBuildParams(const ShardBuildOptions& options,

@@ -7,10 +7,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
-#include <numeric>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/mutate.h"
 #include "data/quantize.h"
@@ -50,11 +50,9 @@ void RecordUpdateLatency(const char* name, double start_us) {
       static_cast<std::uint64_t>(std::max(0.0, elapsed)));
 }
 
-void SetShardError(std::string* error, const std::string& path,
+void SetShardError(std::string& error, const std::string& path,
                    std::string message) {
-  if (error != nullptr) {
-    *error = "shard file '" + path + "': " + std::move(message);
-  }
+  error = "shard file '" + path + "': " + std::move(message);
 }
 
 }  // namespace
@@ -453,6 +451,220 @@ bool ShardedIndex::SaveShards(const std::string& prefix) const {
   return true;
 }
 
+std::unique_ptr<ShardedIndex::Shard> ShardedIndex::LoadShard(
+    const std::string& path, const data::Dataset& base, VertexId begin,
+    VertexId end, const ShardBuildOptions& options, LoadedIds& ids,
+    std::string& error) {
+  auto shard = std::make_unique<Shard>();
+  shard->offset = begin;
+  shard->initial_size = end - begin;
+  shard->device = std::make_unique<gpusim::Device>(options.device);
+  shard->update_device = std::make_unique<gpusim::Device>(options.device);
+
+  if (options.kind == core::GraphKind::kHnsw) {
+    File file(std::fopen(path.c_str(), "rb"));
+    if (file == nullptr) {
+      SetShardError(error, path, "cannot open");
+      return nullptr;
+    }
+    auto graph = graph::HnswGraph::ReadFrom(file.get());
+    if (!graph.has_value()) {
+      SetShardError(error, path, "truncated or corrupt HNSW record");
+      return nullptr;
+    }
+    if (graph->num_vertices() != shard->initial_size) {
+      SetShardError(error, path,
+                    "vertex count mismatch (file has " +
+                        std::to_string(graph->num_vertices()) +
+                        " vertices, shard slice has " +
+                        std::to_string(shard->initial_size) + ")");
+      return nullptr;
+    }
+    shard->hnsw = std::make_unique<graph::HnswGraph>(*std::move(graph));
+    auto snapshot = std::make_shared<Snapshot>();
+    snapshot->entry = 0;
+    snapshot->base =
+        std::make_shared<data::Dataset>(SliceDataset(base, begin, end));
+    snapshot->global_ids = IotaGlobalIds(begin, end - begin);
+    std::string quant_error;
+    auto store = data::ReadQuantizedSection(file.get(), shard->initial_size,
+                                            &quant_error);
+    if (!quant_error.empty()) {
+      SetShardError(error, path, quant_error);
+      return nullptr;
+    }
+    if (store.has_value()) {
+      snapshot->quantizer =
+          std::make_shared<data::Quantizer>(std::move(store->quantizer));
+      snapshot->codes =
+          std::make_shared<data::QuantizedCodes>(std::move(store->codes));
+    }
+    shard->snapshot = std::move(snapshot);
+    return shard;
+  }
+
+  File file(std::fopen(path.c_str(), "rb"));
+  if (file == nullptr) {
+    SetShardError(error, path, "cannot open");
+    return nullptr;
+  }
+  std::uint64_t magic = 0;
+  if (std::fread(&magic, sizeof(magic), 1, file.get()) != 1) {
+    SetShardError(error, path, "truncated (cannot read magic word)");
+    return nullptr;
+  }
+  auto snapshot = std::make_shared<Snapshot>();
+
+  if (magic == kGraphMagic) {
+    // Legacy bare record: a pristine (never mutated) shard graph over the
+    // corpus slice.
+    if (std::fseek(file.get(), 0, SEEK_SET) != 0) {
+      SetShardError(error, path, "seek failure rewinding legacy record");
+      return nullptr;
+    }
+    auto graph = graph::ProximityGraph::ReadFrom(file.get());
+    if (!graph.has_value()) {
+      SetShardError(error, path, "truncated or corrupt legacy graph record");
+      return nullptr;
+    }
+    if (graph->num_vertices() != shard->initial_size ||
+        graph->num_tombstones() != 0) {
+      SetShardError(error, path,
+                    "legacy graph record mismatch (file has " +
+                        std::to_string(graph->num_vertices()) +
+                        " vertices / " +
+                        std::to_string(graph->num_tombstones()) +
+                        " tombstones, expected " +
+                        std::to_string(shard->initial_size) +
+                        " vertices / 0 tombstones)");
+      return nullptr;
+    }
+    snapshot->entry = shard->initial_size > 0 ? 0 : kInvalidVertex;
+    snapshot->graph =
+        std::make_shared<graph::ProximityGraph>(*std::move(graph));
+    snapshot->base =
+        std::make_shared<data::Dataset>(SliceDataset(base, begin, end));
+    snapshot->global_ids = IotaGlobalIds(begin, end - begin);
+  } else if (magic == kShardMagic) {
+    std::uint64_t rest[7] = {};
+    if (std::fread(rest, sizeof(rest), 1, file.get()) != 1) {
+      SetShardError(error, path, "shard header: truncated");
+      return nullptr;
+    }
+    const std::uint64_t version = rest[0];
+    if (version != kShardVersion) {
+      SetShardError(error, path,
+                    "shard header: unsupported version " +
+                        std::to_string(version) + " (expected " +
+                        std::to_string(kShardVersion) + ")");
+      return nullptr;
+    }
+    if (rest[1] != shard->offset || rest[2] != shard->initial_size ||
+        rest[4] != base.dim() ||
+        rest[5] != static_cast<std::uint64_t>(base.metric())) {
+      SetShardError(
+          error, path,
+          "shard header: geometry mismatch (file offset/size/dim/metric " +
+              std::to_string(rest[1]) + "/" + std::to_string(rest[2]) + "/" +
+              std::to_string(rest[4]) + "/" + std::to_string(rest[5]) +
+              ", expected " + std::to_string(shard->offset) + "/" +
+              std::to_string(shard->initial_size) + "/" +
+              std::to_string(base.dim()) + "/" +
+              std::to_string(static_cast<std::uint64_t>(base.metric())) +
+              ")");
+      return nullptr;
+    }
+    const VertexId entry = static_cast<VertexId>(rest[3]);
+    const std::uint64_t num_rows = rest[6];
+    auto graph = graph::ProximityGraph::ReadFrom(file.get());
+    if (!graph.has_value() || graph->num_vertices() != num_rows) {
+      SetShardError(error, path,
+                    "graph record: truncated, corrupt, or vertex count "
+                    "disagrees with shard header");
+      return nullptr;
+    }
+    if (entry == kInvalidVertex) {
+      if (graph->num_live() != 0) {
+        SetShardError(error, path,
+                      "entry vertex: header says empty shard but graph "
+                      "has live vertices");
+        return nullptr;
+      }
+    } else if (entry >= num_rows || !graph->IsLive(entry)) {
+      SetShardError(error, path,
+                    "entry vertex " + std::to_string(entry) +
+                        " is out of range or tombstoned");
+      return nullptr;
+    }
+    auto gids = std::make_shared<std::vector<VertexId>>(num_rows);
+    if (num_rows > 0 &&
+        std::fread(gids->data(), sizeof(VertexId), num_rows, file.get()) !=
+            num_rows) {
+      SetShardError(error, path, "global id map: truncated");
+      return nullptr;
+    }
+    auto rows = std::make_shared<data::Dataset>(base.name() + ".shard",
+                                                base.dim(), base.metric());
+    const std::size_t rows_read = rows->ReadRows(file.get(), num_rows);
+    if (rows_read != num_rows) {
+      SetShardError(error, path,
+                    "vector rows: truncated at row " +
+                        std::to_string(rows_read) + " of " +
+                        std::to_string(num_rows));
+      return nullptr;
+    }
+    // Every non-free slot's gid was issued once, so it advances the id
+    // counter; tombstoned ones stay reserved but are not addressable. A live
+    // slot needs a map entry only where the offset arithmetic of
+    // ResolveGlobalId would miss it: inserted ids and compaction-moved
+    // initial ids. Identity slots resolve as in a fresh build.
+    for (VertexId slot = 0; slot < num_rows; ++slot) {
+      if (graph->store().state(slot) == graph::GraphStore::SlotState::kFree) {
+        continue;
+      }
+      const VertexId gid = (*gids)[slot];
+      ids.next_global_id = std::max(ids.next_global_id, gid + 1);
+      if (!graph->IsLive(slot)) continue;
+      if (slot < shard->initial_size && gid == shard->offset + slot) continue;
+      ids.moved.emplace_back(gid, slot);
+    }
+    snapshot->entry = entry;
+    snapshot->graph =
+        std::make_shared<graph::ProximityGraph>(*std::move(graph));
+    snapshot->base = std::move(rows);
+    snapshot->global_ids = std::move(gids);
+  } else {
+    SetShardError(error, path,
+                  "unknown magic word (expected GSH3 shard container or "
+                  "legacy GNNS graph record)");
+    return nullptr;
+  }
+  // Optional trailing quantization section (compressed shards). Clean EOF
+  // means an exact shard; a present-but-corrupt section is a load error.
+  std::string quant_error;
+  auto store = data::ReadQuantizedSection(
+      file.get(), snapshot->graph->num_vertices(), &quant_error);
+  if (!quant_error.empty()) {
+    SetShardError(error, path, quant_error);
+    return nullptr;
+  }
+  if (store.has_value()) {
+    if (store->quantizer.dim() != base.dim()) {
+      SetShardError(error, path,
+                    "quantization section: dim mismatch (section has " +
+                        std::to_string(store->quantizer.dim()) +
+                        ", corpus has " + std::to_string(base.dim()) + ")");
+      return nullptr;
+    }
+    snapshot->quantizer =
+        std::make_shared<data::Quantizer>(std::move(store->quantizer));
+    snapshot->codes =
+        std::make_shared<data::QuantizedCodes>(std::move(store->codes));
+  }
+  shard->snapshot = std::move(snapshot);
+  return shard;
+}
+
 std::optional<ShardedIndex> ShardedIndex::LoadShards(
     const std::string& prefix, const data::Dataset& base,
     std::size_t num_shards, const ShardBuildOptions& options,
@@ -465,244 +677,37 @@ std::optional<ShardedIndex> ShardedIndex::LoadShards(
     }
     return std::nullopt;
   }
+  const std::vector<VertexId> bounds = ShardBounds(base.size(), num_shards);
+  // Shards are independent files: each loads as one pool task into its own
+  // slot. Everything shared is written after the join, in shard order.
+  std::vector<std::unique_ptr<Shard>> shards(num_shards);
+  std::vector<LoadedIds> ids(num_shards);
+  std::vector<std::string> errors(num_shards);
+  ThreadPool::Global().ParallelFor(num_shards, [&](std::size_t s) {
+    shards[s] = LoadShard(prefix + ".shard" + std::to_string(s), base,
+                          bounds[s], bounds[s + 1], options, ids[s],
+                          errors[s]);
+  });
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    if (shards[s] == nullptr) {
+      if (error != nullptr) *error = std::move(errors[s]);
+      return std::nullopt;
+    }
+  }
+
   ShardedIndex index;
   index.options_ = options;
   index.initial_total_ = base.size();
-  index.writes_->next_global_id = static_cast<VertexId>(base.size());
-  const std::size_t per_shard = base.size() / num_shards;
-  const std::size_t remainder = base.size() % num_shards;
-  VertexId begin = 0;
+  VertexId& next_global_id = index.writes_->next_global_id;
+  next_global_id = static_cast<VertexId>(base.size());
   for (std::size_t s = 0; s < num_shards; ++s) {
-    const VertexId end = begin + static_cast<VertexId>(per_shard) +
-                         (s < remainder ? 1 : 0);
-    const std::string path = prefix + ".shard" + std::to_string(s);
-    auto shard = std::make_unique<Shard>();
-    shard->offset = begin;
-    shard->initial_size = end - begin;
-    shard->device = std::make_unique<gpusim::Device>(options.device);
-    shard->update_device = std::make_unique<gpusim::Device>(options.device);
-
-    if (options.kind == core::GraphKind::kHnsw) {
-      File file(std::fopen(path.c_str(), "rb"));
-      if (file == nullptr) {
-        SetShardError(error, path, "cannot open");
-        return std::nullopt;
-      }
-      auto graph = graph::HnswGraph::ReadFrom(file.get());
-      if (!graph.has_value()) {
-        SetShardError(error, path, "truncated or corrupt HNSW record");
-        return std::nullopt;
-      }
-      if (graph->num_vertices() != shard->initial_size) {
-        SetShardError(error, path,
-                      "vertex count mismatch (file has " +
-                          std::to_string(graph->num_vertices()) +
-                          " vertices, shard slice has " +
-                          std::to_string(shard->initial_size) + ")");
-        return std::nullopt;
-      }
-      shard->hnsw = std::make_unique<graph::HnswGraph>(*std::move(graph));
-      auto snapshot = std::make_shared<Snapshot>();
-      snapshot->entry = 0;
-      snapshot->base = std::make_shared<data::Dataset>(
-          SliceDataset(base, begin, end));
-      snapshot->global_ids = [&] {
-        auto ids = std::make_shared<std::vector<VertexId>>(end - begin);
-        std::iota(ids->begin(), ids->end(), begin);
-        return ids;
-      }();
-      std::string quant_error;
-      auto store = data::ReadQuantizedSection(
-          file.get(), shard->initial_size, &quant_error);
-      if (!quant_error.empty()) {
-        SetShardError(error, path, quant_error);
-        return std::nullopt;
-      }
-      if (store.has_value()) {
-        snapshot->quantizer =
-            std::make_shared<data::Quantizer>(std::move(store->quantizer));
-        snapshot->codes =
-            std::make_shared<data::QuantizedCodes>(std::move(store->codes));
-      }
-      shard->snapshot = std::move(snapshot);
-      index.shards_.push_back(std::move(shard));
-      begin = end;
-      continue;
+    next_global_id = std::max(next_global_id, ids[s].next_global_id);
+    for (const auto& [gid, slot] : ids[s].moved) {
+      index.writes_->dynamic_slots[gid] = {static_cast<std::uint32_t>(s),
+                                           slot};
     }
-
-    File file(std::fopen(path.c_str(), "rb"));
-    if (file == nullptr) {
-      SetShardError(error, path, "cannot open");
-      return std::nullopt;
-    }
-    std::uint64_t magic = 0;
-    if (std::fread(&magic, sizeof(magic), 1, file.get()) != 1) {
-      SetShardError(error, path, "truncated (cannot read magic word)");
-      return std::nullopt;
-    }
-    auto snapshot = std::make_shared<Snapshot>();
-
-    if (magic == kGraphMagic) {
-      // Legacy bare record: a pristine (never mutated) shard graph over the
-      // corpus slice.
-      if (std::fseek(file.get(), 0, SEEK_SET) != 0) {
-        SetShardError(error, path, "seek failure rewinding legacy record");
-        return std::nullopt;
-      }
-      auto graph = graph::ProximityGraph::ReadFrom(file.get());
-      if (!graph.has_value()) {
-        SetShardError(error, path, "truncated or corrupt legacy graph record");
-        return std::nullopt;
-      }
-      if (graph->num_vertices() != shard->initial_size ||
-          graph->num_tombstones() != 0) {
-        SetShardError(error, path,
-                      "legacy graph record mismatch (file has " +
-                          std::to_string(graph->num_vertices()) +
-                          " vertices / " +
-                          std::to_string(graph->num_tombstones()) +
-                          " tombstones, expected " +
-                          std::to_string(shard->initial_size) +
-                          " vertices / 0 tombstones)");
-        return std::nullopt;
-      }
-      snapshot->entry = shard->initial_size > 0 ? 0 : kInvalidVertex;
-      snapshot->graph = std::make_shared<graph::ProximityGraph>(
-          *std::move(graph));
-      snapshot->base = std::make_shared<data::Dataset>(
-          SliceDataset(base, begin, end));
-      auto ids = std::make_shared<std::vector<VertexId>>(end - begin);
-      std::iota(ids->begin(), ids->end(), begin);
-      snapshot->global_ids = std::move(ids);
-    } else if (magic == kShardMagic) {
-      std::uint64_t rest[7] = {};
-      if (std::fread(rest, sizeof(rest), 1, file.get()) != 1) {
-        SetShardError(error, path, "shard header: truncated");
-        return std::nullopt;
-      }
-      const std::uint64_t version = rest[0];
-      if (version != kShardVersion) {
-        SetShardError(error, path,
-                      "shard header: unsupported version " +
-                          std::to_string(version) + " (expected " +
-                          std::to_string(kShardVersion) + ")");
-        return std::nullopt;
-      }
-      if (rest[1] != shard->offset || rest[2] != shard->initial_size ||
-          rest[4] != base.dim() ||
-          rest[5] != static_cast<std::uint64_t>(base.metric())) {
-        SetShardError(
-            error, path,
-            "shard header: geometry mismatch (file offset/size/dim/metric " +
-                std::to_string(rest[1]) + "/" + std::to_string(rest[2]) +
-                "/" + std::to_string(rest[4]) + "/" +
-                std::to_string(rest[5]) + ", expected " +
-                std::to_string(shard->offset) + "/" +
-                std::to_string(shard->initial_size) + "/" +
-                std::to_string(base.dim()) + "/" +
-                std::to_string(static_cast<std::uint64_t>(base.metric())) +
-                ")");
-        return std::nullopt;
-      }
-      const VertexId entry = static_cast<VertexId>(rest[3]);
-      const std::uint64_t num_rows = rest[6];
-      auto graph = graph::ProximityGraph::ReadFrom(file.get());
-      if (!graph.has_value() || graph->num_vertices() != num_rows) {
-        SetShardError(error, path,
-                      "graph record: truncated, corrupt, or vertex count "
-                      "disagrees with shard header");
-        return std::nullopt;
-      }
-      if (entry == kInvalidVertex) {
-        if (graph->num_live() != 0) {
-          SetShardError(error, path,
-                        "entry vertex: header says empty shard but graph "
-                        "has live vertices");
-          return std::nullopt;
-        }
-      } else if (entry >= num_rows || !graph->IsLive(entry)) {
-        SetShardError(error, path,
-                      "entry vertex " + std::to_string(entry) +
-                          " is out of range or tombstoned");
-        return std::nullopt;
-      }
-      auto ids = std::make_shared<std::vector<VertexId>>(num_rows);
-      if (num_rows > 0 &&
-          std::fread(ids->data(), sizeof(VertexId), num_rows, file.get()) !=
-              num_rows) {
-        SetShardError(error, path, "global id map: truncated");
-        return std::nullopt;
-      }
-      auto rows = std::make_shared<data::Dataset>(
-          base.name() + ".shard", base.dim(), base.metric());
-      rows->Reserve(num_rows);
-      std::vector<float> row(base.dim());
-      for (std::uint64_t v = 0; v < num_rows; ++v) {
-        if (std::fread(row.data(), sizeof(float), row.size(), file.get()) !=
-            row.size()) {
-          SetShardError(error, path,
-                        "vector rows: truncated at row " + std::to_string(v) +
-                            " of " + std::to_string(num_rows));
-          return std::nullopt;
-        }
-        rows->Append(row);
-      }
-      // Register every addressable point: inserted ids extend the global
-      // space, compaction-moved initial ids override the offset arithmetic.
-      // Tombstoned slots keep their gid reserved (never re-issued) but are
-      // not addressable, so they only advance the id counter.
-      for (VertexId slot = 0; slot < num_rows; ++slot) {
-        if (graph->store().state(slot) == graph::GraphStore::SlotState::kFree) {
-          continue;
-        }
-        const VertexId gid = (*ids)[slot];
-        if (gid >= index.writes_->next_global_id) {
-          index.writes_->next_global_id = gid + 1;
-        }
-        if (!graph->IsLive(slot)) continue;
-        index.writes_->dynamic_slots[gid] = {static_cast<std::uint32_t>(s),
-                                             slot};
-      }
-      snapshot->entry = entry;
-      snapshot->graph = std::make_shared<graph::ProximityGraph>(
-          *std::move(graph));
-      snapshot->base = std::move(rows);
-      snapshot->global_ids = std::move(ids);
-    } else {
-      SetShardError(error, path,
-                    "unknown magic word (expected GSH3 shard container or "
-                    "legacy GNNS graph record)");
-      return std::nullopt;
-    }
-    // Optional trailing quantization section (compressed shards). Clean EOF
-    // means an exact shard; a present-but-corrupt section is a load error.
-    {
-      std::string quant_error;
-      auto store = data::ReadQuantizedSection(
-          file.get(), snapshot->graph->num_vertices(), &quant_error);
-      if (!quant_error.empty()) {
-        SetShardError(error, path, quant_error);
-        return std::nullopt;
-      }
-      if (store.has_value()) {
-        if (store->quantizer.dim() != base.dim()) {
-          SetShardError(error, path,
-                        "quantization section: dim mismatch (section has " +
-                            std::to_string(store->quantizer.dim()) +
-                            ", corpus has " + std::to_string(base.dim()) +
-                            ")");
-          return std::nullopt;
-        }
-        snapshot->quantizer =
-            std::make_shared<data::Quantizer>(std::move(store->quantizer));
-        snapshot->codes =
-            std::make_shared<data::QuantizedCodes>(std::move(store->codes));
-      }
-    }
-    shard->snapshot = std::move(snapshot);
-    index.shards_.push_back(std::move(shard));
-    begin = end;
   }
+  index.shards_ = std::move(shards);
   return index;
 }
 

@@ -6,12 +6,14 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <condition_variable>
 #include <fstream>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <span>
 #include <string>
@@ -153,6 +155,33 @@ TEST(ThreadPoolTest, ResultsIndependentOfPoolSize) {
   single.ParallelFor(n, [&](std::size_t i) { a[i] = std::sqrt(i * 3.5); });
   many.ParallelFor(n, [&](std::size_t i) { b[i] = std::sqrt(i * 3.5); });
   EXPECT_EQ(a, b);
+}
+
+// GANNS_THREADS sizes the global pool; any value but a positive integer
+// is rejected by name instead of silently falling back.
+TEST(GlobalPoolSizeTest, ReadsGanssThreadsOrRejectsItByName) {
+  const char* saved = std::getenv("GANNS_THREADS");
+  const std::optional<std::string> restore =
+      saved != nullptr ? std::optional<std::string>(saved) : std::nullopt;
+  ::unsetenv("GANNS_THREADS");
+  EXPECT_GE(ThreadPool::GlobalSize(), 1u);
+  ::setenv("GANNS_THREADS", "3", 1);
+  EXPECT_EQ(ThreadPool::GlobalSize(), 3u);
+  ::setenv("GANNS_THREADS", "16", 1);
+  EXPECT_EQ(ThreadPool::GlobalSize(), 16u);
+
+  for (const char* bad :
+       {"0", "-2", "abc", "4x", "", " 4", "99999999999999999999999"}) {
+    ::setenv("GANNS_THREADS", bad, 1);
+    EXPECT_DEATH(ThreadPool::GlobalSize(),
+                 "GANNS_THREADS must be a positive integer")
+        << "value '" << bad << "'";
+  }
+  if (restore.has_value()) {
+    ::setenv("GANNS_THREADS", restore->c_str(), 1);
+  } else {
+    ::unsetenv("GANNS_THREADS");
+  }
 }
 
 // Meeting point for `parties` threads. Arrive() returns true once all of

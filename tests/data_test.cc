@@ -3,7 +3,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -24,6 +26,63 @@ TEST(DatasetTest, AppendAndPointRoundtrip) {
   d.Append(p1);
   EXPECT_EQ(d.size(), 2u);
   EXPECT_EQ(d.Point(1)[2], 6.0f);
+}
+
+// Rows of `dim` floats, row r holding r * 10 + d + 0.5 at coordinate d.
+std::vector<float> RowMajor(std::size_t rows, std::size_t dim) {
+  std::vector<float> flat;
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t d = 0; d < dim; ++d) flat.push_back(r * 10 + d + 0.5f);
+  }
+  return flat;
+}
+
+std::vector<float> Values(const Dataset& d) {
+  return std::vector<float>(d.values().begin(), d.values().end());
+}
+
+// dim 8 takes ReadRows' one-fread path, dim 5 the padded per-row path; both
+// must equal row-by-row Append, and a short file must leave exactly its
+// complete rows.
+TEST(DatasetTest, ReadRowsMatchesAppendAndStopsAtLastCompleteRow) {
+  for (const std::size_t dim : {std::size_t{5}, std::size_t{8}}) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    const std::vector<float> flat = RowMajor(4, dim);
+    Dataset want("want", dim, Metric::kL2);
+    for (std::size_t r = 0; r < 4; ++r) {
+      want.Append(std::span<const float>(flat).subspan(r * dim, dim));
+    }
+    for (const std::size_t stored : {dim * 4, dim * 2 + dim / 2}) {
+      std::FILE* file = std::tmpfile();
+      ASSERT_NE(file, nullptr);
+      ASSERT_EQ(std::fwrite(flat.data(), sizeof(float), stored, file), stored);
+      std::rewind(file);
+      Dataset got("got", dim, Metric::kL2);
+      const std::size_t complete = stored / dim;
+      EXPECT_EQ(got.ReadRows(file, 4), complete);
+      std::fclose(file);
+      EXPECT_EQ(got.size(), complete);
+      const std::vector<float> all = Values(want);
+      EXPECT_EQ(Values(got),
+                std::vector<float>(all.begin(),
+                                   all.begin() + complete * want.padded_dim()));
+    }
+  }
+}
+
+TEST(DatasetTest, AppendPaddedRowsCopiesABlockOfRows) {
+  const std::vector<float> flat = RowMajor(4, 5);
+  Dataset base("base", 5, Metric::kL2);
+  for (std::size_t r = 0; r < 4; ++r) {
+    base.Append(std::span<const float>(flat).subspan(r * 5, 5));
+  }
+  Dataset block("block", 5, Metric::kL2);
+  block.AppendPaddedRows(base.values().subspan(base.padded_dim(),
+                                               2 * base.padded_dim()));
+  Dataset rows("rows", 5, Metric::kL2);
+  rows.Append(base.Point(1));
+  rows.Append(base.Point(2));
+  EXPECT_EQ(Values(block), Values(rows));
 }
 
 TEST(DatasetDeathTest, WrongDimensionAppendIsFatal) {

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <future>
 #include <map>
 #include <string>
@@ -19,6 +20,7 @@
 
 #include "common/kway_merge.h"
 #include "data/ground_truth.h"
+#include "data/quantize.h"
 #include "data/synthetic.h"
 #include "graph/hnsw.h"
 #include "obs/hdr_histogram.h"
@@ -306,6 +308,222 @@ TEST_F(ServeTest, ShardPersistenceRoundtrip) {
   EXPECT_FALSE(ShardedIndex::LoadShards(prefix, *base_, 2, {}).has_value());
   std::remove((prefix + ".shard0").c_str());
   std::remove((prefix + ".shard1").c_str());
+}
+
+// Byte-level surgery on saved shard containers: each section of the GSH3
+// layout (header, graph record, global id map, vector rows, trailing
+// quantization section) is corrupted in shard 0, shard 1, or both, and
+// LoadShards must fail with an error naming the file and the section.
+// The shards load concurrently, so the "both" cases also pin that the
+// lowest-numbered failing shard's error wins, not the first to finish.
+class CorruptShardTest : public ServeTest {
+ protected:
+  using Bytes = std::vector<char>;
+
+  static Bytes ReadBytes(const std::string& path) {
+    std::FILE* file = std::fopen(path.c_str(), "rb");
+    EXPECT_NE(file, nullptr) << path;
+    Bytes bytes;
+    if (file == nullptr) return bytes;
+    char buf[1 << 14];
+    std::size_t got = 0;
+    while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0) {
+      bytes.insert(bytes.end(), buf, buf + got);
+    }
+    std::fclose(file);
+    return bytes;
+  }
+
+  static void WriteBytes(const std::string& path, const Bytes& bytes) {
+    std::FILE* file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr) << path;
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
+    std::fclose(file);
+  }
+
+  static std::uint64_t Word(const Bytes& bytes, std::size_t i) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, bytes.data() + i * sizeof(word), sizeof(word));
+    return word;
+  }
+};
+
+TEST_F(CorruptShardTest, EverySectionFailsNamingFileAndSection) {
+  const std::string exact_prefix = ::testing::TempDir() + "/corrupt_exact";
+  const std::string quant_prefix = ::testing::TempDir() + "/corrupt_quant";
+  const std::string prefix = ::testing::TempDir() + "/corrupt_case";
+  ShardBuildOptions quantized;
+  quantized.quantize.precision = data::Precision::kPq;
+  quantized.quantize.pq_subspaces = 16;
+  quantized.quantize.pq_centroids = 32;
+  ASSERT_TRUE(ShardedIndex::Build(*base_, 2, {}).SaveShards(exact_prefix));
+  ASSERT_TRUE(
+      ShardedIndex::Build(*base_, 2, quantized).SaveShards(quant_prefix));
+
+  // Section boundaries of each pristine file. The quantized container is
+  // the exact one plus a trailing section (quantization never changes the
+  // graph), so the exact file's size is where that section starts.
+  constexpr std::size_t kHeaderBytes = 8 * sizeof(std::uint64_t);
+  const std::size_t row_bytes = base_->dim() * sizeof(float);
+  struct Layout {
+    Bytes exact, quant;
+    std::size_t rows = 0, ids_at = 0, rows_at = 0;
+  };
+  Layout layout[2];
+  for (int s = 0; s < 2; ++s) {
+    const std::string suffix = ".shard" + std::to_string(s);
+    Layout& l = layout[s];
+    l.exact = ReadBytes(exact_prefix + suffix);
+    l.quant = ReadBytes(quant_prefix + suffix);
+    std::remove((exact_prefix + suffix).c_str());
+    std::remove((quant_prefix + suffix).c_str());
+    ASSERT_GT(l.quant.size(), l.exact.size());
+    ASSERT_TRUE(std::equal(l.exact.begin(), l.exact.end(), l.quant.begin()));
+    l.rows = Word(l.exact, 7);
+    ASSERT_EQ(l.rows, kN / 2);
+    l.rows_at = l.exact.size() - l.rows * row_bytes;
+    l.ids_at = l.rows_at - l.rows * sizeof(VertexId);
+    ASSERT_GT(l.ids_at, kHeaderBytes);
+  }
+
+  struct Section {
+    const char* name;
+    std::string (*message)(const Layout&);  // expected section text
+    Bytes (*corrupt)(const Layout&, std::size_t row_bytes);
+  };
+  const Section sections[] = {
+      {"bad magic",
+       [](const Layout&) -> std::string { return "unknown magic word"; },
+       [](const Layout& l, std::size_t) {
+         Bytes b = l.exact;
+         std::memset(b.data(), 'X', sizeof(std::uint64_t));
+         return b;
+       }},
+      {"truncated header",
+       [](const Layout&) -> std::string { return "shard header: truncated"; },
+       [](const Layout& l, std::size_t) {
+         return Bytes(l.exact.begin(), l.exact.begin() + 40);
+       }},
+      {"geometry mismatch",
+       [](const Layout&) -> std::string {
+         return "shard header: geometry mismatch";
+       },
+       [](const Layout& l, std::size_t) {
+         Bytes b = l.exact;
+         b[2 * sizeof(std::uint64_t)] += 1;  // shard offset word
+         return b;
+       }},
+      {"truncated graph record",
+       [](const Layout&) -> std::string { return "graph record: truncated"; },
+       [](const Layout& l, std::size_t) {
+         const std::size_t graph_bytes = l.ids_at - kHeaderBytes;
+         return Bytes(l.exact.begin(),
+                      l.exact.begin() + kHeaderBytes + graph_bytes / 2);
+       }},
+      {"truncated global id map",
+       [](const Layout&) -> std::string {
+         return "global id map: truncated";
+       },
+       [](const Layout& l, std::size_t) {
+         return Bytes(l.exact.begin(),
+                      l.exact.begin() + l.ids_at +
+                          l.rows * sizeof(VertexId) / 2);
+       }},
+      {"rows cut mid-row",
+       [](const Layout& l) {
+         return "vector rows: truncated at row " +
+                std::to_string(l.rows / 3) + " of " + std::to_string(l.rows);
+       },
+       [](const Layout& l, std::size_t row_bytes) {
+         return Bytes(l.exact.begin(), l.exact.begin() + l.rows_at +
+                                           (l.rows / 3) * row_bytes +
+                                           row_bytes / 2);
+       }},
+      {"corrupt quantization section",
+       [](const Layout&) -> std::string {
+         return "quantization section: truncated header";
+       },
+       [](const Layout& l, std::size_t) {
+         return Bytes(l.quant.begin(), l.quant.begin() + l.exact.size() + 12);
+       }},
+  };
+
+  const auto path = [&](int s) {
+    return prefix + ".shard" + std::to_string(s);
+  };
+  enum Target { kShard0, kShard1, kBoth, kBothShard1BadMagic };
+  for (const Section& section : sections) {
+    for (const Target target : {kShard0, kShard1, kBoth, kBothShard1BadMagic}) {
+      SCOPED_TRACE(std::string(section.name) + ", target " +
+                   std::to_string(static_cast<int>(target)));
+      const bool hit0 = target != kShard1;
+      const bool hit1 = target == kShard1 || target == kBoth;
+      WriteBytes(path(0), hit0 ? section.corrupt(layout[0], row_bytes)
+                               : layout[0].exact);
+      Bytes shard1 = hit1 ? section.corrupt(layout[1], row_bytes)
+                          : layout[1].exact;
+      if (target == kBothShard1BadMagic) {
+        std::memset(shard1.data(), 'X', sizeof(std::uint64_t));
+      }
+      WriteBytes(path(1), shard1);
+
+      std::string error;
+      EXPECT_FALSE(
+          ShardedIndex::LoadShards(prefix, *base_, 2, {}, &error).has_value());
+      const int named = hit0 ? 0 : 1;
+      const std::string want = "shard file '" + path(named) +
+                               "': " + section.message(layout[named]);
+      EXPECT_EQ(error.substr(0, want.size()), want) << error;
+    }
+  }
+  std::remove(path(0).c_str());
+  std::remove(path(1).c_str());
+}
+
+// A loaded index resolves global ids exactly like the index it was saved
+// from, although its id map keeps only the entries the offset arithmetic
+// would miss. Pristine: the same removals succeed once and then fail, and
+// the next insert draws the same id. After a compaction moved shard 0's
+// survivors to lower slots: every id removes alike on both copies.
+TEST_F(ServeTest, ShardPersistenceIdMapMatchesBuiltIndex) {
+  const std::string prefix = ::testing::TempDir() + "/id_map_shards";
+  ShardBuildOptions options;
+  options.update.auto_compact = false;
+  const auto save_and_load = [&](const ShardedIndex& index) {
+    EXPECT_TRUE(index.SaveShards(prefix));
+    auto loaded = ShardedIndex::LoadShards(prefix, *base_, 2, options);
+    std::remove((prefix + ".shard0").c_str());
+    std::remove((prefix + ".shard1").c_str());
+    return loaded;
+  };
+  ShardedIndex built = ShardedIndex::Build(*base_, 2, options);
+  auto loaded = save_and_load(built);
+  ASSERT_TRUE(loaded.has_value());
+
+  const VertexId sample[] = {0, 1, 137, 298, 299, 300, 301, 455, 598, 599};
+  for (ShardedIndex* index : {&built, &*loaded}) {
+    for (const VertexId gid : sample) {
+      EXPECT_TRUE(index->Remove(gid)) << "gid=" << gid;
+      EXPECT_FALSE(index->Remove(gid)) << "gid=" << gid;
+    }
+    EXPECT_FALSE(index->Remove(static_cast<VertexId>(kN)));  // never issued
+  }
+  const auto built_gid = built.Insert(queries_->Point(0));
+  const auto loaded_gid = loaded->Insert(queries_->Point(0));
+  ASSERT_TRUE(built_gid.has_value());
+  ASSERT_TRUE(loaded_gid.has_value());
+  EXPECT_EQ(*loaded_gid, *built_gid);
+  EXPECT_EQ(*built_gid, static_cast<VertexId>(kN));
+  const auto routed = RoutedQueries(64);
+  EXPECT_EQ(loaded->SearchBatch(routed, core::SearchKernel::kGanns),
+            built.SearchBatch(routed, core::SearchKernel::kGanns));
+
+  ASSERT_TRUE(built.Compact(0));
+  auto compacted = save_and_load(built);
+  ASSERT_TRUE(compacted.has_value());
+  for (VertexId gid = 0; gid <= kN + 1; ++gid) {
+    EXPECT_EQ(compacted->Remove(gid), built.Remove(gid)) << "gid=" << gid;
+  }
 }
 
 TEST_F(ServeTest, HnswGraphStreamRoundtrip) {
