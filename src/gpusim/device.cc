@@ -43,15 +43,18 @@ KernelStats Device::Launch(const char* name, int grid_size, int block_lanes,
 
   CostModel work;
   for (const CostModel& c : block_costs) work.Add(c);
-  return Finish(name, grid_size, std::move(block_cycles), work,
-                std::move(block_events), timer.Seconds());
+  KernelStats stats = Finish(name, grid_size, std::move(block_cycles), work,
+                             std::move(block_events));
+  // Read after Finish: the launch's host time includes the serial trace
+  // rebasing and bookkeeping, not only the parallel block bodies.
+  stats.wall_seconds = timer.Seconds();
+  return stats;
 }
 
 KernelStats Device::Finish(
     const char* name, int grid_size, std::vector<double>&& block_cycles,
     const CostModel& work,
-    std::vector<std::vector<BlockTraceEvent>>&& block_events,
-    double wall_seconds) {
+    std::vector<std::vector<BlockTraceEvent>>&& block_events) {
   // Round-robin the blocks over the device's execution slots; the kernel
   // completes when the busiest slot drains. This captures both the
   // load-imbalance ("max over units") effect and the saturation point where
@@ -69,7 +72,6 @@ KernelStats Device::Finish(
     stats.work_cycles[i] = work.cycles(static_cast<CostCategory>(i));
     timeline_work_[i] += stats.work_cycles[i];
   }
-  stats.wall_seconds = wall_seconds;
 
   // Per-SM busy-cycle accounting: slot s resides on SM s % num_sms. Costs
   // nothing measurable (one pass over the slots) and never feeds back into

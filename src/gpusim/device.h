@@ -116,8 +116,7 @@ class Device {
  private:
   KernelStats Finish(const char* name, int grid_size,
                      std::vector<double>&& block_cycles, const CostModel& work,
-                     std::vector<std::vector<BlockTraceEvent>>&& block_events,
-                     double wall_seconds);
+                     std::vector<std::vector<BlockTraceEvent>>&& block_events);
 
   DeviceSpec spec_;
   double timeline_cycles_ = 0;

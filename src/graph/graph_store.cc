@@ -16,8 +16,14 @@ constexpr std::uint32_t kMagic = 0x474e4e53;  // "GNNS"
 constexpr std::uint32_t kVersionLegacy = 1;
 constexpr std::uint32_t kVersion = 3;
 
-constexpr std::uint64_t kMaxVertices = std::uint64_t{1} << 40;
+/// Slot ids are VertexIds and kInvalidVertex is the row sentinel, so no
+/// store holds more slots than that.
+constexpr std::uint64_t kMaxSlots = kInvalidVertex;
 constexpr std::uint64_t kMaxDegree = std::uint64_t{1} << 20;
+/// Largest adjacency reservation a record may ask for, in (id, dist) cells
+/// at capacity: 2^31 cells is 16 GiB of rows. A header asking for more is
+/// corrupt, and is rejected before anything is allocated.
+constexpr std::uint64_t kMaxCells = std::uint64_t{1} << 31;
 
 }  // namespace
 
@@ -26,14 +32,39 @@ GraphStore::GraphStore(std::size_t num_vertices, std::size_t d_max,
     : capacity_(std::max(capacity, num_vertices)),
       d_max_(d_max),
       num_slots_(num_vertices),
-      num_live_(num_vertices),
-      ids_(capacity_ * d_max, kInvalidVertex),
-      dists_(capacity_ * d_max, kInfDist),
-      degrees_(capacity_, 0),
-      states_(capacity_, SlotState::kFree) {
+      num_live_(num_vertices) {
   GANNS_CHECK(d_max >= 1);
-  std::fill(states_.begin(), states_.begin() + num_vertices,
-            SlotState::kLive);
+  ReserveCapacity();
+  ids_.resize(num_vertices * d_max, kInvalidVertex);
+  dists_.resize(num_vertices * d_max, kInfDist);
+  degrees_.resize(num_vertices, 0);
+  states_.resize(num_vertices, SlotState::kLive);
+}
+
+GraphStore::GraphStore(const GraphStore& other)
+    : capacity_(other.capacity_),
+      d_max_(other.d_max_),
+      num_slots_(other.num_slots_),
+      num_live_(other.num_live_),
+      num_tombstones_(other.num_tombstones_),
+      free_slots_(other.free_slots_) {
+  ReserveCapacity();
+  ids_.assign(other.ids_.begin(), other.ids_.end());
+  dists_.assign(other.dists_.begin(), other.dists_.end());
+  degrees_.assign(other.degrees_.begin(), other.degrees_.end());
+  states_.assign(other.states_.begin(), other.states_.end());
+}
+
+GraphStore& GraphStore::operator=(const GraphStore& other) {
+  if (this != &other) *this = GraphStore(other);
+  return *this;
+}
+
+void GraphStore::ReserveCapacity() {
+  ids_.reserve(capacity_ * d_max_);
+  dists_.reserve(capacity_ * d_max_);
+  degrees_.reserve(capacity_);
+  states_.reserve(capacity_);
 }
 
 void GraphStore::InsertNeighbor(VertexId v, VertexId u, Dist dist) {
@@ -140,7 +171,12 @@ std::optional<VertexId> GraphStore::AllocSlot() {
     v = free_slots_.back();
     free_slots_.pop_back();
   } else if (num_slots_ < capacity_) {
+    // Within the reservation: appending the sentinel row moves no row.
     v = static_cast<VertexId>(num_slots_++);
+    ids_.resize(num_slots_ * d_max_, kInvalidVertex);
+    dists_.resize(num_slots_ * d_max_, kInfDist);
+    degrees_.push_back(0);
+    states_.push_back(SlotState::kFree);
   } else {
     return std::nullopt;
   }
@@ -213,7 +249,7 @@ std::optional<GraphStore> GraphStore::ReadFrom(std::FILE* file) {
   // fail cleanly, not bad_alloc).
   const std::uint64_t num_slots = head[2];
   const std::uint64_t d_max = head[3];
-  if (num_slots > kMaxVertices || d_max == 0 || d_max > kMaxDegree) {
+  if (num_slots > kMaxSlots || d_max == 0 || d_max > kMaxDegree) {
     return std::nullopt;
   }
 
@@ -228,17 +264,25 @@ std::optional<GraphStore> GraphStore::ReadFrom(std::FILE* file) {
     num_live = tail[1];
     num_tombstones = tail[2];
     free_count = tail[3];
-    if (capacity > kMaxVertices || capacity < num_slots) return std::nullopt;
+    if (capacity > kMaxSlots || capacity < num_slots) return std::nullopt;
     if (num_live + num_tombstones + free_count != num_slots) {
       return std::nullopt;
     }
   }
+  // Both factors are bounded above, so the product cannot wrap.
+  if (capacity * d_max > kMaxCells) return std::nullopt;
 
+  // The constructor reserves for capacity; the live rows are read straight
+  // into place.
   GraphStore store(0, d_max, capacity);
   store.num_slots_ = num_slots;
   store.num_live_ = num_live;
   store.num_tombstones_ = num_tombstones;
   const std::size_t cells = num_slots * d_max;
+  store.ids_.resize(cells);
+  store.dists_.resize(cells);
+  store.degrees_.resize(num_slots);
+  store.states_.resize(num_slots);
   if (cells > 0) {
     if (std::fread(store.ids_.data(), sizeof(VertexId), cells, file) !=
         cells) {
@@ -258,8 +302,7 @@ std::optional<GraphStore> GraphStore::ReadFrom(std::FILE* file) {
   }
 
   if (version == kVersionLegacy) {
-    std::fill(store.states_.begin(), store.states_.begin() + num_slots,
-              SlotState::kLive);
+    std::fill(store.states_.begin(), store.states_.end(), SlotState::kLive);
     return store;
   }
 

@@ -30,12 +30,21 @@ namespace graph {
 /// row stays traversable until compaction, and compaction releases
 /// tombstones onto a LIFO free list for reuse by later inserts.
 ///
+/// Capacity is a reservation, not storage: the row arrays are reserved for
+/// `capacity` slots but sized to num_slots(), and AllocSlot appends one
+/// sentinel row when it raises the high-water mark. Slack therefore costs
+/// address space only, never resident pages, until a slot is allocated.
+/// Copies (construction and assignment) copy the allocated rows only but
+/// keep the full reservation, so on the original and on every clone no row
+/// moves before the store reaches capacity.
+///
 /// Slot states:
 ///   kLive      — allocated, returned by searches, row meaningful.
 ///   kTombstone — deleted: row kept (other rows may still route through it)
 ///                but filtered from every search result.
-///   kFree      — never allocated, or released by compaction; row is all
-///                sentinels and nothing may point at it.
+///   kFree      — released by compaction; row is all sentinels and nothing
+///                may point at it. Slots at or past num_slots() have no
+///                row or state until AllocSlot reaches them.
 ///
 /// Concurrency: distinct slots may be mutated from different threads
 /// concurrently (the construction kernels partition vertices across
@@ -56,6 +65,11 @@ class GraphStore {
   /// capacity == num_vertices; the serving layer over-provisions.
   GraphStore(std::size_t num_vertices, std::size_t d_max,
              std::size_t capacity = 0);
+
+  GraphStore(const GraphStore& other);
+  GraphStore& operator=(const GraphStore& other);
+  GraphStore(GraphStore&&) = default;
+  GraphStore& operator=(GraphStore&&) = default;
 
   /// Slot high-water mark: every id handed out so far is < num_slots().
   /// For a store with no lifecycle activity this is the vertex count.
@@ -137,13 +151,16 @@ class GraphStore {
 
   /// Reads one record from the stream's current position. Accepts the
   /// current v3 format and the legacy v1 format (pre-lifecycle: all slots
-  /// live, capacity == num_slots). Returns std::nullopt on a short read or
-  /// format mismatch (truncated or foreign files fail cleanly, never
-  /// crash).
+  /// live, capacity == num_slots). Returns std::nullopt on a short read,
+  /// format mismatch, or a header whose sizes exceed the store's limits
+  /// (truncated, corrupt or foreign files fail cleanly, never crash).
   static std::optional<GraphStore> ReadFrom(std::FILE* file);
 
  private:
   std::size_t Row(VertexId v) const { return std::size_t{v} * d_max_; }
+
+  /// Reserves every per-slot array for capacity_ slots.
+  void ReserveCapacity();
 
   std::size_t capacity_;
   std::size_t d_max_;

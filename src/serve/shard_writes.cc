@@ -127,9 +127,15 @@ std::optional<VertexId> ShardedIndex::Insert(std::span<const float> vector) {
   const std::shared_ptr<const Snapshot>& snap = pinned[best];
   Shard& shard = *shards_[best];
 
-  // Clone-on-write: mutate private copies, publish when consistent.
+  // Clone-on-write: mutate private copies, publish when consistent. The
+  // graph clone copies allocated rows only (its capacity stays a
+  // reservation); the corpus clone reserves one row of headroom, so an
+  // append does not reallocate and copy the shard's rows a second time.
   auto graph = std::make_shared<graph::ProximityGraph>(*snap->graph);
-  auto base = std::make_shared<data::Dataset>(*snap->base);
+  auto base = std::make_shared<data::Dataset>(
+      snap->base->name(), snap->base->dim(), snap->base->metric());
+  base->Reserve(snap->base->size() + 1);
+  base->AppendPaddedRows(snap->base->values());
   auto gids = std::make_shared<std::vector<VertexId>>(*snap->global_ids);
 
   const std::optional<VertexId> slot = graph->AllocVertex();

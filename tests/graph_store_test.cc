@@ -1,11 +1,14 @@
 // Unit tests for the unified adjacency store (graph/graph_store): slot
 // lifecycle (alloc / tombstone / release), free-list reuse order, row
-// repair primitives, and the v3 record round-trip including lifecycle
-// state. The v1 read-compat path is covered too — the store must keep
-// loading pre-lifecycle graph files as fully live graphs.
+// stability up to capacity (capacity is a reservation), row repair
+// primitives, the v3 record round-trip including lifecycle state, and
+// rejection of headers with absurd sizes. The v1 read-compat path is
+// covered too — the store must keep loading pre-lifecycle graph files as
+// fully live graphs.
 
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -77,6 +80,48 @@ TEST(GraphStoreTest, AllocReusesReleasedSlotsBeforeExtending) {
   EXPECT_EQ(store.num_live(), 6u);
 }
 
+// Capacity is a reservation: filling a store to capacity must not move any
+// existing row, on the original or on a copy (constructed or assigned), and
+// every slot a fill allocates starts as an all-sentinel row.
+TEST(GraphStoreTest, FillingToCapacityMovesNoRow) {
+  GraphStore original(3, 4, 8);
+  original.InsertNeighbor(0, 1, 0.5f);
+  original.InsertNeighbor(2, 0, 0.25f);
+  GraphStore constructed(original);
+  GraphStore assigned(1, 2);
+  assigned = original;
+
+  for (GraphStore* store : {&original, &constructed, &assigned}) {
+    ASSERT_EQ(store->capacity(), 8u);
+    std::vector<const VertexId*> rows;
+    std::vector<const Dist*> dist_rows;
+    for (VertexId v = 0; v < store->num_slots(); ++v) {
+      rows.push_back(store->Neighbors(v).data());
+      dist_rows.push_back(store->NeighborDists(v).data());
+    }
+    while (const std::optional<VertexId> v = store->AllocSlot()) {
+      for (const VertexId id : store->Neighbors(*v)) {
+        EXPECT_EQ(id, kInvalidVertex);
+      }
+      for (const Dist dist : store->NeighborDists(*v)) {
+        EXPECT_EQ(dist, kInfDist);
+      }
+      EXPECT_EQ(store->Degree(*v), 0u);
+      rows.push_back(store->Neighbors(*v).data());
+      dist_rows.push_back(store->NeighborDists(*v).data());
+    }
+    EXPECT_EQ(store->num_slots(), 8u);
+    EXPECT_EQ(store->FreeCapacity(), 0u);
+    EXPECT_FALSE(store->AllocSlot().has_value());
+    for (VertexId v = 0; v < store->num_slots(); ++v) {
+      EXPECT_EQ(store->Neighbors(v).data(), rows[v]) << "v=" << v;
+      EXPECT_EQ(store->NeighborDists(v).data(), dist_rows[v]) << "v=" << v;
+    }
+    EXPECT_EQ(store->Neighbors(0)[0], 1u);
+    EXPECT_EQ(store->Neighbors(2)[0], 0u);
+  }
+}
+
 TEST(GraphStoreTest, RemoveNeighborShiftsRowAndClearsTail) {
   GraphStore store(4, 4, 4);
   store.InsertNeighbor(0, 1, 0.1f);
@@ -131,14 +176,52 @@ TEST(GraphStoreTest, V3RoundTripPreservesLifecycleState) {
   EXPECT_EQ(loaded->FreeCapacity(), store.FreeCapacity());
   for (VertexId v = 0; v < store.num_slots(); ++v) {
     EXPECT_EQ(loaded->state(v), store.state(v)) << "v=" << v;
-    ASSERT_EQ(loaded->Degree(v), store.Degree(v)) << "v=" << v;
-    for (std::size_t i = 0; i < store.Degree(v); ++i) {
+    EXPECT_EQ(loaded->Degree(v), store.Degree(v)) << "v=" << v;
+    // Whole rows, sentinel padding included.
+    for (std::size_t i = 0; i < store.d_max(); ++i) {
       EXPECT_EQ(loaded->Neighbors(v)[i], store.Neighbors(v)[i]);
-      EXPECT_FLOAT_EQ(loaded->NeighborDists(v)[i], store.NeighborDists(v)[i]);
+      EXPECT_EQ(loaded->NeighborDists(v)[i], store.NeighborDists(v)[i]);
     }
   }
   // The free list order (and hence future slot reuse) survives the trip.
   EXPECT_EQ(loaded->AllocSlot(), store.AllocSlot());
+  // The loaded store keeps the reservation: growing it to capacity moves
+  // no row.
+  const VertexId* row0 = loaded->Neighbors(0).data();
+  while (loaded->AllocSlot().has_value()) {
+  }
+  EXPECT_EQ(loaded->num_slots(), loaded->capacity());
+  EXPECT_EQ(loaded->Neighbors(0).data(), row0);
+}
+
+// A header's sizes are checked before anything is allocated: a record
+// claiming a reservation no process could hold is rejected, not bad_alloc.
+TEST(GraphStoreTest, RejectsAbsurdSizesBeforeAllocating) {
+  struct Case {
+    const char* name;
+    std::uint64_t num_slots, d_max, capacity;
+  };
+  const Case cases[] = {
+      {"capacity past the VertexId space", 0, 32, std::uint64_t{1} << 36},
+      {"reservation past the cell budget", 0, 32, std::uint64_t{1} << 30},
+      {"slots past the cell budget", std::uint64_t{1} << 31, 2,
+       std::uint64_t{1} << 31},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    // A 128-byte v3 record: the 8-word header, then 64 bytes that would be
+    // the start of the rows.
+    const std::uint64_t header[8] = {0x474e4e53ULL, 3, c.num_slots, c.d_max,
+                                     c.capacity,    c.num_slots, 0, 0};
+    const std::uint8_t payload[64] = {};
+    std::FILE* file = std::tmpfile();
+    ASSERT_NE(file, nullptr);
+    ASSERT_EQ(std::fwrite(header, sizeof(header), 1, file), 1u);
+    ASSERT_EQ(std::fwrite(payload, sizeof(payload), 1, file), 1u);
+    std::rewind(file);
+    EXPECT_FALSE(GraphStore::ReadFrom(file).has_value());
+    std::fclose(file);
+  }
 }
 
 TEST(GraphStoreTest, ReadsLegacyV1RecordsAsFullyLive) {

@@ -420,6 +420,19 @@ TEST_F(CorruptShardTest, EverySectionFailsNamingFileAndSection) {
          return Bytes(l.exact.begin(),
                       l.exact.begin() + kHeaderBytes + graph_bytes / 2);
        }},
+      {"absurd graph capacity",
+       [](const Layout&) -> std::string {
+         return "graph record: truncated, corrupt";
+       },
+       [](const Layout& l, std::size_t) {
+         // The graph record's capacity word (header word 4), claiming a
+         // reservation no process could hold.
+         Bytes b = l.exact;
+         const std::uint64_t capacity = std::uint64_t{1} << 36;
+         std::memcpy(b.data() + kHeaderBytes + 4 * sizeof(std::uint64_t),
+                     &capacity, sizeof(capacity));
+         return b;
+       }},
       {"truncated global id map",
        [](const Layout&) -> std::string {
          return "global id map: truncated";
