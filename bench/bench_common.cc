@@ -4,12 +4,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string>
 
 #include "common/logging.h"
+#include "common/text_file.h"
 
 namespace ganns {
 namespace bench {
@@ -97,6 +99,32 @@ std::string ProvenanceJson() {
   json += "\"telemetry_overhead\": \"" +
           field("GANNS_PROV_TELEMETRY_OVERHEAD") + "\"}";
   return json;
+}
+
+void Appendf(std::string& out, const char* format, ...) {
+  va_list args;
+  va_start(args, format);
+  va_list measure;
+  va_copy(measure, args);
+  const int size = std::vsnprintf(nullptr, 0, format, measure);
+  va_end(measure);
+  const std::size_t start = out.size();
+  out.resize(start + static_cast<std::size_t>(size) + 1);
+  std::vsnprintf(out.data() + start, static_cast<std::size_t>(size) + 1,
+                 format, args);
+  out.resize(start + static_cast<std::size_t>(size));
+  va_end(args);
+}
+
+int WriteReport(int argc, char** argv, const char* fallback,
+                const std::string& json) {
+  const std::string out = argc > 1 ? argv[1] : fallback;
+  if (!WriteTextFile(out, json)) {
+    std::fprintf(stderr, "failed to write %s\n", out.c_str());
+    return 1;
+  }
+  std::printf("wrote %s\n", out.c_str());
+  return 0;
 }
 
 void PrintHeader(const std::string& bench_name, const BenchConfig& config) {

@@ -68,6 +68,21 @@ void PrintHeader(const std::string& bench_name, const BenchConfig& config);
 /// prints the block in regression reports and never gates on it.
 std::string ProvenanceJson();
 
+/// Appends printf-formatted text to `out` (report JSON assembly).
+[[gnu::format(printf, 2, 3)]] void Appendf(std::string& out,
+                                           const char* format, ...);
+
+/// `count` per `seconds`, or 0 over an empty interval.
+inline double Rate(double count, double seconds) {
+  return seconds > 0 ? count / seconds : 0.0;
+}
+
+/// Writes a bench report to argv[1] (default `fallback`) and prints where.
+/// Returns the process exit code: 1, with a message, when the file cannot be
+/// written or closed.
+int WriteReport(int argc, char** argv, const char* fallback,
+                const std::string& json);
+
 }  // namespace bench
 }  // namespace ganns
 

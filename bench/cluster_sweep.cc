@@ -28,14 +28,12 @@
 // (the run-twice ctest gate relies on this).
 
 #include <cstdio>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/drills.h"
 #include "cluster/cluster_router.h"
-#include "data/ground_truth.h"
-#include "serve/shard_router.h"
 
 namespace {
 
@@ -59,35 +57,18 @@ int main(int argc, char** argv) {
   const bench::BenchConfig config = bench::BenchConfig::FromEnv();
   bench::PrintHeader("cluster_sweep", config);
   const bench::Workload workload = bench::MakeWorkload("SIFT1M", config, kK);
-  const std::size_t num_queries = workload.queries.size();
 
   serve::ShardBuildOptions build_options;
   serve::ShardedIndex index =
       serve::ShardedIndex::Build(workload.base, kShards, build_options);
 
-  std::vector<serve::RoutedQuery> routed(num_queries);
-  std::vector<std::vector<float>> storage(num_queries);
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    const auto point = workload.queries.Point(static_cast<VertexId>(q));
-    storage[q].assign(point.begin(), point.end());
-    routed[q].query = storage[q];
-    routed[q].k = kK;
-    routed[q].budget = kBudget;
-  }
-  const std::span<const serve::RoutedQuery> all(routed);
-
+  const std::vector<serve::RoutedQuery> routed =
+      bench::RouteQueries(workload.queries, kK, kBudget);
   // Single-node reference rows, once: the bit-identity target of every
   // cluster configuration (same snapshots, same per-shard budget, same
   // deterministic merge).
-  std::vector<std::vector<graph::Neighbor>> reference(num_queries);
-  for (std::size_t q = 0; q < num_queries; q += kBatch) {
-    const std::size_t count = std::min(kBatch, num_queries - q);
-    auto rows = index.SearchBatch(all.subspan(q, count),
-                                  core::SearchKernel::kGanns);
-    for (std::size_t i = 0; i < count; ++i) {
-      reference[q + i] = std::move(rows[i]);
-    }
-  }
+  const bench::NeighborRows reference = bench::SearchInBatches(
+      index, routed, kBatch, core::SearchKernel::kGanns);
 
   const SweepConfig sweep[] = {
       {2, 1, cluster::ReplicaSelection::kRoundRobin, false},
@@ -122,33 +103,16 @@ int main(int argc, char** argv) {
     options.federation.slo_deadline_us = 2000;
 
     cluster::ClusterIndex cluster_index(index, options);
-    std::vector<std::vector<graph::Neighbor>> rows(num_queries);
-    for (std::size_t q = 0; q < num_queries; q += kBatch) {
-      const std::size_t count = std::min(kBatch, num_queries - q);
-      auto batch_rows = cluster_index.SearchBatch(all.subspan(q, count),
-                                                  core::SearchKernel::kGanns);
-      for (std::size_t i = 0; i < count; ++i) {
-        rows[q + i] = std::move(batch_rows[i]);
-      }
-    }
+    const bench::NeighborRows rows = bench::SearchInBatches(
+        cluster_index, routed, kBatch, core::SearchKernel::kGanns);
     cluster_index.Shutdown();
-
-    bool identical = true;
-    for (std::size_t q = 0; q < num_queries; ++q) {
-      if (rows[q] != reference[q]) identical = false;
-    }
-
-    std::vector<std::vector<VertexId>> ids(num_queries);
-    for (std::size_t q = 0; q < num_queries; ++q) {
-      for (const auto& neighbor : rows[q]) ids[q].push_back(neighbor.id);
-    }
-    const double recall = data::MeanRecall(ids, workload.truth, kK);
+    const bool identical = rows == reference;
+    const double recall =
+        data::MeanRecall(bench::NeighborIds(rows), workload.truth, kK);
     const cluster::ClusterCounters& counters = cluster_index.counters();
-    const double sim_seconds = cluster_index.total_sim_seconds();
     const double sim_qps =
-        sim_seconds > 0
-            ? static_cast<double>(counters.served_queries) / sim_seconds
-            : 0.0;
+        bench::Rate(static_cast<double>(counters.served_queries),
+                    cluster_index.total_sim_seconds());
     const char* fault = row.crash ? "crash" : "none";
 
     std::printf("nodes=%zu repl=%zu sel=%s fault=%s: recall@%zu=%.4f "
@@ -191,9 +155,8 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    char head[512];
-    std::snprintf(
-        head, sizeof(head),
+    bench::Appendf(
+        json,
         "%s    {\"nodes\": %zu, \"replication\": %zu, \"selection\": \"%s\", "
         "\"fault\": \"%s\",\n     \"served\": %llu, \"lost\": %llu, "
         "\"failovers\": %llu, \"timeouts\": %llu, \"retries\": %llu, "
@@ -208,22 +171,11 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(counters.retries),
         static_cast<unsigned long long>(counters.rejoins), recall, sim_qps,
         cluster_index.recovery_sim_seconds(), identical ? 1 : 0);
-    json += head;
     json += "     \"aggregator\": " + cluster_index.AggregatorJson() + ",\n";
     json += "     \"node_stats\": " + cluster_index.NodesJson() + "}";
     first = false;
   }
   json += "\n  ]\n}\n";
 
-  const std::string out = argc > 1 ? argv[1] : "BENCH_cluster.json";
-  std::FILE* file = std::fopen(out.c_str(), "w");
-  if (file == nullptr ||
-      std::fwrite(json.data(), 1, json.size(), file) != json.size()) {
-    if (file != nullptr) std::fclose(file);
-    std::fprintf(stderr, "failed to write %s\n", out.c_str());
-    return 1;
-  }
-  std::fclose(file);
-  std::printf("wrote %s\n", out.c_str());
-  return 0;
+  return bench::WriteReport(argc, argv, "BENCH_cluster.json", json);
 }

@@ -9,12 +9,11 @@
 // output is unchanged byte-for-byte: profiling only reads the simulator's
 // cycle counters.
 
-#include <array>
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/drills.h"
 #include "bench/sweep.h"
 #include "obs/trace.h"
 
@@ -61,20 +60,7 @@ int main() {
       std::vector<core::GannsQueryProfile> profiles;
       core::GannsSearchBatch(device, nsw, workload.base, workload.queries,
                              ladder[gi], 32, 0, &profiles);
-      std::array<double, core::kNumGannsPhases> phase{};
-      double total = 0;
-      for (const core::GannsQueryProfile& p : profiles) {
-        for (int i = 0; i < core::kNumGannsPhases; ++i) {
-          phase[i] += p.phase_cycles[i];
-          total += p.phase_cycles[i];
-        }
-      }
-      std::printf("  phases:");
-      for (int i = 0; i < core::kNumGannsPhases; ++i) {
-        std::printf(" %s=%.1f%%", core::GannsPhaseName(i),
-                    total > 0 ? 100 * phase[i] / total : 0.0);
-      }
-      std::printf("\n");
+      std::printf("  %s\n", bench::Summarize(profiles).split.c_str());
     }
 
     const auto song_points = bench::SweepSong(device, nsw, workload, kK);
@@ -86,20 +72,7 @@ int main() {
       std::vector<song::SongQueryProfile> profiles;
       song::SongSearchBatch(device, nsw, workload.base, workload.queries,
                             ladder[si], 32, 0, &profiles);
-      std::array<double, song::kNumSongStages> stage{};
-      double total = 0;
-      for (const song::SongQueryProfile& p : profiles) {
-        for (int i = 0; i < song::kNumSongStages; ++i) {
-          stage[i] += p.stage_cycles[i];
-          total += p.stage_cycles[i];
-        }
-      }
-      std::printf("  stages:");
-      for (int i = 0; i < song::kNumSongStages; ++i) {
-        std::printf(" %s=%.1f%%", song::SongStageName(i),
-                    total > 0 ? 100 * stage[i] / total : 0.0);
-      }
-      std::printf("\n");
+      std::printf("  %s\n", bench::Summarize(profiles).split.c_str());
     }
   }
   return 0;

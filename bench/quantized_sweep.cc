@@ -75,19 +75,15 @@ int main(int argc, char** argv) {
   std::string json =
       "{\n  \"provenance\": " + bench::ProvenanceJson() +
       ",\n  \"quantized\": [\n";
-  bool first = true;
-  char buffer[256];
 
   const Row exact = RunPoint(device, nsw, workload, params, nullptr);
   std::printf("%-9s %7s %9.4f %12.0f %14zu\n", "float32", "-", exact.recall,
               exact.sim_qps, float_bytes);
-  std::snprintf(buffer, sizeof(buffer),
-                "    {\"precision\": \"float32\", \"rerank_factor\": 0, "
-                "\"recall\": %.4f, \"sim_qps\": %.0f, "
-                "\"resident_bytes_per_vector\": %zu}",
-                exact.recall, exact.sim_qps, float_bytes);
-  json += buffer;
-  first = false;
+  bench::Appendf(json,
+                 "    {\"precision\": \"float32\", \"rerank_factor\": 0, "
+                 "\"recall\": %.4f, \"sim_qps\": %.0f, "
+                 "\"resident_bytes_per_vector\": %zu}",
+                 exact.recall, exact.sim_qps, float_bytes);
 
   for (const data::Precision precision :
        {data::Precision::kSq8, data::Precision::kPq}) {
@@ -103,27 +99,15 @@ int main(int argc, char** argv) {
       std::printf("%-9s %7zu %9.4f %12.0f %14zu\n",
                   data::PrecisionName(precision), rerank, row.recall,
                   row.sim_qps, quantizer.code_bytes());
-      std::snprintf(buffer, sizeof(buffer),
-                    "%s    {\"precision\": \"%s\", \"rerank_factor\": %zu, "
-                    "\"recall\": %.4f, \"sim_qps\": %.0f, "
-                    "\"resident_bytes_per_vector\": %zu}",
-                    first ? "" : ",\n", data::PrecisionName(precision), rerank,
-                    row.recall, row.sim_qps, quantizer.code_bytes());
-      json += buffer;
-      first = false;
+      bench::Appendf(json,
+                     ",\n    {\"precision\": \"%s\", \"rerank_factor\": %zu, "
+                     "\"recall\": %.4f, \"sim_qps\": %.0f, "
+                     "\"resident_bytes_per_vector\": %zu}",
+                     data::PrecisionName(precision), rerank, row.recall,
+                     row.sim_qps, quantizer.code_bytes());
     }
   }
   json += "\n  ]\n}\n";
 
-  const std::string out = argc > 1 ? argv[1] : "BENCH_quantized.json";
-  std::FILE* file = std::fopen(out.c_str(), "w");
-  if (file == nullptr ||
-      std::fwrite(json.data(), 1, json.size(), file) != json.size()) {
-    if (file != nullptr) std::fclose(file);
-    std::fprintf(stderr, "failed to write %s\n", out.c_str());
-    return 1;
-  }
-  std::fclose(file);
-  std::printf("wrote %s\n", out.c_str());
-  return 0;
+  return bench::WriteReport(argc, argv, "BENCH_quantized.json", json);
 }

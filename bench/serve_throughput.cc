@@ -19,12 +19,10 @@
 // `--workload stream-rw`), not here.
 
 #include <cstdio>
-#include <future>
 #include <string>
-#include <vector>
 
 #include "bench/bench_common.h"
-#include "serve/serve_engine.h"
+#include "bench/drills.h"
 
 namespace {
 
@@ -37,55 +35,6 @@ constexpr std::size_t kK = 10;
 // (smaller) partition as the single-shard beam covers of the whole corpus,
 // and independent per-shard exploration recovers what the split costs.
 constexpr std::size_t kBudget = 512;
-
-struct LoopResult {
-  double recall = 0;
-  double sim_qps = 0;
-  std::uint64_t served = 0, rejected = 0, expired = 0;
-};
-
-/// Submits every query at once, drains the engine, and folds the responses
-/// into a LoopResult.
-LoopResult RunClosedLoop(serve::ShardedIndex& index,
-                         const bench::Workload& workload) {
-  serve::ServeEngine engine(index, serve::ServeOptions{});
-  engine.Start();
-
-  const std::size_t num_queries = workload.queries.size();
-  std::vector<std::future<serve::QueryResponse>> futures;
-  futures.reserve(num_queries);
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    serve::QueryRequest request;
-    request.id = q;
-    const auto point = workload.queries.Point(static_cast<VertexId>(q));
-    request.query.assign(point.begin(), point.end());
-    request.k = kK;
-    request.budget = kBudget;
-    futures.push_back(engine.Submit(std::move(request)));
-  }
-
-  std::vector<std::vector<VertexId>> ids(num_queries);
-  for (auto& future : futures) {
-    serve::QueryResponse response = future.get();
-    if (response.status != serve::StatusCode::kOk) continue;
-    for (const auto& neighbor : response.neighbors) {
-      ids[response.id].push_back(neighbor.id);
-    }
-  }
-  engine.Shutdown();
-
-  const serve::ServeCounters counters = engine.counters();
-  LoopResult result;
-  result.served = counters.served;
-  result.rejected = counters.rejected;
-  result.expired = counters.expired;
-  result.recall = data::MeanRecall(ids, workload.truth, kK);
-  const double sim_seconds = engine.total_sim_seconds();
-  result.sim_qps = sim_seconds > 0
-                       ? static_cast<double>(counters.served) / sim_seconds
-                       : 0.0;
-  return result;
-}
 
 }  // namespace
 
@@ -105,33 +54,24 @@ int main(int argc, char** argv) {
     serve::ShardedIndex index =
         serve::ShardedIndex::Build(workload.base, shards, build_options);
 
-    const LoopResult closed = RunClosedLoop(index, workload);
+    serve::ServeEngine engine(index, serve::ServeOptions{});
+    const bench::ClosedLoopRun closed =
+        bench::RunClosedLoop(engine, workload.queries, kK, kBudget);
+    const double recall = data::MeanRecall(closed.ids, workload.truth, kK);
     std::printf("shards=%zu closed: recall@%zu=%.4f sim_qps=%.0f\n", shards,
-                kK, closed.recall, closed.sim_qps);
+                kK, recall, closed.SimQps());
 
-    char row[512];
-    std::snprintf(row, sizeof(row),
-                  "%s    {\"shards\": %zu,\n     \"closed\": {\"recall\": "
-                  "%.4f, \"sim_qps\": %.0f, \"served\": %llu, \"rejected\": "
-                  "%llu, \"expired\": %llu}}",
-                  first ? "" : ",\n", shards, closed.recall, closed.sim_qps,
-                  static_cast<unsigned long long>(closed.served),
-                  static_cast<unsigned long long>(closed.rejected),
-                  static_cast<unsigned long long>(closed.expired));
-    json += row;
+    bench::Appendf(json,
+                   "%s    {\"shards\": %zu,\n     \"closed\": {\"recall\": "
+                   "%.4f, \"sim_qps\": %.0f, \"served\": %llu, \"rejected\": "
+                   "%llu, \"expired\": %llu}}",
+                   first ? "" : ",\n", shards, recall, closed.SimQps(),
+                   static_cast<unsigned long long>(closed.counters.served),
+                   static_cast<unsigned long long>(closed.counters.rejected),
+                   static_cast<unsigned long long>(closed.counters.expired));
     first = false;
   }
   json += "\n  ]\n}\n";
 
-  const std::string out = argc > 1 ? argv[1] : "BENCH_serve.json";
-  std::FILE* file = std::fopen(out.c_str(), "w");
-  if (file == nullptr ||
-      std::fwrite(json.data(), 1, json.size(), file) != json.size()) {
-    if (file != nullptr) std::fclose(file);
-    std::fprintf(stderr, "failed to write %s\n", out.c_str());
-    return 1;
-  }
-  std::fclose(file);
-  std::printf("wrote %s\n", out.c_str());
-  return 0;
+  return bench::WriteReport(argc, argv, "BENCH_serve.json", json);
 }

@@ -25,13 +25,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <future>
-#include <map>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "bench/bench_common.h"
-#include "serve/serve_engine.h"
+#include "bench/drills.h"
 
 namespace {
 
@@ -47,41 +45,19 @@ struct SearchResult {
   double sim_qps = 0;
 };
 
-/// One closed-loop batch over every query, scored against `truth` after
-/// translating global ids through `gid_to_row` (identity when empty).
+/// One batch over every query, scored against `oracle` (the workload's own
+/// ground truth when null).
 SearchResult RunSearch(serve::ShardedIndex& index,
                        const bench::Workload& workload,
-                       const data::GroundTruth& truth,
-                       const std::map<VertexId, VertexId>& gid_to_row) {
-  const std::size_t num_queries = workload.queries.size();
-  std::vector<serve::RoutedQuery> routed(num_queries);
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    routed[q].query = workload.queries.Point(static_cast<VertexId>(q));
-    routed[q].k = kK;
-    routed[q].budget = kBudget;
-  }
+                       const bench::SurvivorOracle* oracle) {
   serve::RouteStats stats;
-  const auto rows = index.SearchBatch(routed, core::SearchKernel::kGanns,
-                                      &stats);
-  std::vector<std::vector<VertexId>> ids(num_queries);
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    for (const auto& neighbor : rows[q]) {
-      if (gid_to_row.empty()) {
-        ids[q].push_back(neighbor.id);
-        continue;
-      }
-      const auto it = gid_to_row.find(neighbor.id);
-      ids[q].push_back(it != gid_to_row.end()
-                           ? it->second
-                           : static_cast<VertexId>(gid_to_row.size()));
-    }
-  }
-  SearchResult result;
-  result.recall = data::MeanRecall(ids, truth, kK);
-  result.sim_qps = stats.sim_seconds > 0
-                       ? static_cast<double>(num_queries) / stats.sim_seconds
-                       : 0.0;
-  return result;
+  const auto rows = index.SearchBatch(
+      bench::RouteQueries(workload.queries, kK, kBudget),
+      core::SearchKernel::kGanns, &stats);
+  return {oracle != nullptr ? oracle->Recall(rows, kK)
+                            : data::MeanRecall(bench::NeighborIds(rows),
+                                               workload.truth, kK),
+          bench::Rate(static_cast<double>(rows.size()), stats.sim_seconds)};
 }
 
 }  // namespace
@@ -112,68 +88,28 @@ int main(int argc, char** argv) {
         serve::ShardedIndex::Build(workload.base, shards, build_options);
 
     const SearchResult baseline =
-        RunSearch(index, workload, workload.truth, {});
+        RunSearch(index, workload, nullptr);
     std::printf("shards=%zu baseline: recall@%zu=%.4f sim_qps=%.0f\n", shards,
                 kK, baseline.recall, baseline.sim_qps);
 
-    // Alternating remove/insert workload; victims walk the live set with a
-    // fixed stride so deletions spread over shards and hit fresh inserts.
-    std::map<VertexId, std::vector<float>> live;
-    for (VertexId v = 0; v < n; ++v) {
-      const auto point = workload.base.Point(v);
-      live.emplace(v, std::vector<float>(point.begin(), point.end()));
-    }
-    std::size_t applied = 0;
-    for (std::size_t i = 0; i < 2 * num_updates; ++i) {
-      if (i % 2 == 0) {
-        auto victim = live.begin();
-        std::advance(victim, (i * 131) % live.size());
-        if (!index.Remove(victim->first)) {
-          std::fprintf(stderr, "remove of live id %u failed\n",
-                       victim->first);
-          return 1;
-        }
-        live.erase(victim);
-        ++applied;
-      } else {
-        const auto point = pool.Point(static_cast<VertexId>(i / 2));
-        const auto gid = index.Insert(point);
-        if (gid.has_value()) {
-          live.emplace(*gid, std::vector<float>(point.begin(), point.end()));
-          ++applied;
-        }
-      }
-    }
-    const double sim_seconds = index.update_sim_seconds();
+    bench::UpdateDrill drill(workload.base);
+    const auto tally = drill.Apply(index, pool, num_updates, num_updates);
+    if (!tally.has_value()) return 1;
+    const std::size_t applied = tally->applied();
+    const double sim_ups = bench::Rate(static_cast<double>(applied),
+                                       index.update_sim_seconds());
+    const double max_tombstones = bench::MaxTombstoneFraction(index);
 
     // Survivor oracle shared by the mixed and post-compaction phases.
-    data::Dataset survivors("survivors", workload.base.dim(),
-                            workload.base.metric());
-    survivors.Reserve(live.size());
-    std::map<VertexId, VertexId> gid_to_row;
-    for (const auto& [gid, point] : live) {
-      gid_to_row.emplace(gid, static_cast<VertexId>(survivors.size()));
-      survivors.Append(point);
-    }
-    const data::GroundTruth survivor_truth =
-        data::BruteForceKnn(survivors, workload.queries, kK);
-
-    double max_tombstones = 0;
-    for (std::size_t s = 0; s < index.num_shards(); ++s) {
-      max_tombstones = std::max(max_tombstones, index.TombstoneFraction(s));
-    }
-    const SearchResult mixed =
-        RunSearch(index, workload, survivor_truth, gid_to_row);
-    const double sim_ups =
-        sim_seconds > 0 ? static_cast<double>(applied) / sim_seconds : 0.0;
+    const bench::SurvivorOracle oracle = drill.Oracle(workload.queries, kK);
+    const SearchResult mixed = RunSearch(index, workload, &oracle);
     std::printf("shards=%zu mixed: recall@%zu=%.4f sim_qps=%.0f "
                 "sim_ups=%.0f tombstones=%.3f\n",
                 shards, kK, mixed.recall, mixed.sim_qps, sim_ups,
                 max_tombstones);
 
     for (std::size_t s = 0; s < index.num_shards(); ++s) index.Compact(s);
-    const SearchResult compacted =
-        RunSearch(index, workload, survivor_truth, gid_to_row);
+    const SearchResult compacted = RunSearch(index, workload, &oracle);
     std::printf("shards=%zu post_compact: recall@%zu=%.4f sim_qps=%.0f "
                 "compactions=%llu\n",
                 shards, kK, compacted.recall, compacted.sim_qps,
@@ -185,75 +121,37 @@ int main(int argc, char** argv) {
     // where that promise meets a realistic schedule.
     const data::Dataset pool2 = data::GenerateBase(
         workload.spec, num_updates, config.seed + 31);
-    const std::size_t num_queries = workload.queries.size();
     serve::ServeEngine engine(index, serve::ServeOptions{});
-    engine.Start();
-    std::vector<std::future<serve::QueryResponse>> futures;
-    futures.reserve(num_queries);
-    for (std::size_t q = 0; q < num_queries; ++q) {
-      serve::QueryRequest request;
-      request.id = q;
-      const auto point = workload.queries.Point(static_cast<VertexId>(q));
-      request.query.assign(point.begin(), point.end());
-      request.k = kK;
-      request.budget = kBudget;
-      futures.push_back(engine.Submit(std::move(request)));
-    }
-    for (std::size_t i = 0; i < 2 * num_updates; ++i) {
-      if (i % 2 == 0) {
-        auto victim = live.begin();
-        std::advance(victim, (i * 131) % live.size());
-        index.Remove(victim->first);
-        live.erase(victim);
-      } else {
-        index.Insert(pool2.Point(static_cast<VertexId>(i / 2)));
-      }
-    }
-    std::uint64_t served = 0;
-    for (auto& future : futures) {
-      if (future.get().status == serve::StatusCode::kOk) ++served;
-    }
-    engine.Shutdown();
+    std::optional<bench::UpdateTally> wave;
+    const bench::ClosedLoopRun concurrent = bench::RunClosedLoop(
+        engine, workload.queries, kK, kBudget, 0,
+        [&] { wave = drill.Apply(index, pool2, num_updates, num_updates); });
+    if (!wave.has_value()) return 1;
+    const std::uint64_t served = concurrent.counters.served;
     std::printf("shards=%zu concurrent: served=%llu\n", shards,
                 static_cast<unsigned long long>(served));
 
-    char buffer[512];
-    std::snprintf(buffer, sizeof(buffer),
-                  "%s    {\"shards\": %zu,\n"
-                  "     \"baseline\": {\"recall\": %.4f, \"sim_qps\": %.0f},\n",
-                  first ? "" : ",\n", shards, baseline.recall,
-                  baseline.sim_qps);
-    json += buffer;
-    std::snprintf(buffer, sizeof(buffer),
-                  "     \"mixed\": {\"recall\": %.4f, \"sim_qps\": %.0f, "
-                  "\"applied\": %zu, \"sim_ups\": %.0f, "
-                  "\"tombstone_fraction\": %.4f},\n",
-                  mixed.recall, mixed.sim_qps, applied, sim_ups,
-                  max_tombstones);
-    json += buffer;
-    std::snprintf(buffer, sizeof(buffer),
-                  "     \"post_compact\": {\"recall\": %.4f, "
-                  "\"sim_qps\": %.0f, \"compactions\": %llu},\n",
-                  compacted.recall, compacted.sim_qps,
-                  static_cast<unsigned long long>(index.compactions()));
-    json += buffer;
-    std::snprintf(buffer, sizeof(buffer),
-                  "     \"concurrent\": {\"served\": %llu}}",
-                  static_cast<unsigned long long>(served));
-    json += buffer;
+    bench::Appendf(
+        json,
+        "%s    {\"shards\": %zu,\n"
+        "     \"baseline\": {\"recall\": %.4f, \"sim_qps\": %.0f},\n",
+        first ? "" : ",\n", shards, baseline.recall, baseline.sim_qps);
+    bench::Appendf(json,
+                   "     \"mixed\": {\"recall\": %.4f, \"sim_qps\": %.0f, "
+                   "\"applied\": %zu, \"sim_ups\": %.0f, "
+                   "\"tombstone_fraction\": %.4f},\n",
+                   mixed.recall, mixed.sim_qps, applied, sim_ups,
+                   max_tombstones);
+    bench::Appendf(json,
+                   "     \"post_compact\": {\"recall\": %.4f, "
+                   "\"sim_qps\": %.0f, \"compactions\": %llu},\n",
+                   compacted.recall, compacted.sim_qps,
+                   static_cast<unsigned long long>(index.compactions()));
+    bench::Appendf(json, "     \"concurrent\": {\"served\": %llu}}",
+                   static_cast<unsigned long long>(served));
     first = false;
   }
   json += "\n  ]\n}\n";
 
-  const std::string out = argc > 1 ? argv[1] : "BENCH_update.json";
-  std::FILE* file = std::fopen(out.c_str(), "w");
-  if (file == nullptr ||
-      std::fwrite(json.data(), 1, json.size(), file) != json.size()) {
-    if (file != nullptr) std::fclose(file);
-    std::fprintf(stderr, "failed to write %s\n", out.c_str());
-    return 1;
-  }
-  std::fclose(file);
-  std::printf("wrote %s\n", out.c_str());
-  return 0;
+  return bench::WriteReport(argc, argv, "BENCH_update.json", json);
 }

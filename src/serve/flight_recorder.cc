@@ -181,6 +181,11 @@ std::vector<FlightRequest> FlightRecorder::Violators() const {
   return persisted_;
 }
 
+std::vector<FlightRequest> FlightRecorder::Recent() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return {ring_.begin(), ring_.end()};
+}
+
 void FlightRecorder::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   counters_ = FlightCounters{};

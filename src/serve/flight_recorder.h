@@ -115,6 +115,9 @@ class FlightRecorder {
   /// Copies of the persisted violator records, in recording order.
   std::vector<FlightRequest> Violators() const;
 
+  /// Copies of the records still in the request ring, oldest first.
+  std::vector<FlightRequest> Recent() const;
+
   /// Drops all records and zeroes the counters (configuration survives).
   void Clear();
 

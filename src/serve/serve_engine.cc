@@ -119,12 +119,46 @@ std::vector<obs::TraceEvent> BuildTerminalTree(std::uint64_t id,
   return events;
 }
 
-void EmitTerminalTree(std::uint64_t id, const TraceContext& trace,
-                      obs::NameId terminal, double end_us,
-                      double formed_us = -1.0) {
-  if (!trace.sampled) return;
-  obs::TraceRecorder::Global().AddBatch(
-      BuildTerminalTree(id, trace, terminal, end_us, formed_us));
+/// Answers a request that never reached a kernel — rejected, shut out, or
+/// expired in the queue — with `response`: emits its terminal tree when
+/// sampled and records it with the flight recorder when on (shutdown is a
+/// lifecycle outcome, never a violation; recorded so the ring tells the
+/// whole story of the run's tail). `formed_us` >= 0 marks a request that
+/// queued until a batch formed then; otherwise the tree ends now.
+void AnswerTerminal(std::promise<QueryResponse>& promise,
+                    QueryResponse response, const TraceContext& trace,
+                    ServeClock::time_point admitted_at,
+                    ServeClock::time_point deadline, double formed_us = -1.0) {
+  const ServeTraceNames& names = TraceNames();
+  const obs::NameId terminal =
+      response.status == StatusCode::kRejected           ? names.rejected
+      : response.status == StatusCode::kDeadlineExceeded ? names.expired
+                                                         : names.shutdown;
+  const bool queued = formed_us >= 0.0;
+  const bool observed = trace.sampled || trace.flight;
+  const double end_us =
+      queued ? formed_us : observed ? WallSpanNow() * 1e6 : 0.0;
+  std::vector<obs::TraceEvent> tree;
+  if (observed) {
+    tree = BuildTerminalTree(response.id, trace, terminal, end_us, formed_us);
+  }
+  if (trace.sampled) {
+    std::vector<obs::TraceEvent> copy = tree;
+    obs::TraceRecorder::Global().AddBatch(std::move(copy));
+  }
+  if (trace.flight) {
+    FlightRequest record;
+    record.id = response.id;
+    record.status = response.status;
+    record.latency_us = queued ? response.latency_us
+                               : std::max(0.0, end_us - trace.submit_us);
+    record.queue_wait_us = response.queue_wait_us;
+    record.deadline_us = DeadlineBudgetMicros(admitted_at, deadline);
+    record.sampled = trace.sampled;
+    record.spans = std::move(tree);
+    FlightRecorder::Global().RecordRequest(std::move(record));
+  }
+  promise.set_value(std::move(response));
 }
 
 }  // namespace
@@ -229,21 +263,8 @@ std::future<QueryResponse> ServeEngine::Submit(QueryRequest request) {
       // fresh promise so the caller still gets a ready future.
       std::promise<QueryResponse> rejected;
       future = rejected.get_future();
-      rejected.set_value(TerminalResponse(id, StatusCode::kRejected));
-      const double end_us =
-          (trace.sampled || trace.flight) ? WallSpanNow() * 1e6 : 0.0;
-      EmitTerminalTree(id, trace, TraceNames().rejected, end_us);
-      if (trace.flight) {
-        FlightRequest record;
-        record.id = id;
-        record.status = StatusCode::kRejected;
-        record.latency_us = std::max(0.0, end_us - trace.submit_us);
-        record.deadline_us = DeadlineBudgetMicros(admitted_at, deadline);
-        record.sampled = trace.sampled;
-        record.spans =
-            BuildTerminalTree(id, trace, TraceNames().rejected, end_us);
-        FlightRecorder::Global().RecordRequest(std::move(record));
-      }
+      AnswerTerminal(rejected, TerminalResponse(id, StatusCode::kRejected),
+                     trace, admitted_at, deadline);
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++counters_.rejected;
       if (obs::MetricsEnabled()) {
@@ -259,23 +280,8 @@ std::future<QueryResponse> ServeEngine::Submit(QueryRequest request) {
     default: {
       std::promise<QueryResponse> closed;
       future = closed.get_future();
-      closed.set_value(TerminalResponse(id, StatusCode::kShutdown));
-      const double end_us =
-          (trace.sampled || trace.flight) ? WallSpanNow() * 1e6 : 0.0;
-      EmitTerminalTree(id, trace, TraceNames().shutdown, end_us);
-      if (trace.flight) {
-        // Shutdown is a lifecycle outcome, never a violation; recorded so
-        // the ring tells the whole story of the run's tail.
-        FlightRequest record;
-        record.id = id;
-        record.status = StatusCode::kShutdown;
-        record.latency_us = std::max(0.0, end_us - trace.submit_us);
-        record.deadline_us = DeadlineBudgetMicros(admitted_at, deadline);
-        record.sampled = trace.sampled;
-        record.spans =
-            BuildTerminalTree(id, trace, TraceNames().shutdown, end_us);
-        FlightRecorder::Global().RecordRequest(std::move(record));
-      }
+      AnswerTerminal(closed, TerminalResponse(id, StatusCode::kShutdown),
+                     trace, admitted_at, deadline);
       return future;
     }
   }
@@ -336,23 +342,8 @@ void ServeEngine::ProcessBatch(std::vector<Pending>& batch) {
           TerminalResponse(pending.request.id, StatusCode::kDeadlineExceeded);
       response.queue_wait_us = queue_wait_us;
       response.latency_us = queue_wait_us;
-      pending.promise.set_value(std::move(response));
-      EmitTerminalTree(pending.request.id, pending.trace,
-                       TraceNames().expired, formed_us, formed_us);
-      if (pending.trace.flight) {
-        FlightRequest record;
-        record.id = pending.request.id;
-        record.status = StatusCode::kDeadlineExceeded;
-        record.latency_us = queue_wait_us;
-        record.queue_wait_us = queue_wait_us;
-        record.deadline_us = DeadlineBudgetMicros(pending.admitted_at,
-                                                  pending.request.deadline);
-        record.sampled = pending.trace.sampled;
-        record.spans =
-            BuildTerminalTree(pending.request.id, pending.trace,
-                              TraceNames().expired, formed_us, formed_us);
-        flight_recorder.RecordRequest(std::move(record));
-      }
+      AnswerTerminal(pending.promise, std::move(response), pending.trace,
+                     pending.admitted_at, pending.request.deadline, formed_us);
       ++expired;
     } else {
       live.push_back(std::move(pending));

@@ -1108,6 +1108,87 @@ TEST_F(FlightRecorderTest, EnginePersistsViolatorsWithSpansAndHardness) {
   }
 }
 
+// Requests that never reach a kernel take the flight path served ones do:
+// one engine run yields a rejected, an expired and a shutdown record, each
+// with its status, deadline budget and terminal span tree (root + terminal
+// instant, plus the queue wait for the request that queued).
+TEST_F(FlightRecorderTest, EngineRecordsTerminalOutcomes) {
+  obs::SetTracingEnabled(false);
+  FlightRecorder& recorder = FlightRecorder::Global();
+  recorder.Configure(FlightRecorderOptions{});
+  recorder.SetEnabled(true);
+
+  ShardedIndex index = ShardedIndex::Build(*base_, 2, {});
+  ServeOptions options;
+  options.queue_capacity = 1;
+  ServeEngine engine(index, options);
+  // Before Start: id 0 fills the queue and expires there, id 1 is rejected.
+  QueryRequest expiring = MakeRequest(0, 64);
+  expiring.deadline = ServeClock::now() + std::chrono::milliseconds(20);
+  auto expired = engine.Submit(std::move(expiring));
+  QueryRequest overflow = MakeRequest(1, 64);
+  overflow.deadline = ServeClock::now() + std::chrono::seconds(10);
+  auto rejected = engine.Submit(std::move(overflow));
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  engine.Start();
+  engine.Shutdown();
+  auto shut_out = engine.Submit(MakeRequest(2, 64));
+  EXPECT_EQ(expired.get().status, StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(rejected.get().status, StatusCode::kRejected);
+  EXPECT_EQ(shut_out.get().status, StatusCode::kShutdown);
+
+  const FlightCounters counters = recorder.counters();
+  EXPECT_EQ(counters.recorded, 3u);
+  EXPECT_EQ(counters.violators, 2u);  // shutdown is never a violation
+  std::map<std::uint64_t, FlightRequest> by_id;
+  for (FlightRequest& record : recorder.Recent()) {
+    by_id.emplace(record.id, std::move(record));
+  }
+  ASSERT_EQ(by_id.size(), 3u);
+  const auto names = [](const FlightRequest& record) {
+    std::vector<std::string_view> out;
+    for (const obs::TraceEvent& span : record.spans) {
+      out.push_back(obs::NameOf(span.name));
+    }
+    return out;
+  };
+
+  const FlightRequest& exp = by_id.at(0);
+  EXPECT_EQ(exp.status, StatusCode::kDeadlineExceeded);
+  EXPECT_GT(exp.deadline_us, 0u);
+  EXPECT_LE(exp.deadline_us, 20000u);
+  EXPECT_GE(exp.queue_wait_us, 20000.0);
+  EXPECT_EQ(exp.latency_us, exp.queue_wait_us);
+  EXPECT_TRUE(exp.violator);
+  EXPECT_EQ(names(exp), (std::vector<std::string_view>{
+                            "serve.request", "serve.queue_wait",
+                            "serve.expired"}));
+
+  const FlightRequest& rej = by_id.at(1);
+  EXPECT_EQ(rej.status, StatusCode::kRejected);
+  EXPECT_GT(rej.deadline_us, 9000000u);
+  EXPECT_LE(rej.deadline_us, 10000000u);
+  EXPECT_EQ(rej.queue_wait_us, 0.0);
+  EXPECT_TRUE(rej.violator);
+  EXPECT_EQ(names(rej), (std::vector<std::string_view>{"serve.request",
+                                                       "serve.rejected"}));
+
+  const FlightRequest& shut = by_id.at(2);
+  EXPECT_EQ(shut.status, StatusCode::kShutdown);
+  EXPECT_EQ(shut.deadline_us, 0u);  // submitted without a deadline
+  EXPECT_FALSE(shut.violator);
+  EXPECT_EQ(names(shut), (std::vector<std::string_view>{"serve.request",
+                                                        "serve.shutdown"}));
+
+  for (const auto& [id, record] : by_id) {
+    ASSERT_FALSE(record.spans.empty());
+    EXPECT_EQ(record.spans.front().arg, static_cast<std::int64_t>(id));
+    EXPECT_EQ(record.spans.back().dur, 0.0) << id;  // terminal instant
+    EXPECT_FALSE(record.sampled);
+    EXPECT_EQ(record.batch_seq, 0u);  // never reached a batch
+  }
+}
+
 // Head sampling and the flight recorder share one span tree per request; a
 // violator that live tracing already recorded must not be flushed again —
 // the exported trace keeps exactly one serve.request root per track.

@@ -135,13 +135,12 @@
 // cycles).
 
 #include <algorithm>
-#include <array>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <future>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -149,6 +148,8 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
+#include "bench/drills.h"
 #include "cluster/cluster_router.h"
 #include "common/text_file.h"
 #include "core/ganns_index.h"
@@ -208,19 +209,59 @@ class Args {
     return *value;
   }
 
+  /// Whole-number flag; exits 2 naming the flag when the value is not one.
   long Int(const std::string& key, long fallback) const {
     const auto value = Get(key);
-    return value.has_value() ? std::atol(value->c_str()) : fallback;
+    if (!value.has_value()) return fallback;
+    char* end = nullptr;
+    const long parsed = std::strtol(value->c_str(), &end, 10);
+    if (end == value->c_str() || *end != '\0') {
+      Fail(key, "expects an integer", *value);
+    }
+    return parsed;
+  }
+
+  /// Count flag in [min, max]; exits 2 naming the flag when the value is
+  /// not a whole number or falls outside the range (negatives included, so
+  /// nothing wraps to a huge count).
+  std::size_t Size(const std::string& key, std::size_t fallback,
+                   std::size_t min = 0,
+                   std::size_t max = static_cast<std::size_t>(LONG_MAX)) const {
+    const long value = Int(key, static_cast<long>(fallback));
+    if (value < 0 || static_cast<std::size_t>(value) < min ||
+        static_cast<std::size_t>(value) > max) {
+      const std::string rule =
+          max == static_cast<std::size_t>(LONG_MAX)
+              ? "must be at least " + std::to_string(min)
+              : "must be between " + std::to_string(min) + " and " +
+                    std::to_string(max);
+      Fail(key, rule, std::to_string(value));
+    }
+    return static_cast<std::size_t>(value);
   }
 
   double Double(const std::string& key, double fallback) const {
     const auto value = Get(key);
-    return value.has_value() ? std::atof(value->c_str()) : fallback;
+    if (!value.has_value()) return fallback;
+    char* end = nullptr;
+    const double parsed = std::strtod(value->c_str(), &end);
+    if (end == value->c_str() || *end != '\0') {
+      Fail(key, "expects a number", *value);
+    }
+    return parsed;
   }
 
   bool Flag(const std::string& key) const { return Get(key).has_value(); }
 
  private:
+  [[noreturn]] static void Fail(const std::string& key,
+                                const std::string& rule,
+                                const std::string& value) {
+    std::fprintf(stderr, "--%s %s, got '%s'\n", key.c_str(), rule.c_str(),
+                 value.c_str());
+    std::exit(2);
+  }
+
   std::map<std::string, std::string> values_;
 };
 
@@ -237,9 +278,9 @@ data::QuantizerOptions ParseQuantizeFlags(const Args& args) {
     }
     quantize.precision = *precision;
   }
-  quantize.pq_subspaces = static_cast<std::size_t>(args.Int("pq-m", 16));
-  quantize.pq_centroids = static_cast<std::size_t>(args.Int("pq-k", 256));
-  quantize.rerank_factor = static_cast<std::size_t>(args.Int("rerank", 4));
+  quantize.pq_subspaces = args.Size("pq-m", 16);
+  quantize.pq_centroids = args.Size("pq-k", 256);
+  quantize.rerank_factor = args.Size("rerank", 4);
   if (quantize.rerank_factor == 0) quantize.rerank_factor = 1;
   return quantize;
 }
@@ -260,6 +301,12 @@ data::Dataset LoadFvecsOrDie(const std::string& path, const char* what,
     std::exit(1);
   }
   return *std::move(dataset);
+}
+
+/// Names `path` on stderr when its write failed; returns `written`.
+bool Written(bool written, const std::string& path) {
+  if (!written) std::fprintf(stderr, "failed to write %s\n", path.c_str());
+  return written;
 }
 
 /// Paths of the trace / metrics-registry / Prometheus artifacts a command
@@ -286,26 +333,19 @@ TelemetryOut EnableTelemetry(const Args& args) {
 /// Writes every requested artifact; `stats_noun` names the registry JSON in
 /// the progress line. Returns false at the first failed write.
 bool WriteTelemetry(const TelemetryOut& out, const char* stats_noun) {
+  const obs::TraceRecorder& trace = obs::TraceRecorder::Global();
+  const obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   if (out.trace.has_value()) {
-    if (!obs::TraceRecorder::Global().WriteJson(*out.trace)) {
-      std::fprintf(stderr, "failed to write %s\n", out.trace->c_str());
-      return false;
-    }
-    std::printf("wrote %zu trace events to %s\n",
-                obs::TraceRecorder::Global().size(), out.trace->c_str());
+    if (!Written(trace.WriteJson(*out.trace), *out.trace)) return false;
+    std::printf("wrote %zu trace events to %s\n", trace.size(),
+                out.trace->c_str());
   }
   if (out.stats.has_value()) {
-    if (!obs::MetricsRegistry::Global().WriteJson(*out.stats)) {
-      std::fprintf(stderr, "failed to write %s\n", out.stats->c_str());
-      return false;
-    }
+    if (!Written(registry.WriteJson(*out.stats), *out.stats)) return false;
     std::printf("wrote %s to %s\n", stats_noun, out.stats->c_str());
   }
   if (out.prom.has_value()) {
-    if (!obs::MetricsRegistry::Global().WritePrometheus(*out.prom)) {
-      std::fprintf(stderr, "failed to write %s\n", out.prom->c_str());
-      return false;
-    }
+    if (!Written(registry.WritePrometheus(*out.prom), *out.prom)) return false;
     std::printf("wrote Prometheus metrics to %s\n", out.prom->c_str());
   }
   return true;
@@ -313,24 +353,21 @@ bool WriteTelemetry(const TelemetryOut& out, const char* stats_noun) {
 
 int CmdGen(const Args& args) {
   const data::DatasetSpec& spec = data::PaperDataset(args.Require("dataset"));
-  const std::size_t n = static_cast<std::size_t>(args.Int("n", 20000));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.Int("seed", 1));
+  const std::size_t n = args.Size("n", 20000, 1);
+  const std::uint64_t seed = args.Size("seed", 1);
 
+  const std::string out = args.Require("out");
   const data::Dataset base = data::GenerateBase(spec, n, seed);
-  if (!data::WriteFvecs(args.Require("out"), base)) {
-    std::fprintf(stderr, "failed to write %s\n", args.Require("out").c_str());
-    return 1;
-  }
+  if (!Written(data::WriteFvecs(out, base), out)) return 1;
   std::printf("wrote %zu x %zud base vectors (%s, %s)\n", base.size(),
               base.dim(), spec.name.c_str(),
               spec.metric == data::Metric::kL2 ? "l2" : "cosine");
 
   if (const auto queries_out = args.Get("queries-out");
       queries_out.has_value()) {
-    const std::size_t q = static_cast<std::size_t>(args.Int("queries", 200));
+    const std::size_t q = args.Size("queries", 200);
     const data::Dataset queries = data::GenerateQueries(spec, q, n, seed);
-    if (!data::WriteFvecs(*queries_out, queries)) {
-      std::fprintf(stderr, "failed to write %s\n", queries_out->c_str());
+    if (!Written(data::WriteFvecs(*queries_out, queries), *queries_out)) {
       return 1;
     }
     std::printf("wrote %zu query vectors\n", queries.size());
@@ -343,11 +380,11 @@ int CmdBuild(const Args& args) {
   data::Dataset base = LoadFvecsOrDie(args.Require("base"), "base", metric);
 
   core::GannsIndex::Options options;
-  options.nsw.d_max = static_cast<std::size_t>(args.Int("d-max", 32));
-  options.nsw.d_min = static_cast<std::size_t>(args.Int("d-min", 16));
+  options.nsw.d_max = args.Size("d-max", 32);
+  options.nsw.d_min = args.Size("d-min", 16);
   options.nsw.ef_construction =
-      static_cast<std::size_t>(args.Int("ef", 2 * options.nsw.d_min));
-  options.num_groups = static_cast<int>(args.Int("groups", 64));
+      args.Size("ef", 2 * options.nsw.d_min);
+  options.num_groups = static_cast<int>(args.Size("groups", 64, 1));
   if (args.Get("kernel").value_or("ganns") == "song") {
     options.construction_kernel = core::SearchKernel::kSong;
   }
@@ -398,10 +435,10 @@ int CmdSearch(const Args& args) {
                 index->quantizer()->rerank_factor());
   }
 
-  const std::size_t k = static_cast<std::size_t>(args.Int("k", 10));
+  const std::size_t k = args.Size("k", 10);
   core::GannsParams params;
-  params.l_n = static_cast<std::size_t>(args.Int("ln", 64));
-  params.e = static_cast<std::size_t>(args.Int("e", 0));
+  params.l_n = args.Size("ln", 64);
+  params.e = args.Size("e", 0);
 
   const TelemetryOut telemetry{.trace = args.Get("trace-out")};
   if (telemetry.trace.has_value()) {
@@ -423,10 +460,7 @@ int CmdSearch(const Args& args) {
         ids[q].push_back(static_cast<std::int32_t>(neighbor.id));
       }
     }
-    if (!data::WriteIvecs(*out, ids)) {
-      std::fprintf(stderr, "failed to write %s\n", out->c_str());
-      return 1;
-    }
+    if (!Written(data::WriteIvecs(*out, ids), *out)) return 1;
     std::printf("wrote results to %s\n", out->c_str());
   } else {
     for (std::size_t q = 0; q < std::min<std::size_t>(rows.size(), 5); ++q) {
@@ -452,7 +486,7 @@ int CmdEval(const Args& args) {
     return 1;
   }
 
-  const std::size_t k = static_cast<std::size_t>(args.Int("k", 10));
+  const std::size_t k = args.Size("k", 10);
   const data::GroundTruth truth = data::BruteForceKnn(base, queries, k);
   std::vector<std::vector<VertexId>> ids(results->size());
   for (std::size_t q = 0; q < results->size(); ++q) {
@@ -468,12 +502,25 @@ int CmdEval(const Args& args) {
 int CmdProfile(const Args& args) {
   const data::DatasetSpec& spec =
       data::PaperDataset(args.Get("dataset").value_or("SIFT1M"));
-  const std::size_t n = static_cast<std::size_t>(args.Int("n", 10000));
-  const std::size_t num_queries =
-      static_cast<std::size_t>(args.Int("queries", 100));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.Int("seed", 1));
-  const std::size_t k = static_cast<std::size_t>(args.Int("k", 10));
+  const std::size_t n = args.Size("n", 10000, 1);
+  const std::size_t num_queries = args.Size("queries", 100, 1);
+  const std::uint64_t seed = args.Size("seed", 1);
+  const std::size_t k = args.Size("k", 10);
   const std::string algo = args.Get("algo").value_or("ganns");
+  if (algo != "ganns" && algo != "song") {
+    std::fprintf(stderr, "unknown --algo '%s' (use ganns|song)\n",
+                 algo.c_str());
+    return 2;
+  }
+  core::GpuBuildParams build;
+  build.num_groups = static_cast<int>(args.Size("groups", 64, 1));
+  song::SongParams song_params;
+  song_params.k = k;
+  song_params.queue_size = args.Size("queue", 64);
+  core::GannsParams ganns_params;
+  ganns_params.k = k;
+  ganns_params.l_n = args.Size("ln", 64);
+  ganns_params.e = args.Size("e", 0);
 
   if (!obs::TracingCompiledIn()) {
     std::fprintf(stderr,
@@ -488,8 +535,6 @@ int CmdProfile(const Args& args) {
       data::GenerateQueries(spec, num_queries, n, seed);
 
   gpusim::Device device;
-  core::GpuBuildParams build;
-  build.num_groups = static_cast<int>(args.Int("groups", 64));
   const core::GpuBuildResult built =
       core::BuildNswGGraphCon(device, base, build);
   std::printf("built NSW graph over %zu points (%s, dim=%zu) in %.4f "
@@ -503,76 +548,31 @@ int CmdProfile(const Args& args) {
 
   const data::GroundTruth truth = data::BruteForceKnn(base, queries, k);
 
+  // The kernels' batch entry points are the ones that return per-query
+  // profiles; the summary is the Fig. 7 breakdown bench/ prints too.
+  const auto mean = [&](std::uint64_t total) {
+    return static_cast<double>(total) / static_cast<double>(queries.size());
+  };
   graph::BatchSearchResult batch;
+  bench::ProfileSummary summary;
   if (algo == "song") {
-    song::SongParams params;
-    params.k = k;
-    params.queue_size = static_cast<std::size_t>(args.Int("queue", 64));
     std::vector<song::SongQueryProfile> profiles;
-    batch = song::SongSearchBatch(device, built.graph, base, queries, params,
-                                  32, 0, &profiles);
-    double total = 0;
-    std::array<double, song::kNumSongStages> stage{};
-    std::uint64_t hops = 0, dists = 0;
-    for (const song::SongQueryProfile& p : profiles) {
-      hops += p.hops;
-      dists += p.distance_computations;
-      for (int i = 0; i < song::kNumSongStages; ++i) {
-        stage[i] += p.stage_cycles[i];
-        total += p.stage_cycles[i];
-      }
-    }
+    batch = song::SongSearchBatch(device, built.graph, base, queries,
+                                  song_params, 32, 0, &profiles);
+    summary = bench::Summarize(profiles);
     std::printf("SONG: %zu queries, mean hops=%.1f, mean dist evals=%.1f\n",
-                queries.size(),
-                static_cast<double>(hops) / static_cast<double>(queries.size()),
-                static_cast<double>(dists) /
-                    static_cast<double>(queries.size()));
-    std::printf("stages:");
-    for (int i = 0; i < song::kNumSongStages; ++i) {
-      std::printf(" %s=%.1f%%", song::SongStageName(i),
-                  total > 0 ? 100 * stage[i] / total : 0.0);
-    }
-    std::printf("\n");
-  } else if (algo == "ganns") {
-    core::GannsParams params;
-    params.k = k;
-    params.l_n = static_cast<std::size_t>(args.Int("ln", 64));
-    params.e = static_cast<std::size_t>(args.Int("e", 0));
+                queries.size(), mean(summary.hops), mean(summary.distances));
+  } else {
     std::vector<core::GannsQueryProfile> profiles;
-    batch = core::GannsSearchBatch(device, built.graph, base, queries, params,
-                                   32, 0, &profiles);
-    double total = 0;
-    std::array<double, core::kNumGannsPhases> phase{};
-    std::uint64_t hops = 0, dists = 0, redundant = 0;
-    for (const core::GannsQueryProfile& p : profiles) {
-      hops += p.hops;
-      dists += p.distance_computations;
-      redundant += p.redundant_distances;
-      for (int i = 0; i < core::kNumGannsPhases; ++i) {
-        phase[i] += p.phase_cycles[i];
-        total += p.phase_cycles[i];
-      }
-    }
+    batch = core::GannsSearchBatch(device, built.graph, base, queries,
+                                   ganns_params, 32, 0, &profiles);
+    summary = bench::Summarize(profiles);
     std::printf("GANNS: %zu queries, mean hops=%.1f, mean dist evals=%.1f "
                 "(%.1f redundant)\n",
-                queries.size(),
-                static_cast<double>(hops) / static_cast<double>(queries.size()),
-                static_cast<double>(dists) /
-                    static_cast<double>(queries.size()),
-                static_cast<double>(redundant) /
-                    static_cast<double>(queries.size()));
-    std::printf("phases:");
-    for (int i = 0; i < core::kNumGannsPhases; ++i) {
-      std::printf(" %s=%.1f%%", core::GannsPhaseName(i),
-                  total > 0 ? 100 * phase[i] / total : 0.0);
-    }
-    std::printf("\n");
-  } else {
-    std::fprintf(stderr, "unknown --algo '%s' (use ganns|song)\n",
-                 algo.c_str());
-    return 2;
+                queries.size(), mean(summary.hops), mean(summary.distances),
+                mean(summary.redundant));
   }
-
+  std::printf("%s\n", summary.split.c_str());
   std::printf("recall@%zu = %.4f, %.0f simulated QPS, SM load imbalance "
               "%.3f\n",
               k, data::MeanRecall(batch.results, truth, k), batch.qps,
@@ -594,6 +594,29 @@ core::SearchKernel ParseServeKernel(const Args& args) {
   std::fprintf(stderr, "unknown kernel '%s' (use ganns|song|beam)\n",
                name.c_str());
   std::exit(2);
+}
+
+/// --groups / --kernel as shard build options. Beam is a search-only
+/// kernel, so a beam run builds with GANNS.
+serve::ShardBuildOptions ParseShardBuildFlags(const Args& args) {
+  serve::ShardBuildOptions options;
+  options.num_groups = static_cast<int>(args.Size("groups", 64, 1));
+  options.construction_kernel = ParseServeKernel(args);
+  if (options.construction_kernel == core::SearchKernel::kBeam) {
+    options.construction_kernel = core::SearchKernel::kGanns;
+  }
+  return options;
+}
+
+/// Writes a command's JSON report to --json (when given), then prints it.
+/// Returns false when the write fails.
+bool EmitReport(const Args& args, const std::string& json) {
+  if (const auto out = args.Get("json"); out.has_value()) {
+    if (!Written(WriteTextFile(*out, json), *out)) return false;
+    std::printf("wrote %s\n", out->c_str());
+  }
+  std::fputs(json.c_str(), stdout);
+  return true;
 }
 
 /// Latency percentile over a sorted sample (nearest-rank).
@@ -667,26 +690,28 @@ class WallSeries {
 int CmdServeBench(const Args& args) {
   const data::DatasetSpec& spec =
       data::PaperDataset(args.Get("dataset").value_or("SIFT1M"));
-  const std::size_t n = static_cast<std::size_t>(args.Int("n", 20000));
-  const std::size_t num_queries =
-      static_cast<std::size_t>(args.Int("queries", 500));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.Int("seed", 1));
-  const std::size_t k = static_cast<std::size_t>(args.Int("k", 10));
-  const std::size_t budget = static_cast<std::size_t>(args.Int("budget", 64));
-  const std::size_t num_shards =
-      static_cast<std::size_t>(args.Int("shards", 2));
+  const std::size_t n = args.Size("n", 20000, 1);
+  const std::size_t num_queries = args.Size("queries", 500);
+  const std::uint64_t seed = args.Size("seed", 1);
+  const std::size_t k = args.Size("k", 10);
+  const std::size_t budget = args.Size("budget", 64);
+  const std::size_t num_shards = args.Size("shards", 2, 1, n);
   const long deadline_us = args.Int("deadline-us", 0);
+
+  serve::ServeOptions serve_options;
+  serve_options.max_batch = args.Size("max-batch", 32, 1);
+  serve_options.batch_window_us = args.Int("window-us", 200);
+  serve_options.queue_capacity = args.Size("queue-cap", 1024);
+  serve_options.kernel = ParseServeKernel(args);
+  if (const auto sample = args.Get("sample"); sample.has_value()) {
+    serve_options.trace_sample = serve::ParseTraceSample(sample->c_str());
+  }
 
   const data::Dataset base = data::GenerateBase(spec, n, seed);
   const data::Dataset queries =
       data::GenerateQueries(spec, num_queries, n, seed);
 
-  serve::ShardBuildOptions build_options;
-  build_options.num_groups = static_cast<int>(args.Int("groups", 64));
-  build_options.construction_kernel = ParseServeKernel(args);
-  if (build_options.construction_kernel == core::SearchKernel::kBeam) {
-    build_options.construction_kernel = core::SearchKernel::kGanns;
-  }
+  serve::ShardBuildOptions build_options = ParseShardBuildFlags(args);
   if (args.Flag("hnsw")) build_options.kind = core::GraphKind::kHnsw;
   build_options.quantize = ParseQuantizeFlags(args);
 
@@ -721,16 +746,6 @@ int CmdServeBench(const Args& args) {
                 base.dim() * sizeof(float));
   }
 
-  serve::ServeOptions serve_options;
-  serve_options.max_batch = static_cast<std::size_t>(args.Int("max-batch", 32));
-  serve_options.batch_window_us = args.Int("window-us", 200);
-  serve_options.queue_capacity =
-      static_cast<std::size_t>(args.Int("queue-cap", 1024));
-  serve_options.kernel = ParseServeKernel(args);
-  if (const auto sample = args.Get("sample"); sample.has_value()) {
-    serve_options.trace_sample = serve::ParseTraceSample(sample->c_str());
-  }
-
   // Observability artifacts are opt-in per flag; requesting one turns the
   // matching subsystem on for this run.
   const TelemetryOut telemetry = EnableTelemetry(args);
@@ -741,8 +756,7 @@ int CmdServeBench(const Args& args) {
   if (flight_out.has_value() || hardness_out.has_value()) {
     serve::FlightRecorderOptions flight_options;
     flight_options.deadline_fraction = args.Double("slo-fraction", 0.8);
-    flight_options.request_capacity =
-        static_cast<std::size_t>(args.Int("flight-ring", 4096));
+    flight_options.request_capacity = args.Size("flight-ring", 4096);
     if (deadline_us > 0) {
       flight_options.default_deadline_us =
           static_cast<std::uint64_t>(deadline_us);
@@ -765,103 +779,47 @@ int CmdServeBench(const Args& args) {
   }
 
   serve::ServeEngine engine(*index, serve_options);
-  engine.Start();
-
-  const auto bench_start = serve::ServeClock::now();
-  std::vector<std::future<serve::QueryResponse>> futures;
-  futures.reserve(num_queries);
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    serve::QueryRequest request;
-    request.id = q;
-    const auto point = queries.Point(static_cast<VertexId>(q));
-    request.query.assign(point.begin(), point.end());
-    request.k = k;
-    request.budget = budget;
-    if (deadline_us > 0) {
-      request.deadline = serve::DeadlineAfterMicros(deadline_us);
-    }
-    futures.push_back(engine.Submit(std::move(request)));
-  }
-
-  std::vector<std::vector<VertexId>> ids(num_queries);
-  std::vector<double> latencies;
-  latencies.reserve(num_queries);
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    serve::QueryResponse response = futures[q].get();
-    if (response.status != serve::StatusCode::kOk) continue;
-    latencies.push_back(response.latency_us);
-    for (const auto& neighbor : response.neighbors) {
-      ids[response.id].push_back(neighbor.id);
-    }
-  }
-  const double wall_seconds =
-      std::chrono::duration<double>(serve::ServeClock::now() - bench_start)
-          .count();
-  engine.Shutdown();
+  const bench::ClosedLoopRun run =
+      bench::RunClosedLoop(engine, queries, k, budget, deadline_us);
   if (series.has_value()) series->Stop();
 
-  const serve::ServeCounters counters = engine.counters();
-  const double sim_seconds = engine.total_sim_seconds();
+  const serve::ServeCounters& counters = run.counters;
   const data::GroundTruth truth = data::BruteForceKnn(base, queries, k);
-  const double recall = data::MeanRecall(ids, truth, k);
-  std::sort(latencies.begin(), latencies.end());
+  const double recall = data::MeanRecall(run.ids, truth, k);
 
   std::string json = "{\n";
-  char line[256];
-  std::snprintf(line, sizeof(line), "  \"shards\": %zu,\n", num_shards);
-  json += line;
-  std::snprintf(line, sizeof(line), "  \"queries\": %zu,\n", num_queries);
-  json += line;
-  std::snprintf(line, sizeof(line),
-                "  \"served\": %llu, \"rejected\": %llu, \"expired\": %llu,\n",
-                static_cast<unsigned long long>(counters.served),
-                static_cast<unsigned long long>(counters.rejected),
-                static_cast<unsigned long long>(counters.expired));
-  json += line;
-  std::snprintf(line, sizeof(line), "  \"recall\": %.4f,\n", recall);
-  json += line;
-  std::snprintf(line, sizeof(line),
-                "  \"sim_qps\": %.0f, \"wall_qps\": %.0f,\n",
-                sim_seconds > 0 ? static_cast<double>(counters.served) /
-                                      sim_seconds
-                                : 0.0,
-                wall_seconds > 0 ? static_cast<double>(counters.served) /
-                                       wall_seconds
-                                 : 0.0);
-  json += line;
-  std::snprintf(line, sizeof(line),
-                "  \"latency_us\": {\"p50\": %.1f, \"p95\": %.1f, "
-                "\"p99\": %.1f}\n}\n",
-                Percentile(latencies, 0.50), Percentile(latencies, 0.95),
-                Percentile(latencies, 0.99));
-  json += line;
+  bench::Appendf(json, "  \"shards\": %zu,\n", num_shards);
+  bench::Appendf(json, "  \"queries\": %zu,\n", num_queries);
+  bench::Appendf(
+      json, "  \"served\": %llu, \"rejected\": %llu, \"expired\": %llu,\n",
+      static_cast<unsigned long long>(counters.served),
+      static_cast<unsigned long long>(counters.rejected),
+      static_cast<unsigned long long>(counters.expired));
+  bench::Appendf(json, "  \"recall\": %.4f,\n", recall);
+  bench::Appendf(json, "  \"sim_qps\": %.0f, \"wall_qps\": %.0f,\n",
+                 run.SimQps(),
+                 bench::Rate(static_cast<double>(counters.served),
+                             run.wall_seconds));
+  bench::Appendf(json,
+                 "  \"latency_us\": {\"p50\": %.1f, \"p95\": %.1f, "
+                 "\"p99\": %.1f}\n}\n",
+                 Percentile(run.latencies_us, 0.50),
+                 Percentile(run.latencies_us, 0.95),
+                 Percentile(run.latencies_us, 0.99));
 
-  if (const auto out = args.Get("json"); out.has_value()) {
-    if (!WriteTextFile(*out, json)) {
-      std::fprintf(stderr, "failed to write %s\n", out->c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", out->c_str());
-  }
-  std::fputs(json.c_str(), stdout);
+  if (!EmitReport(args, json)) return 1;
 
   if (!WriteTelemetry(telemetry, "serving stats")) return 1;
   if (series.has_value()) {
     const obs::MetricsFederation& stream = series->engine();
-    if (!stream.WriteJsonl(*series_out)) {
-      std::fprintf(stderr, "failed to write %s\n", series_out->c_str());
-      return 1;
-    }
+    if (!Written(stream.WriteJsonl(*series_out), *series_out)) return 1;
     std::printf("wrote %zu time-series windows to %s (%llu overwritten)\n",
                 stream.windows().size(), series_out->c_str(),
                 static_cast<unsigned long long>(stream.overwritten()));
   }
   if (flight_out.has_value()) {
     serve::FlightRecorder& recorder = serve::FlightRecorder::Global();
-    if (!recorder.WriteJson(*flight_out)) {
-      std::fprintf(stderr, "failed to write %s\n", flight_out->c_str());
-      return 1;
-    }
+    if (!Written(recorder.WriteJson(*flight_out), *flight_out)) return 1;
     const serve::FlightCounters flight_counters = recorder.counters();
     std::printf("wrote flight dump to %s (%llu recorded, %llu violators "
                 "persisted)\n",
@@ -870,8 +828,8 @@ int CmdServeBench(const Args& args) {
                 static_cast<unsigned long long>(flight_counters.persisted));
   }
   if (hardness_out.has_value()) {
-    if (!serve::FlightRecorder::Global().WriteHardnessJsonl(*hardness_out)) {
-      std::fprintf(stderr, "failed to write %s\n", hardness_out->c_str());
+    const serve::FlightRecorder& recorder = serve::FlightRecorder::Global();
+    if (!Written(recorder.WriteHardnessJsonl(*hardness_out), *hardness_out)) {
       return 1;
     }
     std::printf("wrote hardness exemplars to %s\n", hardness_out->c_str());
@@ -899,16 +857,15 @@ int CmdServeBench(const Args& args) {
 int CmdClusterBench(const Args& args) {
   const data::DatasetSpec& spec =
       data::PaperDataset(args.Get("dataset").value_or("SIFT1M"));
-  const std::size_t n = static_cast<std::size_t>(args.Int("n", 20000));
-  const std::size_t num_queries =
-      static_cast<std::size_t>(args.Int("queries", 400));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.Int("seed", 1));
-  const std::size_t k = static_cast<std::size_t>(args.Int("k", 10));
-  const std::size_t budget = static_cast<std::size_t>(args.Int("budget", 256));
-  const std::size_t num_shards =
-      static_cast<std::size_t>(args.Int("shards", 4));
+  const std::size_t n = args.Size("n", 20000, 1);
+  const std::size_t num_queries = args.Size("queries", 400);
+  const std::uint64_t seed = args.Size("seed", 1);
+  const std::size_t k = args.Size("k", 10);
+  const std::size_t budget = args.Size("budget", 256);
+  const std::size_t num_shards = args.Size("shards", 4, 1, n);
   const std::size_t batch_size =
-      std::max<std::size_t>(1, static_cast<std::size_t>(args.Int("batch", 16)));
+      std::max<std::size_t>(1, args.Size("batch", 16));
+  const core::SearchKernel kernel = ParseServeKernel(args);
 
   const TelemetryOut telemetry = EnableTelemetry(args);
   // Federation artifacts switch the monitoring plane on, the way --trace-out
@@ -921,23 +878,10 @@ int CmdClusterBench(const Args& args) {
                         fed_prom_out.has_value() || alerts_out.has_value() ||
                         args.Flag("federation");
 
-  const data::Dataset base = data::GenerateBase(spec, n, seed);
-  const data::Dataset queries =
-      data::GenerateQueries(spec, num_queries, n, seed);
-
-  serve::ShardBuildOptions build_options;
-  build_options.num_groups = static_cast<int>(args.Int("groups", 64));
-  build_options.construction_kernel = ParseServeKernel(args);
-  if (build_options.construction_kernel == core::SearchKernel::kBeam) {
-    build_options.construction_kernel = core::SearchKernel::kGanns;
-  }
-  serve::ShardedIndex index =
-      serve::ShardedIndex::Build(base, num_shards, build_options);
-
   cluster::ClusterOptions cluster_options;
-  cluster_options.num_nodes = static_cast<std::size_t>(args.Int("nodes", 3));
+  cluster_options.num_nodes = args.Size("nodes", 3, 1);
   cluster_options.replication =
-      static_cast<std::size_t>(args.Int("replication", 2));
+      args.Size("replication", 2, 1, cluster_options.num_nodes);
   if (const auto name = args.Get("selection"); name.has_value()) {
     const auto selection = cluster::ParseSelection(*name);
     if (!selection.has_value()) {
@@ -947,33 +891,29 @@ int CmdClusterBench(const Args& args) {
     }
     cluster_options.selection = *selection;
   }
-  cluster_options.max_attempts =
-      static_cast<std::size_t>(args.Int("max-attempts", 3));
+  cluster_options.max_attempts = args.Size("max-attempts", 3);
   cluster_options.timeout_us = args.Double("timeout-us", 1000.0);
-  cluster_options.aggregator.max_bytes =
-      static_cast<std::size_t>(args.Int("agg-bytes", 8192));
+  cluster_options.aggregator.max_bytes = args.Size("agg-bytes", 8192);
   cluster_options.aggregator.deadline_us =
       args.Double("agg-deadline-us", 100.0);
   cluster_options.seed = seed;
   cluster_options.faults.crash_node =
       static_cast<int>(args.Int("crash-node", -1));
-  cluster_options.faults.crash_at_batch =
-      static_cast<std::uint64_t>(args.Int("crash-at-batch", 1));
+  cluster_options.faults.crash_at_batch = args.Size("crash-at-batch", 1);
   cluster_options.faults.rejoin_after_batches =
       static_cast<int>(args.Int("rejoin-after", -1));
   cluster_options.faults.drop_rate = args.Double("drop-pct", 0.0) / 100.0;
   cluster_options.faults.delay_rate = args.Double("delay-pct", 0.0) / 100.0;
   cluster_options.faults.delay_us = args.Double("delay-us", 200.0);
-  cluster_options.faults.seed =
-      static_cast<std::uint64_t>(args.Int("fault-seed", 1));
+  cluster_options.faults.seed = args.Size("fault-seed", 1);
   if (plane_on) {
     cluster_options.federation.enabled = true;
     // Simulated batches are O(100us), so the CLI defaults to a tighter
     // scrape cadence than the library's 5ms.
     cluster_options.federation.scrape_interval_us =
-        static_cast<std::uint64_t>(args.Int("scrape-interval-us", 500));
+        args.Size("scrape-interval-us", 500);
     cluster_options.federation.slo_deadline_us =
-        static_cast<std::uint64_t>(args.Int("slo-deadline-us", 0));
+        args.Size("slo-deadline-us", 0);
     if (const auto specs = args.Get("alert-rules"); specs.has_value()) {
       // Comma-separated "name:kind:..." specs replacing the default rule
       // set (see obs::ParseAlertRule for per-kind formats).
@@ -994,131 +934,85 @@ int CmdClusterBench(const Args& args) {
     }
   }
 
+  const data::Dataset base = data::GenerateBase(spec, n, seed);
+  const data::Dataset queries =
+      data::GenerateQueries(spec, num_queries, n, seed);
+  serve::ShardedIndex index =
+      serve::ShardedIndex::Build(base, num_shards, ParseShardBuildFlags(args));
   cluster::ClusterIndex cluster_index(index, cluster_options);
-  const core::SearchKernel kernel = ParseServeKernel(args);
 
-  std::vector<serve::RoutedQuery> routed(num_queries);
-  std::vector<std::vector<float>> query_storage(num_queries);
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    const auto point = queries.Point(static_cast<VertexId>(q));
-    query_storage[q].assign(point.begin(), point.end());
-    routed[q].query = query_storage[q];
-    routed[q].k = k;
-    routed[q].budget = budget;
-  }
+  auto routed = bench::RouteQueries(queries, k, budget);
   // --sample N: every Nth query becomes a sampled request — its sub-queries
   // emit child spans on the owning nodes' tracks, stitched to a
   // serve.request root by Perfetto flow events. Requires --trace-out.
-  if (const long sample = args.Int("sample", 0);
+  if (const std::size_t sample = args.Size("sample", 0);
       sample > 0 && telemetry.trace.has_value()) {
-    for (std::size_t q = 0; q < num_queries;
-         q += static_cast<std::size_t>(sample)) {
+    for (std::size_t q = 0; q < num_queries; q += sample) {
       routed[q].trace.sampled = true;
       routed[q].trace.trace_id = static_cast<std::uint64_t>(q) + 1;
     }
   }
 
-  std::vector<std::vector<graph::Neighbor>> rows(num_queries);
-  for (std::size_t q = 0; q < num_queries; q += batch_size) {
-    const std::size_t count = std::min(batch_size, num_queries - q);
-    auto batch_rows = cluster_index.SearchBatch(
-        std::span<const serve::RoutedQuery>(routed).subspan(q, count), kernel);
-    for (std::size_t i = 0; i < count; ++i) {
-      rows[q + i] = std::move(batch_rows[i]);
-    }
-  }
+  const bench::NeighborRows rows =
+      bench::SearchInBatches(cluster_index, routed, batch_size, kernel);
   cluster_index.Shutdown();
-
   // Replay through single-node serving: the determinism contract says this
   // matches bit-for-bit whenever the cluster lost no candidates.
-  bool identical = true;
-  for (std::size_t q = 0; q < num_queries && identical; q += batch_size) {
-    const std::size_t count = std::min(batch_size, num_queries - q);
-    const auto reference = index.SearchBatch(
-        std::span<const serve::RoutedQuery>(routed).subspan(q, count), kernel);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (rows[q + i] != reference[i]) identical = false;
-    }
-  }
+  const bool identical =
+      rows == bench::SearchInBatches(index, routed, batch_size, kernel);
 
-  std::vector<std::vector<VertexId>> ids(num_queries);
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    for (const auto& neighbor : rows[q]) ids[q].push_back(neighbor.id);
-  }
   const data::GroundTruth truth = data::BruteForceKnn(base, queries, k);
-  const double recall = data::MeanRecall(ids, truth, k);
+  const double recall = data::MeanRecall(bench::NeighborIds(rows), truth, k);
   const cluster::ClusterCounters& counters = cluster_index.counters();
-  const double sim_seconds = cluster_index.total_sim_seconds();
 
   std::string json = "{\n";
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "  \"shards\": %zu, \"nodes\": %zu, \"replication\": %zu, "
-                "\"selection\": \"%s\",\n",
-                num_shards, cluster_options.num_nodes,
-                cluster_options.replication,
-                std::string(cluster::SelectionName(cluster_options.selection))
-                    .c_str());
-  json += line;
-  std::snprintf(line, sizeof(line),
-                "  \"queries\": %zu, \"batch\": %zu,\n", num_queries,
-                batch_size);
-  json += line;
-  std::snprintf(line, sizeof(line),
-                "  \"served\": %llu, \"lost\": %llu,\n",
-                static_cast<unsigned long long>(counters.served_queries),
-                static_cast<unsigned long long>(counters.lost_sub_queries));
-  json += line;
-  std::snprintf(line, sizeof(line),
-                "  \"failovers\": %llu, \"timeouts\": %llu,\n",
-                static_cast<unsigned long long>(counters.failovers),
-                static_cast<unsigned long long>(counters.timeouts));
-  json += line;
-  std::snprintf(line, sizeof(line), "  \"recall\": %.4f,\n", recall);
-  json += line;
-  std::snprintf(line, sizeof(line),
-                "  \"sim_qps\": %.0f, \"recovery_sim_seconds\": %.6f,\n",
-                sim_seconds > 0
-                    ? static_cast<double>(counters.served_queries) / sim_seconds
-                    : 0.0,
-                cluster_index.recovery_sim_seconds());
-  json += line;
-  std::snprintf(line, sizeof(line), "  \"identical_to_single_node\": %d,\n",
-                identical ? 1 : 0);
-  json += line;
+  bench::Appendf(
+      json,
+      "  \"shards\": %zu, \"nodes\": %zu, \"replication\": %zu, "
+      "\"selection\": \"%s\",\n",
+      num_shards, cluster_options.num_nodes, cluster_options.replication,
+      std::string(cluster::SelectionName(cluster_options.selection)).c_str());
+  bench::Appendf(json, "  \"queries\": %zu, \"batch\": %zu,\n", num_queries,
+                 batch_size);
+  bench::Appendf(json, "  \"served\": %llu, \"lost\": %llu,\n",
+                 static_cast<unsigned long long>(counters.served_queries),
+                 static_cast<unsigned long long>(counters.lost_sub_queries));
+  bench::Appendf(json, "  \"failovers\": %llu, \"timeouts\": %llu,\n",
+                 static_cast<unsigned long long>(counters.failovers),
+                 static_cast<unsigned long long>(counters.timeouts));
+  bench::Appendf(json, "  \"recall\": %.4f,\n", recall);
+  bench::Appendf(json, "  \"sim_qps\": %.0f, \"recovery_sim_seconds\": %.6f,\n",
+                 bench::Rate(static_cast<double>(counters.served_queries),
+                             cluster_index.total_sim_seconds()),
+                 cluster_index.recovery_sim_seconds());
+  bench::Appendf(json, "  \"identical_to_single_node\": %d,\n",
+                 identical ? 1 : 0);
   if (plane_on && cluster_index.federation() != nullptr) {
     const obs::MetricsFederation& federation = *cluster_index.federation();
-    std::snprintf(line, sizeof(line),
-                  "  \"federation\": {\"scrapes\": %llu, \"windows\": %zu, "
-                  "\"scrape_bytes\": %llu, \"monitoring_sim_seconds\": %.6f, "
-                  "\"alert_events\": %zu},\n",
-                  static_cast<unsigned long long>(federation.scrapes()),
-                  federation.windows().size(),
-                  static_cast<unsigned long long>(federation.scrape_bytes()),
-                  cluster_index.monitoring_sim_seconds(),
-                  cluster_index.alerts() != nullptr
-                      ? cluster_index.alerts()->events().size()
-                      : 0);
-    json += line;
+    bench::Appendf(
+        json,
+        "  \"federation\": {\"scrapes\": %llu, \"windows\": %zu, "
+        "\"scrape_bytes\": %llu, \"monitoring_sim_seconds\": %.6f, "
+        "\"alert_events\": %zu},\n",
+        static_cast<unsigned long long>(federation.scrapes()),
+        federation.windows().size(),
+        static_cast<unsigned long long>(federation.scrape_bytes()),
+        cluster_index.monitoring_sim_seconds(),
+        cluster_index.alerts() != nullptr
+            ? cluster_index.alerts()->events().size()
+            : 0);
   }
   json += "  \"counters\": " + cluster_index.CountersJson() + ",\n";
   json += "  \"aggregator\": " + cluster_index.AggregatorJson() + ",\n";
   json += "  \"node_stats\": " + cluster_index.NodesJson() + "\n}\n";
 
-  if (const auto out = args.Get("json"); out.has_value()) {
-    if (!WriteTextFile(*out, json)) {
-      std::fprintf(stderr, "failed to write %s\n", out->c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", out->c_str());
-  }
-  std::fputs(json.c_str(), stdout);
+  if (!EmitReport(args, json)) return 1;
 
   if (!WriteTelemetry(telemetry, "cluster stats")) return 1;
   if (federation_out.has_value()) {
-    if (cluster_index.federation() == nullptr ||
-        !cluster_index.federation()->WriteJsonl(*federation_out)) {
-      std::fprintf(stderr, "failed to write %s\n", federation_out->c_str());
+    if (!Written(cluster_index.federation() != nullptr &&
+                     cluster_index.federation()->WriteJsonl(*federation_out),
+                 *federation_out)) {
       return 1;
     }
     std::printf("wrote %zu federated windows to %s\n",
@@ -1126,18 +1020,18 @@ int CmdClusterBench(const Args& args) {
                 federation_out->c_str());
   }
   if (fed_prom_out.has_value()) {
-    if (cluster_index.federation() == nullptr ||
-        !cluster_index.federation()->WritePrometheus(*fed_prom_out)) {
-      std::fprintf(stderr, "failed to write %s\n", fed_prom_out->c_str());
+    if (!Written(cluster_index.federation() != nullptr &&
+                     cluster_index.federation()->WritePrometheus(*fed_prom_out),
+                 *fed_prom_out)) {
       return 1;
     }
     std::printf("wrote federated Prometheus metrics to %s\n",
                 fed_prom_out->c_str());
   }
   if (alerts_out.has_value()) {
-    if (cluster_index.alerts() == nullptr ||
-        !cluster_index.alerts()->WriteJsonl(*alerts_out)) {
-      std::fprintf(stderr, "failed to write %s\n", alerts_out->c_str());
+    if (!Written(cluster_index.alerts() != nullptr &&
+                     cluster_index.alerts()->WriteJsonl(*alerts_out),
+                 *alerts_out)) {
       return 1;
     }
     std::printf("wrote %zu alert events to %s\n",
@@ -1163,27 +1057,18 @@ int CmdClusterBench(const Args& args) {
 int CmdUpdate(const Args& args) {
   const data::DatasetSpec& spec =
       data::PaperDataset(args.Get("dataset").value_or("SIFT1M"));
-  const std::size_t n = static_cast<std::size_t>(args.Int("n", 20000));
-  const std::size_t num_queries =
-      static_cast<std::size_t>(args.Int("queries", 200));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.Int("seed", 1));
-  const std::size_t k = static_cast<std::size_t>(args.Int("k", 10));
-  const std::size_t budget = static_cast<std::size_t>(args.Int("budget", 256));
-  const std::size_t num_shards =
-      static_cast<std::size_t>(args.Int("shards", 2));
-  const std::size_t num_inserts =
-      static_cast<std::size_t>(args.Int("inserts", static_cast<long>(n) / 10));
-  const std::size_t num_removes =
-      static_cast<std::size_t>(args.Int("removes", static_cast<long>(n) / 10));
+  const std::size_t n = args.Size("n", 20000, 1);
+  const std::size_t num_queries = args.Size("queries", 200);
+  const std::uint64_t seed = args.Size("seed", 1);
+  const std::size_t k = args.Size("k", 10);
+  const std::size_t budget = args.Size("budget", 256);
+  const std::size_t num_shards = args.Size("shards", 2, 1, n);
+  const std::size_t num_inserts = args.Size("inserts", n / 10);
+  // Every remove needs a live victim.
+  const std::size_t num_removes = args.Size("removes", n / 10, 0, n);
 
-  serve::ShardBuildOptions build_options;
-  build_options.num_groups = static_cast<int>(args.Int("groups", 64));
-  build_options.construction_kernel = ParseServeKernel(args);
-  if (build_options.construction_kernel == core::SearchKernel::kBeam) {
-    build_options.construction_kernel = core::SearchKernel::kGanns;
-  }
-  build_options.update.ef_insert =
-      static_cast<std::size_t>(args.Int("ef-insert", 64));
+  serve::ShardBuildOptions build_options = ParseShardBuildFlags(args);
+  build_options.update.ef_insert = args.Size("ef-insert", 64);
   build_options.update.compact_threshold =
       static_cast<double>(args.Int("compact-threshold-pct", 25)) / 100.0;
   build_options.update.host_updates = args.Flag("host");
@@ -1201,57 +1086,9 @@ int CmdUpdate(const Args& args) {
   std::printf("built %zu NSW shard(s) over %zu points (%s, dim=%zu)\n",
               num_shards, n, spec.name.c_str(), base.dim());
 
-  // The survivor set: global id -> vector, kept in id order so the oracle
-  // dataset below is deterministic.
-  std::map<VertexId, std::vector<float>> live;
-  for (VertexId v = 0; v < n; ++v) {
-    const auto point = base.Point(v);
-    live.emplace(v, std::vector<float>(point.begin(), point.end()));
-  }
-
-  // Alternating workload, removes first (odd steps insert). Victims walk
-  // the live set with a fixed stride so deletions spread across shards and
-  // hit both initial and freshly inserted points.
-  std::size_t inserts_done = 0, removes_done = 0;
-  std::size_t failed_inserts = 0;
-  std::vector<double> op_latencies;
-  op_latencies.reserve(num_inserts + num_removes);
-  const auto workload_start = std::chrono::steady_clock::now();
-  const std::size_t total_ops = num_inserts + num_removes;
-  for (std::size_t i = 0; i < total_ops; ++i) {
-    const bool want_remove =
-        (i % 2 == 0) ? removes_done < num_removes : inserts_done >= num_inserts;
-    const auto op_start = std::chrono::steady_clock::now();
-    if (want_remove && removes_done < num_removes && !live.empty()) {
-      auto victim = live.begin();
-      std::advance(victim, (i * 131) % live.size());
-      const VertexId gid = victim->first;
-      if (!index.Remove(gid)) {
-        std::fprintf(stderr, "remove of live id %u failed\n", gid);
-        return 1;
-      }
-      live.erase(victim);
-      ++removes_done;
-    } else if (inserts_done < num_inserts) {
-      const auto point = pool.Point(static_cast<VertexId>(inserts_done));
-      const auto gid = index.Insert(point);
-      ++inserts_done;
-      if (gid.has_value()) {
-        live.emplace(*gid, std::vector<float>(point.begin(), point.end()));
-      } else {
-        ++failed_inserts;  // capacity_slack exhausted: reported, not fatal
-      }
-    } else {
-      continue;
-    }
-    op_latencies.push_back(std::chrono::duration<double, std::micro>(
-                               std::chrono::steady_clock::now() - op_start)
-                               .count());
-  }
-  const double workload_wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    workload_start)
-          .count();
+  bench::UpdateDrill drill(base);
+  const auto tally = drill.Apply(index, pool, num_inserts, num_removes);
+  if (!tally.has_value()) return 1;
 
   // --compact forces a final synchronous compaction of every shard, making
   // the compaction count (and the searched graph) independent of background
@@ -1270,91 +1107,43 @@ int CmdUpdate(const Args& args) {
                 save->c_str());
   }
 
-  // Brute-force oracle over the survivors. Search results come back as
-  // global ids; translate them to survivor-dataset rows before scoring.
-  data::Dataset survivors("survivors", base.dim(), base.metric());
-  survivors.Reserve(live.size());
-  std::map<VertexId, VertexId> gid_to_row;
-  for (const auto& [gid, point] : live) {
-    gid_to_row.emplace(gid, static_cast<VertexId>(survivors.size()));
-    survivors.Append(point);
-  }
-  const data::GroundTruth truth = data::BruteForceKnn(survivors, queries, k);
+  const auto rows = index.SearchBatch(bench::RouteQueries(queries, k, budget),
+                                      ParseServeKernel(args));
+  const double recall = drill.Oracle(queries, k).Recall(rows, k);
 
-  std::vector<serve::RoutedQuery> routed(num_queries);
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    routed[q].query = queries.Point(static_cast<VertexId>(q));
-    routed[q].k = k;
-    routed[q].budget = budget;
-  }
-  const auto rows = index.SearchBatch(routed, ParseServeKernel(args));
-  std::vector<std::vector<VertexId>> ids(num_queries);
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    for (const auto& neighbor : rows[q]) {
-      const auto it = gid_to_row.find(neighbor.id);
-      ids[q].push_back(it != gid_to_row.end()
-                           ? it->second
-                           : static_cast<VertexId>(survivors.size()));
-    }
-  }
-  const double recall = data::MeanRecall(ids, truth, k);
-
-  double max_tombstones = 0;
-  for (std::size_t s = 0; s < index.num_shards(); ++s) {
-    max_tombstones = std::max(max_tombstones, index.TombstoneFraction(s));
-  }
   const double sim_seconds = index.update_sim_seconds();
-  const std::size_t applied = inserts_done + removes_done - failed_inserts;
-  std::sort(op_latencies.begin(), op_latencies.end());
+  const auto applied = static_cast<double>(tally->applied());
+  const std::vector<double>& op_latencies = tally->op_latencies_us;
 
   std::string json = "{\n";
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "  \"shards\": %zu, \"initial\": %zu, \"live\": %zu,\n",
-                num_shards, n, index.size());
-  json += line;
-  std::snprintf(line, sizeof(line),
-                "  \"inserts\": %llu, \"removes\": %llu, "
-                "\"failed_inserts\": %zu,\n",
-                static_cast<unsigned long long>(index.inserts()),
-                static_cast<unsigned long long>(index.removes()),
-                failed_inserts);
-  json += line;
-  std::snprintf(line, sizeof(line),
-                "  \"compactions\": %llu, \"tombstone_fraction\": %.4f,\n",
-                static_cast<unsigned long long>(index.compactions()),
-                max_tombstones);
-  json += line;
-  std::snprintf(line, sizeof(line), "  \"update_recall\": %.4f,\n", recall);
-  json += line;
-  std::snprintf(line, sizeof(line),
-                "  \"update_sim_seconds\": %.6f, \"sim_ups\": %.0f, "
-                "\"wall_ups\": %.0f,\n",
-                sim_seconds,
-                sim_seconds > 0 ? static_cast<double>(applied) / sim_seconds
-                                : 0.0,
-                workload_wall_seconds > 0
-                    ? static_cast<double>(applied) / workload_wall_seconds
-                    : 0.0);
-  json += line;
-  std::snprintf(line, sizeof(line),
-                "  \"update_latency_us\": {\"p50\": %.1f, \"p95\": %.1f, "
-                "\"p99\": %.1f}\n}\n",
-                Percentile(op_latencies, 0.50), Percentile(op_latencies, 0.95),
-                Percentile(op_latencies, 0.99));
-  json += line;
+  bench::Appendf(json,
+                 "  \"shards\": %zu, \"initial\": %zu, \"live\": %zu,\n",
+                 num_shards, n, index.size());
+  bench::Appendf(json,
+                 "  \"inserts\": %llu, \"removes\": %llu, "
+                 "\"failed_inserts\": %zu,\n",
+                 static_cast<unsigned long long>(index.inserts()),
+                 static_cast<unsigned long long>(index.removes()),
+                 tally->failed_inserts);
+  bench::Appendf(json,
+                 "  \"compactions\": %llu, \"tombstone_fraction\": %.4f,\n",
+                 static_cast<unsigned long long>(index.compactions()),
+                 bench::MaxTombstoneFraction(index));
+  bench::Appendf(json, "  \"update_recall\": %.4f,\n", recall);
+  bench::Appendf(json,
+                 "  \"update_sim_seconds\": %.6f, \"sim_ups\": %.0f, "
+                 "\"wall_ups\": %.0f,\n",
+                 sim_seconds, bench::Rate(applied, sim_seconds),
+                 bench::Rate(applied, tally->wall_seconds));
+  bench::Appendf(json,
+                 "  \"update_latency_us\": {\"p50\": %.1f, \"p95\": %.1f, "
+                 "\"p99\": %.1f}\n}\n",
+                 Percentile(op_latencies, 0.50),
+                 Percentile(op_latencies, 0.95),
+                 Percentile(op_latencies, 0.99));
 
-  if (const auto out = args.Get("json"); out.has_value()) {
-    if (!WriteTextFile(*out, json)) {
-      std::fprintf(stderr, "failed to write %s\n", out->c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", out->c_str());
-  }
-  std::fputs(json.c_str(), stdout);
-
-  if (!WriteTelemetry(telemetry, "update stats")) return 1;
-  return 0;
+  if (!EmitReport(args, json)) return 1;
+  return WriteTelemetry(telemetry, "update stats") ? 0 : 1;
 }
 
 /// Walks a dotted path ("counters.cluster.served_queries" or
@@ -1749,7 +1538,7 @@ int CmdTop(int argc, char** argv) {
   }
   const std::string path = argv[2];
   const Args args(argc, argv, 3);
-  const auto rows = static_cast<std::size_t>(args.Int("rows", 10));
+  const auto rows = args.Size("rows", 10);
   const bool follow = args.Flag("follow");
   const long iterations = args.Int("iterations", follow ? 0 : 1);
   const long interval_ms = args.Int("interval-ms", 1000);
