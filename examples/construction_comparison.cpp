@@ -1,6 +1,6 @@
 // Construction algorithms side by side — a miniature of the paper's §V-B
 // on a single corpus, using the library's lower-level building blocks
-// directly (rather than GannsIndex): GGraphCon with either embedded search
+// directly (rather than ShardedIndex): GGraphCon with either embedded search
 // kernel, the two straightforward GPU baselines, and the serial CPU
 // builder, with build time and resulting graph quality for each.
 //

@@ -7,14 +7,16 @@
 //   * build once on the (simulated) GPU,
 //   * persist the index to disk and reload it,
 //   * answer query batches at several accuracy/throughput operating points
-//     using the e knob, reporting measured recall against exact search.
+//     by sweeping the visited budget, reporting measured recall against
+//     exact search.
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
-#include "core/ganns_index.h"
 #include "data/ground_truth.h"
 #include "data/synthetic.h"
+#include "serve/shard_router.h"
 
 namespace {
 
@@ -38,46 +40,54 @@ int main() {
 
   // Descriptor corpus: SIFT-like 128-d vectors, Euclidean metric.
   const data::DatasetSpec& spec = data::PaperDataset("SIFT1M");
-  data::Dataset corpus = data::GenerateBase(spec, kCorpusSize, 7);
+  const data::Dataset corpus = data::GenerateBase(spec, kCorpusSize, 7);
   const data::Dataset queries =
       data::GenerateQueries(spec, kNumQueries, kCorpusSize, 7);
 
   // Exact answers, for measuring what the index trades away.
   const data::GroundTruth truth = data::BruteForceKnn(corpus, queries, kK);
 
-  // Build and persist.
-  core::GannsIndex::Options options;
-  options.num_groups = 64;
-  core::GannsIndex built = core::GannsIndex::Build(std::move(corpus), options);
+  // Build and persist (one shard: the whole corpus on one simulated GPU).
+  const serve::ShardBuildOptions options;
+  const serve::ShardedIndex built =
+      serve::ShardedIndex::Build(corpus, 1, options);
   std::printf("index built in %.2f simulated GPU ms\n",
-              built.timing().build_seconds * 1e3);
+              built.build_sim_seconds() * 1e3);
 
-  const std::string path = "/tmp/ganns_image_index.gix";
-  if (!built.Save(path)) {
-    std::fprintf(stderr, "failed to save index to %s\n", path.c_str());
+  // Written to the working directory as ganns_image_index.shard0.
+  const std::string prefix = "ganns_image_index";
+  if (!built.SaveShards(prefix)) {
+    std::fprintf(stderr, "failed to save index to %s.shard0\n",
+                 prefix.c_str());
     return 1;
   }
 
   // A fresh process would reload like this (the corpus is supplied by the
-  // caller; the index file holds the graph).
-  auto index = core::GannsIndex::Load(
-      path, data::GenerateBase(spec, kCorpusSize, 7), options);
+  // caller; the shard file holds the graph and the vectors).
+  std::string error;
+  auto index = serve::ShardedIndex::LoadShards(
+      prefix, data::GenerateBase(spec, kCorpusSize, 7), 1, options, &error);
   if (!index.has_value()) {
-    std::fprintf(stderr, "failed to load index from %s\n", path.c_str());
+    std::fprintf(stderr, "failed to load index: %s\n", error.c_str());
     return 1;
   }
-  std::printf("index reloaded from %s\n\n", path.c_str());
+  std::printf("index reloaded from %s.shard0\n\n", prefix.c_str());
 
-  // Serve the same query batch at three operating points: the e knob trades
-  // exploration for throughput at a fixed graph.
-  std::printf("%10s %10s %14s\n", "e", "recall@10", "simulated QPS");
-  for (std::size_t e : {8, 32, 128}) {
-    core::GannsParams params;
-    params.l_n = 128;
-    params.e = e;
-    const auto rows = index->Search(queries, kK, params);
-    std::printf("%10zu %10.3f %14.0f\n", e, Recall(rows, truth),
-                index->timing().last_search_qps);
+  // Serve the same query batch at three operating points: the visited
+  // budget trades exploration for throughput at a fixed graph.
+  std::printf("%10s %10s %14s\n", "budget", "recall@10", "simulated QPS");
+  for (const std::size_t budget : {32, 64, 128}) {
+    std::vector<serve::RoutedQuery> batch(queries.size());
+    for (std::size_t q = 0; q < batch.size(); ++q) {
+      batch[q].query = queries.Point(static_cast<VertexId>(q));
+      batch[q].k = kK;
+      batch[q].budget = budget;
+    }
+    serve::RouteStats stats;
+    const auto rows =
+        index->SearchBatch(batch, core::SearchKernel::kGanns, &stats);
+    std::printf("%10zu %10.3f %14.0f\n", budget, Recall(rows, truth),
+                static_cast<double>(queries.size()) / stats.sim_seconds);
   }
   return 0;
 }

@@ -12,10 +12,10 @@
 //   * interpreting distances back as similarity scores.
 
 #include <cstdio>
+#include <vector>
 
-#include "core/ganns_index.h"
-#include "data/ground_truth.h"
 #include "data/synthetic.h"
+#include "serve/shard_router.h"
 
 namespace {
 
@@ -29,18 +29,25 @@ int main() {
 
   // Embedding corpus: GloVe-like 200-d vectors under cosine similarity.
   const data::DatasetSpec& spec = data::PaperDataset("GloVe200");
-  data::Dataset corpus = data::GenerateBase(spec, kCorpusSize, 21);
+  const data::Dataset corpus = data::GenerateBase(spec, kCorpusSize, 21);
   const data::Dataset queries =
       data::GenerateQueries(spec, 8, kCorpusSize, 21);
 
-  core::GannsIndex::Options options;
+  serve::ShardBuildOptions options;
   options.kind = core::GraphKind::kHnsw;  // hierarchical: zoom-in then beam
-  core::GannsIndex index = core::GannsIndex::Build(std::move(corpus), options);
+  serve::ShardedIndex index = serve::ShardedIndex::Build(corpus, 1, options);
   std::printf(
       "HNSW index over %zu embeddings built in %.2f simulated GPU ms\n\n",
-      index.base().size(), index.timing().build_seconds * 1e3);
+      index.size(), index.build_sim_seconds() * 1e3);
 
-  const auto results = index.Search(queries, kK);
+  std::vector<serve::RoutedQuery> batch(queries.size());
+  for (std::size_t q = 0; q < batch.size(); ++q) {
+    batch[q].query = queries.Point(static_cast<VertexId>(q));
+    batch[q].k = kK;
+  }
+  serve::RouteStats stats;
+  const auto results =
+      index.SearchBatch(batch, core::SearchKernel::kGanns, &stats);
   for (std::size_t q = 0; q < results.size(); ++q) {
     std::printf("query embedding %zu -> top-%zu documents:\n", q, kK);
     for (const auto& neighbor : results[q]) {
@@ -50,6 +57,6 @@ int main() {
     }
   }
   std::printf("\nbatch served at %.0f simulated QPS\n",
-              index.timing().last_search_qps);
+              static_cast<double>(queries.size()) / stats.sim_seconds);
   return 0;
 }

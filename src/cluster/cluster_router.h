@@ -14,7 +14,6 @@
 #include "cluster/message_aggregator.h"
 #include "cluster/transport.h"
 #include "common/random.h"
-#include "core/ganns_index.h"
 #include "gpusim/device.h"
 #include "graph/beam_search.h"
 #include "obs/alerts.h"

@@ -7,6 +7,12 @@
 namespace ganns {
 namespace core {
 
+/// Graph family an index is built as.
+enum class GraphKind {
+  kNsw,   ///< flat navigable-small-world graph (the paper's default)
+  kHnsw,  ///< hierarchical NSW: greedy descent picks the layer-0 entry
+};
+
 /// Result of a GPU HNSW build.
 struct GpuHnswBuildResult {
   graph::HnswGraph graph;

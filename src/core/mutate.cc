@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "core/edge_update.h"
 #include "data/distance.h"
-#include "graph/beam_search.h"
 
 namespace ganns {
 namespace core {
@@ -79,20 +78,6 @@ UpdateResult InsertVertex(gpusim::Device& device, graph::ProximityGraph& graph,
   return {device.timeline_seconds() - start_seconds, row.size()};
 }
 
-UpdateResult InsertVertexHost(graph::ProximityGraph& graph,
-                              const data::Dataset& base, VertexId v,
-                              VertexId entry, const UpdateParams& params) {
-  GANNS_CHECK(graph.IsLive(v));
-  GANNS_CHECK(entry < graph.num_vertices() && entry != v);
-  const std::vector<graph::Neighbor> candidates = graph::BeamSearch(
-      graph, base, base.Point(v), params.d_min, params.ef, entry);
-  const std::vector<graph::ProximityGraph::Edge> row =
-      ForwardRow(candidates, v, params.d_min, graph.d_max());
-  graph.SetNeighbors(v, row);
-  for (const auto& edge : row) graph.InsertNeighbor(edge.id, v, edge.dist);
-  return {0.0, row.size()};
-}
-
 UpdateResult RemoveVertex(gpusim::Device& device, graph::ProximityGraph& graph,
                           const data::Dataset& base, VertexId v,
                           const UpdateParams& params) {
@@ -137,26 +122,6 @@ UpdateResult RemoveVertex(gpusim::Device& device, graph::ProximityGraph& graph,
     ApplyBackwardEdges(device, gathered, graph, params.block_lanes);
   }
   return {device.timeline_seconds() - start_seconds, ring.size()};
-}
-
-UpdateResult RemoveVertexHost(graph::ProximityGraph& graph,
-                              const data::Dataset& base, VertexId v,
-                              const UpdateParams& params) {
-  (void)params;
-  GANNS_CHECK(graph.IsLive(v));
-  const std::vector<graph::Neighbor> ring = LiveRow(graph, v);
-  graph.Tombstone(v);
-  for (const graph::Neighbor& u : ring) graph.RemoveNeighbor(u.id, v);
-  for (const graph::Neighbor& u : ring) {
-    for (const graph::Neighbor& w : ring) {
-      if (w.id == u.id) continue;
-      graph.InsertNeighbor(u.id, w.id,
-                           data::ExactDistance(base.metric(),
-                                               base.Point(u.id),
-                                               base.Point(w.id)));
-    }
-  }
-  return {0.0, ring.size()};
 }
 
 }  // namespace core

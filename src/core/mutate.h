@@ -25,7 +25,7 @@ struct UpdateParams {
 
 /// Outcome of one online update.
 struct UpdateResult {
-  /// Simulated device seconds charged by this update (0 on the host paths).
+  /// Simulated device seconds charged by this update.
   double sim_seconds = 0;
   /// Insert: forward edges linked. Remove: neighbor rows repaired.
   std::size_t touched = 0;
@@ -43,12 +43,6 @@ UpdateResult InsertVertex(gpusim::Device& device, graph::ProximityGraph& graph,
                           const data::Dataset& base, VertexId v,
                           VertexId entry, const UpdateParams& params);
 
-/// Host-path insert: CPU beam search for neighbor selection plus direct
-/// row updates. Charges no simulated cycles.
-UpdateResult InsertVertexHost(graph::ProximityGraph& graph,
-                              const data::Dataset& base, VertexId v,
-                              VertexId entry, const UpdateParams& params);
-
 /// Online delete of live vertex `v` on the simulated device: tombstone plus
 /// local repair. v's row is kept traversable (in-edges from anywhere in the
 /// graph may still route through it until compaction) but v leaves every
@@ -59,11 +53,6 @@ UpdateResult InsertVertexHost(graph::ProximityGraph& graph,
 UpdateResult RemoveVertex(gpusim::Device& device, graph::ProximityGraph& graph,
                           const data::Dataset& base, VertexId v,
                           const UpdateParams& params);
-
-/// Host-path delete: same tombstone + repair with direct row updates.
-UpdateResult RemoveVertexHost(graph::ProximityGraph& graph,
-                              const data::Dataset& base, VertexId v,
-                              const UpdateParams& params);
 
 }  // namespace core
 }  // namespace ganns

@@ -11,8 +11,8 @@ namespace {
 constexpr std::uint32_t kMagic = 0x474e4e53;  // "GNNS"
 /// v1: pre-lifecycle record (num_vertices, d_max, all slots live). v3: the
 /// unified store record with capacity, slot states, and the free list (v2
-/// was the GannsIndex container revision; record versions skip it so that
-/// "format v3" names the same on-disk generation everywhere).
+/// was a since-retired index container revision; record versions skip it
+/// so that "format v3" names the same on-disk generation everywhere).
 constexpr std::uint32_t kVersionLegacy = 1;
 constexpr std::uint32_t kVersion = 3;
 

@@ -145,7 +145,7 @@ class GraphStore {
   void ReleaseTombstone(VertexId v);
 
   /// Appends this store's binary record (v3 format) to an open stream, so
-  /// container formats (HnswGraph, GannsIndex, shard files) can embed
+  /// container formats (HnswGraph, shard files) can embed
   /// graphs in one file. Returns false on IO failure.
   bool WriteTo(std::FILE* file) const;
 

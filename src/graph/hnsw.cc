@@ -58,7 +58,6 @@ namespace graph {
 
 namespace {
 
-constexpr std::uint64_t kHnswMagic = 0x57534e4847ULL;  // "GHNSW"
 constexpr std::uint64_t kHnswVersion = 1;
 
 struct FileCloser {
@@ -71,7 +70,7 @@ using File = std::unique_ptr<std::FILE, FileCloser>;
 }  // namespace
 
 bool HnswGraph::WriteTo(std::FILE* file) const {
-  const std::uint64_t header[6] = {kHnswMagic,
+  const std::uint64_t header[6] = {kRecordMagic,
                                    kHnswVersion,
                                    levels_.size(),
                                    layers_[0].d_max(),
@@ -90,7 +89,7 @@ bool HnswGraph::WriteTo(std::FILE* file) const {
 std::optional<HnswGraph> HnswGraph::ReadFrom(std::FILE* file) {
   std::uint64_t header[6] = {};
   if (std::fread(header, sizeof(header), 1, file) != 1) return std::nullopt;
-  if (header[0] != kHnswMagic || header[1] != kHnswVersion) {
+  if (header[0] != kRecordMagic || header[1] != kHnswVersion) {
     return std::nullopt;
   }
   const std::uint64_t num_vertices = header[2];

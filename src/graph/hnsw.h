@@ -75,7 +75,10 @@ class HnswGraph {
   /// failure, truncation, or format/version mismatch.
   static std::optional<HnswGraph> LoadFrom(const std::string& path);
 
-  /// Stream-level variants for embedding in container formats (GannsIndex).
+  /// Stream-level variants for embedding in container formats (shard
+  /// files). A record starts with kRecordMagic, so a container can tell it
+  /// from a ProximityGraph record by its first word.
+  static constexpr std::uint64_t kRecordMagic = 0x57534e4847ULL;  // "GHNSW"
   bool WriteTo(std::FILE* file) const;
   static std::optional<HnswGraph> ReadFrom(std::FILE* file);
 

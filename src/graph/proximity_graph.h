@@ -117,7 +117,7 @@ class ProximityGraph {
   static std::optional<ProximityGraph> LoadFrom(const std::string& path);
 
   /// Appends this graph's binary record to an open stream, so container
-  /// formats (HnswGraph, GannsIndex) can embed layer graphs in one file.
+  /// formats (HnswGraph, shard files) can embed graphs in one file.
   /// Returns false on IO failure.
   bool WriteTo(std::FILE* file) const { return store_.WriteTo(file); }
 

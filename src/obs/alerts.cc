@@ -59,17 +59,6 @@ std::optional<double> ParseDouble(std::string_view text) {
 
 }  // namespace
 
-std::string_view AlertKindName(AlertKind kind) {
-  switch (kind) {
-    case AlertKind::kBurnRate: return "burn_rate";
-    case AlertKind::kNodeDown: return "node_down";
-    case AlertKind::kCounterNonzero: return "counter_nonzero";
-    case AlertKind::kRatioAbove: return "ratio_above";
-    case AlertKind::kQueueSaturation: return "queue_saturation";
-  }
-  return "counter_nonzero";
-}
-
 std::optional<AlertRule> ParseAlertRule(std::string_view spec) {
   const std::vector<std::string_view> parts = SplitColons(spec);
   if (parts.size() < 2 || parts[0].empty()) return std::nullopt;

@@ -32,8 +32,6 @@ enum class AlertKind {
   kQueueSaturation,
 };
 
-std::string_view AlertKindName(AlertKind kind);
-
 /// One declarative rule. Parsed from "name:kind:metric[/denom][:threshold]"
 /// CLI specs or built by DefaultClusterRules.
 struct AlertRule {

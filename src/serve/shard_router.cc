@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "core/hnsw_gpu.h"
 
 namespace ganns {
 namespace serve {
@@ -85,10 +84,6 @@ double ShardedIndex::TombstoneFraction(std::size_t s) const {
   return snap->graph != nullptr ? snap->graph->TombstoneFraction() : 0.0;
 }
 
-std::uint64_t ShardedIndex::ShardEpoch(std::size_t s) const {
-  return PinSnapshot(s)->epoch;
-}
-
 std::uint64_t ShardedIndex::inserts() const {
   return writes_->inserts.load(std::memory_order_relaxed);
 }
@@ -100,6 +95,13 @@ std::uint64_t ShardedIndex::compactions() const {
 }
 double ShardedIndex::update_sim_seconds() const {
   return writes_->update_sim_seconds.load(std::memory_order_relaxed);
+}
+double ShardedIndex::build_sim_seconds() const {
+  double slowest = 0;
+  for (const auto& shard : shards_) {
+    slowest = std::max(slowest, shard->build_sim_seconds);
+  }
+  return slowest;
 }
 
 std::size_t ShardedIndex::PerShardBudget(std::size_t budget,
@@ -170,6 +172,7 @@ std::unique_ptr<ShardedIndex::Shard> ShardedIndex::BuildShard(
   if (options.kind == core::GraphKind::kNsw) {
     core::GpuBuildResult result =
         core::BuildNswGGraphCon(*shard->device, slice, build);
+    shard->build_sim_seconds = result.sim_seconds;
     const std::size_t capacity =
         slice.size() + static_cast<std::size_t>(std::ceil(
                            static_cast<double>(slice.size()) *
@@ -181,6 +184,7 @@ std::unique_ptr<ShardedIndex::Shard> ShardedIndex::BuildShard(
     hnsw.nsw = options.nsw;
     core::GpuHnswBuildResult result =
         core::BuildHnswGGraphCon(*shard->device, slice, hnsw, build);
+    shard->build_sim_seconds = result.sim_seconds;
     shard->hnsw = std::make_unique<graph::HnswGraph>(std::move(result.graph));
   }
   // Compressed serving: per-shard codebooks over the slice, packed codes

@@ -13,8 +13,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/ganns_index.h"
 #include "core/ggraphcon.h"
+#include "core/hnsw_gpu.h"
 #include "core/mutate.h"
 #include "data/dataset.h"
 #include "data/quantize.h"
@@ -40,19 +40,21 @@ struct IndexUpdateOptions {
   double compact_threshold = 0.25;
   /// Run the background compaction task (manual Compact() otherwise).
   bool auto_compact = true;
-  /// Use the host insert/remove paths instead of the charged device paths.
-  bool host_updates = false;
 };
 
-/// Construction-side configuration of a sharded index. Every shard is built
-/// by the existing GGraphCon paths over its slice of the corpus and owns a
-/// private simulated device — n shards model n GPUs serving one collection.
+/// Build-time configuration of a ShardedIndex — the library's only index
+/// options. Every shard is built by the GGraphCon paths over its slice of
+/// the corpus and owns a private simulated device — n shards model n GPUs
+/// serving one collection; one shard is the single-GPU index of the paper.
 struct ShardBuildOptions {
   core::GraphKind kind = core::GraphKind::kNsw;
+  /// Degree bounds and construction beam width.
   graph::NswParams nsw;
+  /// HNSW level sampling (used when kind == kHnsw).
   graph::HnswParams hnsw;
-  /// GGraphCon grouping (scaled down automatically for small shards).
+  /// GGraphCon grouping (clamped to one group per 32 points of a shard).
   int num_groups = 64;
+  /// Search kernel embedded in construction, and lanes per thread block.
   core::SearchKernel construction_kernel = core::SearchKernel::kGanns;
   int block_lanes = 32;
   /// Device spec replicated per shard.
@@ -193,12 +195,15 @@ class ShardedIndex {
 
   /// Lifecycle introspection.
   double TombstoneFraction(std::size_t s) const;
-  std::uint64_t ShardEpoch(std::size_t s) const;
   std::uint64_t inserts() const;
   std::uint64_t removes() const;
   std::uint64_t compactions() const;
   /// Simulated device seconds charged to inserts/removes/compactions.
   double update_sim_seconds() const;
+  /// Simulated device seconds Build spent constructing the graphs: the
+  /// slowest shard's, since shards build on parallel devices. 0 for an
+  /// index restored by LoadShards.
+  double build_sim_seconds() const;
 
   /// Lifetime count of (query, shard) kernel searches dispatched. Expired
   /// requests must never increment this — asserted by the serving tests.
@@ -206,17 +211,22 @@ class ShardedIndex {
     return kernel_queries_->load(std::memory_order_relaxed);
   }
 
-  /// Persists every shard as `<prefix>.shard<N>`: NSW shards as the v3
-  /// shard container (graph record + global id map + live vectors, so a
-  /// mutated shard round-trips exactly), HNSW shards as the legacy graph
-  /// file. Returns false on IO failure.
+  /// Persists every shard as `<prefix>.shard<N>` in the GSH3 container:
+  /// geometry header, graph record (an NSW graph, or an HNSW hierarchy),
+  /// global id map and vector rows, so a mutated shard round-trips exactly,
+  /// plus the quantization section of a compressed shard. Returns false on
+  /// IO failure.
   bool SaveShards(const std::string& prefix) const;
 
   /// Rebuild-free load: restores shard state written by SaveShards over the
-  /// same corpus and options. Legacy (pre-lifecycle) NSW shard files load
-  /// as pristine shards. Returns std::nullopt on missing/truncated/
-  /// mismatched files; when `error` is non-null it receives a description
-  /// naming the offending file/section and the expected vs actual values.
+  /// same corpus. The graph kind and the compression come from the files
+  /// (each shard's graph record names its kind; shards of different kinds
+  /// are an error); `options` supplies the device and the construction and
+  /// update settings later writes use. Legacy (pre-lifecycle) bare NSW
+  /// graph records load as pristine shards. Returns std::nullopt on
+  /// missing/truncated/mismatched files; when `error` is non-null it
+  /// receives a description naming the offending file/section and the
+  /// expected vs actual values.
   static std::optional<ShardedIndex> LoadShards(
       const std::string& prefix, const data::Dataset& base,
       std::size_t num_shards, const ShardBuildOptions& options,
@@ -286,6 +296,8 @@ class ShardedIndex {
     mutable std::mutex snapshot_mutex;
     std::shared_ptr<const Snapshot> snapshot;
     std::atomic<bool> compaction_pending{false};
+    /// Simulated seconds of the shard's construction (0 when loaded).
+    double build_sim_seconds = 0;
   };
 
   /// Writer-side state, heap-held so the index stays movable while

@@ -163,9 +163,6 @@ std::optional<VertexId> ShardedIndex::Insert(std::span<const float> vector) {
   if (entry == kInvalidVertex) {
     // First point of an emptied shard: it becomes the entry, no edges yet.
     entry = *slot;
-  } else if (options_.update.host_updates) {
-    result = core::InsertVertexHost(*graph, *base, *slot, entry,
-                                    MakeUpdateParams());
   } else {
     result = core::InsertVertex(*shard.update_device, *graph, *base, *slot,
                                 entry, MakeUpdateParams());
@@ -209,14 +206,8 @@ bool ShardedIndex::Remove(VertexId global_id) {
 
   Shard& shard = *shards_[s];
   auto graph = std::make_shared<graph::ProximityGraph>(*snap->graph);
-  core::UpdateResult result;
-  if (options_.update.host_updates) {
-    result = core::RemoveVertexHost(*graph, *snap->base, slot,
-                                    MakeUpdateParams());
-  } else {
-    result = core::RemoveVertex(*shard.update_device, *graph, *snap->base,
-                                slot, MakeUpdateParams());
-  }
+  const core::UpdateResult result = core::RemoveVertex(
+      *shard.update_device, *graph, *snap->base, slot, MakeUpdateParams());
 
   VertexId entry = snap->entry;
   if (entry == slot) {
@@ -403,20 +394,10 @@ bool ShardedIndex::SaveShards(const std::string& prefix) const {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const std::string path = prefix + ".shard" + std::to_string(s);
     const Shard& shard = *shards_[s];
-    if (shard.hnsw != nullptr) {
-      const std::shared_ptr<const Snapshot> snap = PinSnapshot(s);
-      File file(std::fopen(path.c_str(), "wb"));
-      if (file == nullptr) return false;
-      if (!shard.hnsw->WriteTo(file.get())) return false;
-      if (snap->quantizer != nullptr &&
-          !data::WriteQuantizedSection(file.get(), *snap->quantizer,
-                                       *snap->codes)) {
-        return false;
-      }
-      continue;
-    }
     const std::shared_ptr<const Snapshot> snap = PinSnapshot(s);
-    const graph::ProximityGraph& graph = *snap->graph;
+    // An HNSW shard is static: its bottom layer spans the slot space.
+    const graph::ProximityGraph& graph =
+        shard.hnsw != nullptr ? shard.hnsw->layer(0) : *snap->graph;
     const data::Dataset& base = *snap->base;
     File file(std::fopen(path.c_str(), "wb"));
     if (file == nullptr) return false;
@@ -431,7 +412,10 @@ bool ShardedIndex::SaveShards(const std::string& prefix) const {
         graph.num_vertices(),
     };
     if (std::fwrite(header, sizeof(header), 1, file.get()) != 1) return false;
-    if (!graph.WriteTo(file.get())) return false;
+    const bool graph_ok = shard.hnsw != nullptr
+                              ? shard.hnsw->WriteTo(file.get())
+                              : graph.WriteTo(file.get());
+    if (!graph_ok) return false;
     const std::vector<VertexId>& gids = *snap->global_ids;
     if (!gids.empty() &&
         std::fwrite(gids.data(), sizeof(VertexId), gids.size(), file.get()) !=
@@ -466,48 +450,6 @@ std::unique_ptr<ShardedIndex::Shard> ShardedIndex::LoadShard(
   shard->initial_size = end - begin;
   shard->device = std::make_unique<gpusim::Device>(options.device);
   shard->update_device = std::make_unique<gpusim::Device>(options.device);
-
-  if (options.kind == core::GraphKind::kHnsw) {
-    File file(std::fopen(path.c_str(), "rb"));
-    if (file == nullptr) {
-      SetShardError(error, path, "cannot open");
-      return nullptr;
-    }
-    auto graph = graph::HnswGraph::ReadFrom(file.get());
-    if (!graph.has_value()) {
-      SetShardError(error, path, "truncated or corrupt HNSW record");
-      return nullptr;
-    }
-    if (graph->num_vertices() != shard->initial_size) {
-      SetShardError(error, path,
-                    "vertex count mismatch (file has " +
-                        std::to_string(graph->num_vertices()) +
-                        " vertices, shard slice has " +
-                        std::to_string(shard->initial_size) + ")");
-      return nullptr;
-    }
-    shard->hnsw = std::make_unique<graph::HnswGraph>(*std::move(graph));
-    auto snapshot = std::make_shared<Snapshot>();
-    snapshot->entry = 0;
-    snapshot->base =
-        std::make_shared<data::Dataset>(SliceDataset(base, begin, end));
-    snapshot->global_ids = IotaGlobalIds(begin, end - begin);
-    std::string quant_error;
-    auto store = data::ReadQuantizedSection(file.get(), shard->initial_size,
-                                            &quant_error);
-    if (!quant_error.empty()) {
-      SetShardError(error, path, quant_error);
-      return nullptr;
-    }
-    if (store.has_value()) {
-      snapshot->quantizer =
-          std::make_shared<data::Quantizer>(std::move(store->quantizer));
-      snapshot->codes =
-          std::make_shared<data::QuantizedCodes>(std::move(store->codes));
-    }
-    shard->snapshot = std::move(snapshot);
-    return shard;
-  }
 
   File file(std::fopen(path.c_str(), "rb"));
   if (file == nullptr) {
@@ -582,21 +524,38 @@ std::unique_ptr<ShardedIndex::Shard> ShardedIndex::LoadShard(
     }
     const VertexId entry = static_cast<VertexId>(rest[3]);
     const std::uint64_t num_rows = rest[6];
-    auto graph = graph::ProximityGraph::ReadFrom(file.get());
-    if (!graph.has_value() || graph->num_vertices() != num_rows) {
+    // The graph record's own leading word names the shard's kind: an HNSW
+    // hierarchy, or else a flat NSW graph (whose reader checks its magic).
+    std::uint64_t record_magic = 0;
+    const long record_at = std::ftell(file.get());
+    const bool peeked =
+        std::fread(&record_magic, sizeof(record_magic), 1, file.get()) == 1 &&
+        std::fseek(file.get(), record_at, SEEK_SET) == 0;
+    std::optional<graph::ProximityGraph> graph;
+    const graph::ProximityGraph* bottom = nullptr;
+    if (peeked && record_magic == graph::HnswGraph::kRecordMagic) {
+      if (auto hnsw = graph::HnswGraph::ReadFrom(file.get())) {
+        shard->hnsw = std::make_unique<graph::HnswGraph>(*std::move(hnsw));
+        bottom = &shard->hnsw->layer(0);
+      }
+    } else if (peeked) {
+      graph = graph::ProximityGraph::ReadFrom(file.get());
+      if (graph.has_value()) bottom = &*graph;
+    }
+    if (bottom == nullptr || bottom->num_vertices() != num_rows) {
       SetShardError(error, path,
                     "graph record: truncated, corrupt, or vertex count "
                     "disagrees with shard header");
       return nullptr;
     }
     if (entry == kInvalidVertex) {
-      if (graph->num_live() != 0) {
+      if (bottom->num_live() != 0) {
         SetShardError(error, path,
                       "entry vertex: header says empty shard but graph "
                       "has live vertices");
         return nullptr;
       }
-    } else if (entry >= num_rows || !graph->IsLive(entry)) {
+    } else if (entry >= num_rows || !bottom->IsLive(entry)) {
       SetShardError(error, path,
                     "entry vertex " + std::to_string(entry) +
                         " is out of range or tombstoned");
@@ -625,18 +584,20 @@ std::unique_ptr<ShardedIndex::Shard> ShardedIndex::LoadShard(
     // ResolveGlobalId would miss it: inserted ids and compaction-moved
     // initial ids. Identity slots resolve as in a fresh build.
     for (VertexId slot = 0; slot < num_rows; ++slot) {
-      if (graph->store().state(slot) == graph::GraphStore::SlotState::kFree) {
+      if (bottom->store().state(slot) == graph::GraphStore::SlotState::kFree) {
         continue;
       }
       const VertexId gid = (*gids)[slot];
       ids.next_global_id = std::max(ids.next_global_id, gid + 1);
-      if (!graph->IsLive(slot)) continue;
+      if (!bottom->IsLive(slot)) continue;
       if (slot < shard->initial_size && gid == shard->offset + slot) continue;
       ids.moved.emplace_back(gid, slot);
     }
     snapshot->entry = entry;
-    snapshot->graph =
-        std::make_shared<graph::ProximityGraph>(*std::move(graph));
+    if (graph.has_value()) {
+      snapshot->graph =
+          std::make_shared<graph::ProximityGraph>(*std::move(graph));
+    }
     snapshot->base = std::move(rows);
     snapshot->global_ids = std::move(gids);
   } else {
@@ -648,8 +609,8 @@ std::unique_ptr<ShardedIndex::Shard> ShardedIndex::LoadShard(
   // Optional trailing quantization section (compressed shards). Clean EOF
   // means an exact shard; a present-but-corrupt section is a load error.
   std::string quant_error;
-  auto store = data::ReadQuantizedSection(
-      file.get(), snapshot->graph->num_vertices(), &quant_error);
+  auto store = data::ReadQuantizedSection(file.get(), snapshot->base->size(),
+                                          &quant_error);
   if (!quant_error.empty()) {
     SetShardError(error, path, quant_error);
     return nullptr;
@@ -700,9 +661,23 @@ std::optional<ShardedIndex> ShardedIndex::LoadShards(
       return std::nullopt;
     }
   }
+  // One index has one graph kind: shard 0's, which every file must share.
+  const bool hnsw = shards[0]->hnsw != nullptr;
+  for (std::size_t s = 1; s < num_shards; ++s) {
+    if ((shards[s]->hnsw != nullptr) != hnsw) {
+      if (error != nullptr) {
+        SetShardError(*error, prefix + ".shard" + std::to_string(s),
+                      std::string("graph kind ") + (hnsw ? "NSW" : "HNSW") +
+                          " differs from shard 0's " +
+                          (hnsw ? "HNSW" : "NSW"));
+      }
+      return std::nullopt;
+    }
+  }
 
   ShardedIndex index;
   index.options_ = options;
+  index.options_.kind = hnsw ? core::GraphKind::kHnsw : core::GraphKind::kNsw;
   index.initial_total_ = base.size();
   VertexId& next_global_id = index.writes_->next_global_id;
   next_global_id = static_cast<VertexId>(base.size());

@@ -1,17 +1,19 @@
-// Tests for the public GannsIndex API: build, search, single-query
-// convenience, HNSW mode, and persistence roundtrips.
+// Tests for the single-GPU index — a one-shard ShardedIndex — through the
+// public API: build, batched and single-query search, HNSW mode, both
+// construction kernels, cosine corpora, and shard-file round trips.
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/ganns_index.h"
 #include "data/ground_truth.h"
 #include "data/synthetic.h"
+#include "serve/shard_router.h"
 
 namespace ganns {
-namespace core {
+namespace serve {
 namespace {
 
 class IndexTest : public ::testing::Test {
@@ -28,12 +30,18 @@ class IndexTest : public ::testing::Test {
         data::BruteForceKnn(*base_, *queries_, kK));
   }
 
-  data::Dataset CopyBase() const {
-    data::Dataset copy(base_->name(), base_->dim(), base_->metric());
-    for (std::size_t i = 0; i < base_->size(); ++i) {
-      copy.Append(base_->Point(static_cast<VertexId>(i)));
+  /// Every query at k = kK and the default visited budget (64).
+  static std::vector<RoutedQuery> Batch(const data::Dataset& queries) {
+    std::vector<RoutedQuery> batch(queries.size());
+    for (std::size_t q = 0; q < batch.size(); ++q) {
+      batch[q].query = queries.Point(static_cast<VertexId>(q));
+      batch[q].k = kK;
     }
-    return copy;
+    return batch;
+  }
+
+  std::vector<std::vector<graph::Neighbor>> Search(ShardedIndex& index) const {
+    return index.SearchBatch(Batch(*queries_), core::SearchKernel::kGanns);
   }
 
   double Recall(const std::vector<std::vector<graph::Neighbor>>& rows) const {
@@ -50,33 +58,38 @@ class IndexTest : public ::testing::Test {
 };
 
 TEST_F(IndexTest, BuildAndSearchNsw) {
-  GannsIndex index = GannsIndex::Build(CopyBase());
-  EXPECT_GT(index.timing().build_seconds, 0);
+  ShardedIndex index = ShardedIndex::Build(*base_, 1, {});
+  EXPECT_GT(index.build_sim_seconds(), 0);
 
-  const auto rows = index.Search(*queries_, kK);
+  RouteStats stats;
+  const auto rows = index.SearchBatch(Batch(*queries_),
+                                      core::SearchKernel::kGanns, &stats);
   ASSERT_EQ(rows.size(), queries_->size());
   EXPECT_GE(Recall(rows), 0.85);
-  EXPECT_GT(index.timing().last_search_qps, 0);
+  EXPECT_GT(stats.sim_seconds, 0);
 }
 
 TEST_F(IndexTest, BuildAndSearchHnsw) {
-  GannsIndex::Options options;
-  options.kind = GraphKind::kHnsw;
-  GannsIndex index = GannsIndex::Build(CopyBase(), options);
-  const auto rows = index.Search(*queries_, kK);
-  EXPECT_GE(Recall(rows), 0.85);
+  ShardBuildOptions options;
+  options.kind = core::GraphKind::kHnsw;
+  ShardedIndex index = ShardedIndex::Build(*base_, 1, options);
+  EXPECT_GT(index.build_sim_seconds(), 0);
+  EXPECT_GE(Recall(Search(index)), 0.85);
 }
 
 TEST_F(IndexTest, SearchOneAgreesWithBatch) {
-  GannsIndex index = GannsIndex::Build(CopyBase());
-  const auto batch = index.Search(*queries_, kK);
-  const auto one = index.SearchOne(queries_->Point(0), kK);
-  EXPECT_EQ(one, batch[0]);
+  ShardedIndex index = ShardedIndex::Build(*base_, 1, {});
+  const std::vector<RoutedQuery> batch = Batch(*queries_);
+  const auto rows = index.SearchBatch(batch, core::SearchKernel::kGanns);
+  const auto one = index.SearchBatch(std::span(batch).first(1),
+                                     core::SearchKernel::kGanns);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one[0], rows[0]);
 }
 
 TEST_F(IndexTest, ResultsAscendingByDistance) {
-  GannsIndex index = GannsIndex::Build(CopyBase());
-  for (const auto& row : index.Search(*queries_, kK)) {
+  ShardedIndex index = ShardedIndex::Build(*base_, 1, {});
+  for (const auto& row : Search(index)) {
     for (std::size_t i = 1; i < row.size(); ++i) {
       EXPECT_TRUE(row[i - 1] < row[i]);
     }
@@ -84,67 +97,73 @@ TEST_F(IndexTest, ResultsAscendingByDistance) {
 }
 
 TEST_F(IndexTest, SaveLoadRoundtripNsw) {
-  const std::string path = ::testing::TempDir() + "/index_nsw.gix";
-  GannsIndex index = GannsIndex::Build(CopyBase());
-  const auto before = index.Search(*queries_, kK);
-  ASSERT_TRUE(index.Save(path));
+  const std::string prefix = ::testing::TempDir() + "/index_nsw";
+  ShardedIndex index = ShardedIndex::Build(*base_, 1, {});
+  const auto before = Search(index);
+  ASSERT_TRUE(index.SaveShards(prefix));
 
-  auto loaded = GannsIndex::Load(path, CopyBase());
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->kind(), GraphKind::kNsw);
-  const auto after = loaded->Search(*queries_, kK);
-  EXPECT_EQ(before, after);
-  std::remove(path.c_str());
-  std::remove((path + ".layer0").c_str());
+  std::string error;
+  auto loaded = ShardedIndex::LoadShards(prefix, *base_, 1, {}, &error);
+  std::remove((prefix + ".shard0").c_str());
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(Search(*loaded), before);
 }
 
+// The graph kind comes from the file: an HNSW index loaded with default
+// (NSW) options still descends its hierarchy and answers identically.
 TEST_F(IndexTest, SaveLoadRoundtripHnsw) {
-  const std::string path = ::testing::TempDir() + "/index_hnsw.gix";
-  GannsIndex::Options options;
-  options.kind = GraphKind::kHnsw;
-  GannsIndex index = GannsIndex::Build(CopyBase(), options);
-  const auto before = index.Search(*queries_, kK);
-  ASSERT_TRUE(index.Save(path));
+  const std::string prefix = ::testing::TempDir() + "/index_hnsw";
+  ShardBuildOptions options;
+  options.kind = core::GraphKind::kHnsw;
+  ShardedIndex index = ShardedIndex::Build(*base_, 1, options);
+  const auto before = Search(index);
+  ASSERT_TRUE(index.SaveShards(prefix));
 
-  auto loaded = GannsIndex::Load(path, CopyBase(), options);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->kind(), GraphKind::kHnsw);
-  const auto after = loaded->Search(*queries_, kK);
-  EXPECT_EQ(before, after);
+  std::string error;
+  auto loaded = ShardedIndex::LoadShards(prefix, *base_, 1, {}, &error);
+  std::remove((prefix + ".shard0").c_str());
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(Search(*loaded), before);
 }
 
 TEST_F(IndexTest, LoadRejectsMissingOrCorruptFiles) {
-  EXPECT_FALSE(GannsIndex::Load("/nonexistent/idx.gix", CopyBase()).has_value());
+  std::string error;
+  EXPECT_FALSE(
+      ShardedIndex::LoadShards("/nonexistent/idx", *base_, 1, {}, &error)
+          .has_value());
+  EXPECT_NE(error.find("'/nonexistent/idx.shard0': cannot open"),
+            std::string::npos)
+      << error;
 
-  const std::string path = ::testing::TempDir() + "/corrupt.gix";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  std::fputs("garbage", f);
+  const std::string prefix = ::testing::TempDir() + "/corrupt_index";
+  std::FILE* f = std::fopen((prefix + ".shard0").c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fputs("garbage!", f);
   std::fclose(f);
-  EXPECT_FALSE(GannsIndex::Load(path, CopyBase()).has_value());
-  std::remove(path.c_str());
+  EXPECT_FALSE(
+      ShardedIndex::LoadShards(prefix, *base_, 1, {}, &error).has_value());
+  EXPECT_NE(error.find("unknown magic word"), std::string::npos) << error;
+  std::remove((prefix + ".shard0").c_str());
 }
 
 TEST_F(IndexTest, SongConstructionKernelOptionWorks) {
-  GannsIndex::Options options;
-  options.construction_kernel = SearchKernel::kSong;
-  GannsIndex index = GannsIndex::Build(CopyBase(), options);
-  EXPECT_GE(Recall(index.Search(*queries_, kK)), 0.85);
+  ShardBuildOptions options;
+  options.construction_kernel = core::SearchKernel::kSong;
+  ShardedIndex index = ShardedIndex::Build(*base_, 1, options);
+  EXPECT_GE(Recall(Search(index)), 0.85);
 }
 
 TEST_F(IndexTest, CosineMetricIndexWorks) {
   const std::size_t n = 800;
-  data::Dataset base =
+  const data::Dataset base =
       data::GenerateBase(data::PaperDataset("NYTimes"), n, 2);
-  data::Dataset queries =
+  const data::Dataset queries =
       data::GenerateQueries(data::PaperDataset("NYTimes"), 20, n, 2);
   const data::GroundTruth truth = data::BruteForceKnn(base, queries, kK);
 
-  data::Dataset copy(base.name(), base.dim(), base.metric());
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    copy.Append(base.Point(static_cast<VertexId>(i)));
-  }
-  GannsIndex index = GannsIndex::Build(std::move(copy));
-  const auto rows = index.Search(queries, kK);
+  ShardedIndex index = ShardedIndex::Build(base, 1, {});
+  const auto rows =
+      index.SearchBatch(Batch(queries), core::SearchKernel::kGanns);
   std::vector<std::vector<VertexId>> ids(rows.size());
   for (std::size_t q = 0; q < rows.size(); ++q) {
     for (const auto& nb : rows[q]) ids[q].push_back(nb.id);
@@ -153,5 +172,5 @@ TEST_F(IndexTest, CosineMetricIndexWorks) {
 }
 
 }  // namespace
-}  // namespace core
+}  // namespace serve
 }  // namespace ganns

@@ -12,7 +12,7 @@
 //    emission) recovers recall to within 1% of the exact float path at the
 //    same visited budget, measured against a brute-force oracle;
 //  * the quantized trailing section round-trips through the v3 containers
-//    (standalone section, GannsIndex Save/Load, ShardedIndex Save/Load),
+//    (standalone section, shard files),
 //    missing sections load as uncompressed, and mismatched sections fail
 //    with named errors.
 
@@ -26,7 +26,6 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "core/ganns_index.h"
 #include "core/ganns_search.h"
 #include "data/dataset.h"
 #include "data/distance.h"
@@ -357,52 +356,10 @@ TEST_F(QuantizeTest, SlotCountMismatchIsNamed) {
   EXPECT_NE(error.find("45"), std::string::npos) << error;
 }
 
-// GannsIndex::Save/Load must round-trip the compressed state: the loaded
-// index is still quantized and returns exactly the results of the original.
-TEST_F(QuantizeTest, GannsIndexQuantizedSaveLoadRoundTrips) {
-  const Dataset base =
-      GenerateBase(PaperDataset("SIFT1M"), 400, /*seed=*/17);
-  const Dataset queries =
-      GenerateQueries(PaperDataset("SIFT1M"), 10, 400, /*seed=*/17);
-
-  core::GannsIndex::Options options;
-  options.quantize.precision = Precision::kSq8;
-  options.quantize.rerank_factor = 3;
-  auto index = core::GannsIndex::Build(base, options);
-  ASSERT_NE(index.quantizer(), nullptr);
-  EXPECT_EQ(index.resident_bytes_per_vector(), base.dim());
-  const auto want = index.Search(queries, 10);
-
-  const std::string path =
-      std::string(::testing::TempDir()) + "/quant_index.bin";
-  ASSERT_TRUE(index.Save(path));
-
-  std::string error;
-  // Load with *default* options: the quantized state must come from the
-  // file, not from the caller's configuration.
-  auto loaded =
-      core::GannsIndex::Load(path, base, core::GannsIndex::Options(), &error);
-  std::remove(path.c_str());
-  ASSERT_TRUE(loaded.has_value()) << error;
-  ASSERT_NE(loaded->quantizer(), nullptr);
-  EXPECT_EQ(loaded->quantizer()->precision(), Precision::kSq8);
-  EXPECT_EQ(loaded->quantizer()->rerank_factor(), 3u);
-  EXPECT_EQ(loaded->resident_bytes_per_vector(), base.dim());
-
-  const auto got = loaded->Search(queries, 10);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t qi = 0; qi < want.size(); ++qi) {
-    ASSERT_EQ(got[qi].size(), want[qi].size()) << "query " << qi;
-    for (std::size_t i = 0; i < want[qi].size(); ++i) {
-      EXPECT_EQ(got[qi][i].id, want[qi][i].id) << "query " << qi;
-      EXPECT_EQ(got[qi][i].dist, want[qi][i].dist) << "query " << qi;
-    }
-  }
-}
-
-// Same round-trip for the serving containers: SaveShards/LoadShards must
-// restore the per-shard quantizer + codes, and the loaded index must return
-// exactly the results of the original.
+// SaveShards/LoadShards must restore the per-shard quantizer + codes, and
+// the loaded index must return exactly the results of the original. It
+// loads with *default* options: the precision and rerank factor must come
+// from the files, not from the caller's configuration.
 TEST_F(QuantizeTest, ShardedIndexQuantizedSaveLoadRoundTrips) {
   const Dataset base =
       GenerateBase(PaperDataset("SIFT1M"), 500, /*seed=*/29);
@@ -413,6 +370,7 @@ TEST_F(QuantizeTest, ShardedIndexQuantizedSaveLoadRoundTrips) {
   options.quantize.precision = Precision::kPq;
   options.quantize.pq_subspaces = 16;
   options.quantize.pq_centroids = 32;
+  options.quantize.rerank_factor = 3;
   auto index = serve::ShardedIndex::Build(base, 2, options);
   EXPECT_EQ(index.resident_bytes_per_vector(), 16u);
 
@@ -429,8 +387,8 @@ TEST_F(QuantizeTest, ShardedIndexQuantizedSaveLoadRoundTrips) {
   ASSERT_TRUE(index.SaveShards(prefix));
 
   std::string error;
-  auto loaded = serve::ShardedIndex::LoadShards(prefix, base, 2, options,
-                                                &error);
+  auto loaded = serve::ShardedIndex::LoadShards(
+      prefix, base, 2, serve::ShardBuildOptions(), &error);
   for (int s = 0; s < 2; ++s) {
     std::remove((prefix + ".shard" + std::to_string(s)).c_str());
   }

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <future>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -308,6 +309,86 @@ TEST_F(ServeTest, ShardPersistenceRoundtrip) {
   EXPECT_FALSE(ShardedIndex::LoadShards(prefix, *base_, 2, {}).has_value());
   std::remove((prefix + ".shard0").c_str());
   std::remove((prefix + ".shard1").c_str());
+}
+
+// HNSW shards share the GSH3 container: a two-shard hierarchy, exact and
+// sq8, reloads with default (NSW, float) options — kind and compression
+// come from the files — and answers identically.
+TEST_F(ServeTest, HnswShardPersistenceRoundtrip) {
+  const std::string prefix = ::testing::TempDir() + "/hnsw_shards";
+  const auto routed = RoutedQueries(64);
+  for (const data::Precision precision :
+       {data::Precision::kFloat32, data::Precision::kSq8}) {
+    SCOPED_TRACE(data::PrecisionName(precision));
+    ShardBuildOptions options;
+    options.kind = core::GraphKind::kHnsw;
+    options.quantize.precision = precision;
+    ShardedIndex built = ShardedIndex::Build(*base_, 2, options);
+    const auto before = built.SearchBatch(routed, core::SearchKernel::kGanns);
+    ASSERT_TRUE(built.SaveShards(prefix));
+
+    std::string error;
+    auto loaded = ShardedIndex::LoadShards(prefix, *base_, 2, {}, &error);
+    ASSERT_TRUE(loaded.has_value()) << error;
+    EXPECT_EQ(loaded->size(), kN);
+    EXPECT_EQ(loaded->resident_bytes_per_vector(),
+              built.resident_bytes_per_vector());
+    EXPECT_EQ(loaded->SearchBatch(routed, core::SearchKernel::kGanns),
+              before);
+  }
+  std::remove((prefix + ".shard0").c_str());
+  std::remove((prefix + ".shard1").c_str());
+}
+
+// Regression: HNSW shard files used to be bare graph records with no
+// geometry, so a corpus of another dimension loaded without error (an exact
+// index then answered nonsense; an sq8 one aborted on its first search).
+// The GSH3 header now names the mismatch for both.
+TEST_F(ServeTest, HnswShardRejectsMismatchedCorpus) {
+  const std::string prefix = ::testing::TempDir() + "/hnsw_geometry";
+  const data::Dataset other =
+      data::GenerateBase(data::PaperDataset("UQ_V"), kN, 11);
+  ASSERT_NE(other.dim(), base_->dim());
+  for (const data::Precision precision :
+       {data::Precision::kFloat32, data::Precision::kSq8}) {
+    SCOPED_TRACE(data::PrecisionName(precision));
+    ShardBuildOptions options;
+    options.kind = core::GraphKind::kHnsw;
+    options.quantize.precision = precision;
+    ASSERT_TRUE(ShardedIndex::Build(*base_, 2, options).SaveShards(prefix));
+
+    std::string error;
+    EXPECT_FALSE(
+        ShardedIndex::LoadShards(prefix, other, 2, options, &error)
+            .has_value());
+    const std::string want =
+        "shard file '" + prefix + ".shard0': shard header: geometry mismatch";
+    EXPECT_EQ(error.substr(0, want.size()), want) << error;
+  }
+  std::remove((prefix + ".shard0").c_str());
+  std::remove((prefix + ".shard1").c_str());
+}
+
+// One index has one graph kind: shard files of different kinds under one
+// prefix fail naming the odd file and both kinds.
+TEST_F(ServeTest, MixedKindShardFilesAreNamedError) {
+  const std::string nsw = ::testing::TempDir() + "/mixed_nsw";
+  const std::string hnsw = ::testing::TempDir() + "/mixed_hnsw";
+  ShardBuildOptions hnsw_options;
+  hnsw_options.kind = core::GraphKind::kHnsw;
+  ASSERT_TRUE(ShardedIndex::Build(*base_, 2, {}).SaveShards(nsw));
+  ASSERT_TRUE(ShardedIndex::Build(*base_, 2, hnsw_options).SaveShards(hnsw));
+  ASSERT_EQ(std::rename((hnsw + ".shard1").c_str(), (nsw + ".shard1").c_str()),
+            0);
+
+  std::string error;
+  EXPECT_FALSE(
+      ShardedIndex::LoadShards(nsw, *base_, 2, {}, &error).has_value());
+  EXPECT_EQ(error, "shard file '" + nsw +
+                       ".shard1': graph kind HNSW differs from shard 0's NSW");
+  std::remove((nsw + ".shard0").c_str());
+  std::remove((nsw + ".shard1").c_str());
+  std::remove((hnsw + ".shard0").c_str());
 }
 
 // Byte-level surgery on saved shard containers: each section of the GSH3
@@ -1253,10 +1334,8 @@ TEST_F(FlightRecorderTest, RecordingDoesNotChangeResults) {
 
 class LifecycleTest : public ServeTest {
  protected:
-  static ShardBuildOptions MutableOptions(bool host_updates,
-                                          bool auto_compact) {
+  static ShardBuildOptions MutableOptions(bool auto_compact) {
     ShardBuildOptions options;
-    options.update.host_updates = host_updates;
     options.update.auto_compact = auto_compact;
     return options;
   }
@@ -1321,6 +1400,90 @@ class LifecycleTest : public ServeTest {
     return inserted;
   }
 
+  /// Queries each of `points` at an exhaustive budget and expects the id
+  /// it was inserted under (gids[i] for points.Point(i)) ranked first.
+  static void ExpectInsertedFoundFirst(ShardedIndex& index,
+                                       const data::Dataset& points,
+                                       const std::vector<VertexId>& gids) {
+    std::vector<RoutedQuery> routed(gids.size());
+    for (std::size_t i = 0; i < gids.size(); ++i) {
+      routed[i].query = points.Point(static_cast<VertexId>(i));
+      routed[i].k = kK;
+      routed[i].budget = 1024;
+    }
+    const auto rows = index.SearchBatch(routed, core::SearchKernel::kGanns);
+    for (std::size_t i = 0; i < gids.size(); ++i) {
+      ASSERT_FALSE(rows[i].empty()) << "insert " << i;
+      EXPECT_EQ(rows[i][0].id, gids[i]) << "insert " << i;
+    }
+  }
+
+  /// A saved GSH3 shard file split into its sections with the public
+  /// readers: header words, graph record, global id map, vector rows and
+  /// the optional quantization section.
+  struct ShardFile {
+    std::uint64_t header[8] = {};
+    std::optional<graph::ProximityGraph> graph;
+    std::vector<VertexId> gids;
+    std::optional<data::Dataset> rows;
+    std::optional<data::QuantizedStore> store;
+  };
+
+  ShardFile ReadShardFile(const std::string& path) const {
+    ShardFile file;
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    EXPECT_NE(f, nullptr) << path;
+    if (f == nullptr) return file;
+    EXPECT_EQ(std::fread(file.header, sizeof(file.header), 1, f), 1u);
+    file.graph = graph::ProximityGraph::ReadFrom(f);
+    EXPECT_TRUE(file.graph.has_value()) << path;
+    const std::size_t num_rows = file.header[7];
+    file.gids.resize(num_rows);
+    EXPECT_EQ(std::fread(file.gids.data(), sizeof(VertexId), num_rows, f),
+              num_rows);
+    file.rows.emplace("rows", base_->dim(), base_->metric());
+    EXPECT_EQ(file.rows->ReadRows(f, num_rows), num_rows);
+    std::string error;
+    file.store = data::ReadQuantizedSection(f, num_rows, &error);
+    EXPECT_TRUE(error.empty()) << error;
+    std::fclose(f);
+    return file;
+  }
+
+  static void WriteShardFile(const std::string& path, const ShardFile& file) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr) << path;
+    ASSERT_EQ(std::fwrite(file.header, sizeof(file.header), 1, f), 1u);
+    ASSERT_TRUE(file.graph->WriteTo(f));
+    ASSERT_EQ(std::fwrite(file.gids.data(), sizeof(VertexId),
+                          file.gids.size(), f),
+              file.gids.size());
+    for (VertexId v = 0; v < file.rows->size(); ++v) {
+      ASSERT_EQ(std::fwrite(file.rows->Point(v).data(), sizeof(float),
+                            file.rows->dim(), f),
+                file.rows->dim());
+    }
+    if (file.store.has_value()) {
+      ASSERT_TRUE(data::WriteQuantizedSection(f, file.store->quantizer,
+                                              file.store->codes));
+    }
+    std::fclose(f);
+  }
+
+  /// Every live slot's saved code equals a fresh encode of its saved row.
+  static void ExpectCodesMatchFreshEncode(const ShardFile& file) {
+    ASSERT_TRUE(file.store.has_value());
+    const data::QuantizedCodes fresh =
+        data::QuantizedCodes::EncodeAll(file.store->quantizer, *file.rows);
+    for (VertexId slot = 0; slot < file.rows->size(); ++slot) {
+      if (!file.graph->IsLive(slot)) continue;
+      EXPECT_EQ(std::memcmp(file.store->codes.code(slot), fresh.code(slot),
+                            fresh.code_bytes()),
+                0)
+          << "slot " << slot;
+    }
+  }
+
   std::map<VertexId, std::vector<float>> InitialLiveSet() const {
     std::map<VertexId, std::vector<float>> live;
     for (VertexId v = 0; v < static_cast<VertexId>(kN); ++v) {
@@ -1333,24 +1496,23 @@ class LifecycleTest : public ServeTest {
 
 // (tentpole oracle) After an arbitrary insert/remove interleaving, search
 // at an exhaustive budget returns exactly the brute-force nearest neighbors
-// of the surviving point set — on both the charged device path and the host
-// path. Double-removes and unknown ids are rejected without side effects.
+// of the surviving point set. Double-removes and unknown ids are rejected
+// without side effects.
 TEST_F(LifecycleTest, MixedUpdatesMatchBruteForceOracle) {
-  for (const bool host_updates : {false, true}) {
-    ShardedIndex index =
-        ShardedIndex::Build(*base_, 2, MutableOptions(host_updates, false));
-    auto live = InitialLiveSet();
-    const auto inserted = ApplyMixedWorkload(index, live);
+  ShardedIndex index = ShardedIndex::Build(*base_, 2, MutableOptions(false));
+  auto live = InitialLiveSet();
+  const auto inserted = ApplyMixedWorkload(index, live);
 
-    EXPECT_FALSE(index.Remove(static_cast<VertexId>(kN + 100000)));
-    const VertexId gone = inserted[0];
-    if (live.count(gone) == 0) EXPECT_FALSE(index.Remove(gone));
-
-    EXPECT_EQ(index.size(), live.size());
-    EXPECT_EQ(index.inserts(), inserted.size());
-    if (!host_updates) EXPECT_GT(index.update_sim_seconds(), 0.0);
-    ExpectMatchesSurvivors(index, live);
+  EXPECT_FALSE(index.Remove(static_cast<VertexId>(kN + 100000)));
+  const VertexId gone = inserted[0];
+  if (live.count(gone) == 0) {
+    EXPECT_FALSE(index.Remove(gone));
   }
+
+  EXPECT_EQ(index.size(), live.size());
+  EXPECT_EQ(index.inserts(), inserted.size());
+  EXPECT_GT(index.update_sim_seconds(), 0.0);
+  ExpectMatchesSurvivors(index, live);
 }
 
 // Readers never block on writers: a dedicated reader thread streams batches
@@ -1359,7 +1521,7 @@ TEST_F(LifecycleTest, MixedUpdatesMatchBruteForceOracle) {
 // The TSan gate runs this test under the race detector.
 TEST_F(LifecycleTest, WritesDoNotBlockConcurrentReads) {
   ShardedIndex index =
-      ShardedIndex::Build(*base_, 2, MutableOptions(false, true));
+      ShardedIndex::Build(*base_, 2, MutableOptions(true));
   const auto routed = RoutedQueries(64);
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> batches{0};
@@ -1396,7 +1558,7 @@ TEST_F(LifecycleTest, WritesDoNotBlockConcurrentReads) {
 // Background compaction fires once the tombstone fraction crosses the
 // threshold, rebuilds the shard over the survivors, and search stays exact.
 TEST_F(LifecycleTest, CompactionTriggersAtThreshold) {
-  ShardBuildOptions options = MutableOptions(false, true);
+  ShardBuildOptions options = MutableOptions(true);
   options.update.compact_threshold = 0.2;
   ShardedIndex index = ShardedIndex::Build(*base_, 1, options);
   auto live = InitialLiveSet();
@@ -1439,7 +1601,7 @@ TEST_F(LifecycleTest, CompactionTriggersAtThreshold) {
 // repacked in slot order.
 TEST_F(LifecycleTest, CompactionMatchesFreshBuildOverSurvivors) {
   ShardedIndex index =
-      ShardedIndex::Build(*base_, 1, MutableOptions(false, false));
+      ShardedIndex::Build(*base_, 1, MutableOptions(false));
   data::Dataset survivors("survivors", base_->dim(), base_->metric());
   for (VertexId v = 0; v < static_cast<VertexId>(kN); ++v) {
     if (v % 5 == 0) {
@@ -1452,7 +1614,7 @@ TEST_F(LifecycleTest, CompactionMatchesFreshBuildOverSurvivors) {
   EXPECT_FALSE(index.Compact(0));  // nothing left to reclaim
 
   ShardedIndex fresh =
-      ShardedIndex::Build(survivors, 1, MutableOptions(false, false));
+      ShardedIndex::Build(survivors, 1, MutableOptions(false));
   const graph::ProximityGraph& a = index.shard_graph(0);
   const graph::ProximityGraph& b = fresh.shard_graph(0);
   ASSERT_EQ(a.num_vertices(), b.num_vertices());
@@ -1470,7 +1632,7 @@ TEST_F(LifecycleTest, CompactionMatchesFreshBuildOverSurvivors) {
 // write path keeps working on the loaded copy.
 TEST_F(LifecycleTest, MutatedShardPersistenceRoundtrip) {
   const std::string prefix = ::testing::TempDir() + "/lifecycle_shards";
-  const ShardBuildOptions options = MutableOptions(false, false);
+  const ShardBuildOptions options = MutableOptions(false);
   ShardedIndex index = ShardedIndex::Build(*base_, 2, options);
   auto live = InitialLiveSet();
   const auto inserted = ApplyMixedWorkload(index, live);
@@ -1500,13 +1662,118 @@ TEST_F(LifecycleTest, MutatedShardPersistenceRoundtrip) {
   std::remove((prefix + ".shard1").c_str());
 }
 
+// Compaction repacks a shard's survivors into its lowest slots and keeps
+// its capacity, so later inserts take slots the compaction released. Each
+// inserted point is found first when queried, an exact shard answers like
+// brute force over the survivors, and a compressed shard's codes stay those
+// of a fresh encode of its rows.
+TEST_F(LifecycleTest, InsertsAfterCompactTakeReleasedSlots) {
+  const std::string prefix = ::testing::TempDir() + "/compact_insert";
+  const data::Dataset extra =
+      data::GenerateBase(data::PaperDataset("SIFT1M"), 12, 31);
+  for (const data::Precision precision :
+       {data::Precision::kFloat32, data::Precision::kSq8}) {
+    SCOPED_TRACE(data::PrecisionName(precision));
+    ShardBuildOptions options = MutableOptions(false);
+    options.quantize.precision = precision;
+    ShardedIndex index = ShardedIndex::Build(*base_, 1, options);
+    auto live = InitialLiveSet();
+    for (VertexId v = 0; v < static_cast<VertexId>(kN); v += 10) {
+      ASSERT_TRUE(index.Remove(v));
+      live.erase(v);
+    }
+    ASSERT_TRUE(index.Compact(0));
+
+    std::vector<VertexId> inserted;
+    for (VertexId i = 0; i < static_cast<VertexId>(extra.size()); ++i) {
+      const auto gid = index.Insert(extra.Point(i));
+      ASSERT_TRUE(gid.has_value());
+      live[*gid] = {extra.Point(i).begin(), extra.Point(i).end()};
+      inserted.push_back(*gid);
+    }
+    ExpectInsertedFoundFirst(index, extra, inserted);
+    if (precision == data::Precision::kFloat32) {
+      ExpectMatchesSurvivors(index, live);
+    }
+
+    ASSERT_TRUE(index.SaveShards(prefix));
+    const ShardFile file = ReadShardFile(prefix + ".shard0");
+    // Survivors and inserts fill slots [0, live): all below the slot count
+    // before the compaction.
+    EXPECT_EQ(file.header[7], live.size());
+    EXPECT_LT(live.size(), kN);
+    if (precision != data::Precision::kFloat32) {
+      ExpectCodesMatchFreshEncode(file);
+    }
+  }
+  std::remove((prefix + ".shard0").c_str());
+}
+
+// A graph record may carry a free-listed slot (the v3 store record
+// serializes its free list). Such a shard loads, and the next insert reuses
+// that slot: it overwrites the slot's vector row and, on a compressed
+// shard, re-encodes its code in place instead of appending.
+TEST_F(LifecycleTest, InsertReusesFreeListedSlot) {
+  const std::string prefix = ::testing::TempDir() + "/free_slot";
+  const std::string path = prefix + ".shard0";
+  const data::Dataset extra =
+      data::GenerateBase(data::PaperDataset("SIFT1M"), 1, 37);
+  constexpr VertexId kFreed = 137;
+  for (const data::Precision precision :
+       {data::Precision::kFloat32, data::Precision::kSq8}) {
+    SCOPED_TRACE(data::PrecisionName(precision));
+    ShardBuildOptions options = MutableOptions(false);
+    options.quantize.precision = precision;
+    ASSERT_TRUE(ShardedIndex::Build(*base_, 1, options).SaveShards(prefix));
+
+    // Free the slot as the store's contract asks: tombstone it, unlink
+    // every edge into it, release it onto the free list.
+    ShardFile file = ReadShardFile(path);
+    graph::ProximityGraph& graph = *file.graph;
+    graph.Tombstone(kFreed);
+    for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+      graph.RemoveNeighbor(v, kFreed);
+    }
+    graph.ReleaseTombstone(kFreed);
+    WriteShardFile(path, file);
+
+    std::string error;
+    auto index = ShardedIndex::LoadShards(prefix, *base_, 1, options, &error);
+    ASSERT_TRUE(index.has_value()) << error;
+    auto live = InitialLiveSet();
+    live.erase(kFreed);
+    EXPECT_EQ(index->size(), live.size());
+
+    const auto point = extra.Point(0);
+    const auto gid = index->Insert(point);
+    ASSERT_TRUE(gid.has_value());
+    EXPECT_EQ(*gid, kN);  // a fresh id past the corpus
+    live[*gid] = {point.begin(), point.end()};
+    ExpectInsertedFoundFirst(*index, extra, {*gid});
+    if (precision == data::Precision::kFloat32) {
+      ExpectMatchesSurvivors(*index, live);
+    }
+
+    ASSERT_TRUE(index->SaveShards(prefix));
+    const ShardFile after = ReadShardFile(path);
+    EXPECT_EQ(after.header[7], kN);  // no row appended
+    EXPECT_EQ(after.gids[kFreed], *gid);
+    const auto row = after.rows->Point(kFreed);
+    EXPECT_TRUE(std::equal(row.begin(), row.end(), point.begin()));
+    if (precision != data::Precision::kFloat32) {
+      ExpectCodesMatchFreshEncode(after);
+    }
+  }
+  std::remove(path.c_str());
+}
+
 // A shard drained to zero live points serves empty rows (no kernel launch)
 // and revives cleanly on the next insert.
 TEST_F(LifecycleTest, EmptyShardServesNothingAndRevives) {
   const data::Dataset small =
       data::GenerateBase(data::PaperDataset("SIFT1M"), 8, 5);
   ShardedIndex index =
-      ShardedIndex::Build(small, 1, MutableOptions(false, false));
+      ShardedIndex::Build(small, 1, MutableOptions(false));
   for (VertexId v = 0; v < 8; ++v) ASSERT_TRUE(index.Remove(v));
   EXPECT_EQ(index.size(), 0u);
 
@@ -1535,7 +1802,7 @@ TEST_F(LifecycleTest, UpdateMetricsAreRecorded) {
   obs::MetricsRegistry::Global().Reset();
   {
     ShardedIndex index =
-        ShardedIndex::Build(*base_, 1, MutableOptions(false, false));
+        ShardedIndex::Build(*base_, 1, MutableOptions(false));
     ASSERT_TRUE(index.Insert(base_->Point(0)).has_value());
     ASSERT_TRUE(index.Remove(0));
     ASSERT_TRUE(index.Compact(0));

@@ -3,12 +3,12 @@
 //
 //   ganns gen    --dataset SIFT1M --n 20000 --out base.fvecs
 //                [--queries 200 --queries-out queries.fvecs] [--seed 1]
-//   ganns build  --base base.fvecs --out index.gix [--metric l2|cosine]
+//   ganns build  --base base.fvecs --out index [--metric l2|cosine]
 //                [--d-max 32] [--d-min 16] [--groups 64] [--kernel ganns|song]
 //                [--hnsw] [--precision float|sq8|pq] [--pq-m 16] [--pq-k 256]
 //                [--rerank 4]
-//   ganns search --index index.gix --base base.fvecs --queries queries.fvecs
-//                --k 10 [--ln 64] [--e 0] [--out results.ivecs]
+//   ganns search --index index --base base.fvecs --queries queries.fvecs
+//                --k 10 [--budget 64] [--out results.ivecs]
 //                [--trace-out trace.json]
 //   ganns eval   --base base.fvecs --queries queries.fvecs
 //                --results results.ivecs --k 10 [--metric l2|cosine]
@@ -48,7 +48,7 @@
 //                [--shards 2] [--k 10] [--budget 256]
 //                [--inserts N] [--removes N] [--kernel ganns|song|beam]
 //                [--ef-insert 64] [--compact-threshold-pct 25]
-//                [--host 1] [--no-auto-compact 1] [--compact 1]
+//                [--no-auto-compact 1] [--compact 1]
 //                [--save prefix] [--json out.json] [--trace-out trace.json]
 //                [--stats-out stats.json] [--prom-out metrics.prom]
 //   ganns stat   <stats.json|cluster report|BENCH_cluster.json>
@@ -58,14 +58,18 @@
 //   ganns top    <series.jsonl|federation.jsonl> [--alerts alerts.jsonl]
 //                [--rows 10] [--follow] [--iterations N] [--interval-ms 1000]
 //
+// `build` constructs a one-shard index (GGraphCon on the simulated GPU) and
+// writes it to `<out>.shard0`, the shard container serve-bench --save
+// writes; `search` loads it — graph kind and compression come from the
+// file — and answers the queries at visited budget --budget.
+//
 // `update` builds a sharded NSW index, applies a deterministic mixed
 // insert/remove workload through the online write paths, and reports the
 // mutated graph's recall against a brute-force oracle over the surviving
 // points plus update throughput (simulated and wall) and latency
-// percentiles as JSON. --host routes updates through the host (uncharged)
-// paths; --compact forces a synchronous final compaction of every shard;
-// --save persists the mutated shards in the v3 container for `serve-bench
-// --load`.
+// percentiles as JSON. --compact forces a synchronous final compaction of
+// every shard; --save persists the mutated shards in the v3 container for
+// `serve-bench --load`.
 //
 // `serve-bench` builds (or reloads via --load) a sharded index over a
 // synthetic corpus, starts the online serving engine, submits every query
@@ -152,7 +156,6 @@
 #include "bench/drills.h"
 #include "cluster/cluster_router.h"
 #include "common/text_file.h"
-#include "core/ganns_index.h"
 #include "core/ganns_search.h"
 #include "core/ggraphcon.h"
 #include "data/ground_truth.h"
@@ -351,6 +354,28 @@ bool WriteTelemetry(const TelemetryOut& out, const char* stats_noun) {
   return true;
 }
 
+core::SearchKernel ParseServeKernel(const Args& args) {
+  const std::string name = args.Get("kernel").value_or("ganns");
+  if (name == "ganns") return core::SearchKernel::kGanns;
+  if (name == "song") return core::SearchKernel::kSong;
+  if (name == "beam") return core::SearchKernel::kBeam;
+  std::fprintf(stderr, "unknown kernel '%s' (use ganns|song|beam)\n",
+               name.c_str());
+  std::exit(2);
+}
+
+/// --groups / --kernel as shard build options. Beam is a search-only
+/// kernel, so a beam run builds with GANNS.
+serve::ShardBuildOptions ParseShardBuildFlags(const Args& args) {
+  serve::ShardBuildOptions options;
+  options.num_groups = static_cast<int>(args.Size("groups", 64, 1));
+  options.construction_kernel = ParseServeKernel(args);
+  if (options.construction_kernel == core::SearchKernel::kBeam) {
+    options.construction_kernel = core::SearchKernel::kGanns;
+  }
+  return options;
+}
+
 int CmdGen(const Args& args) {
   const data::DatasetSpec& spec = data::PaperDataset(args.Require("dataset"));
   const std::size_t n = args.Size("n", 20000, 1);
@@ -375,70 +400,63 @@ int CmdGen(const Args& args) {
   return 0;
 }
 
+/// Prints the compressed-serving line when `index` traverses codes.
+void PrintCompression(const serve::ShardedIndex& index) {
+  const std::size_t float_bytes = index.dim() * sizeof(float);
+  if (index.resident_bytes_per_vector() < float_bytes) {
+    std::printf("compressed serving: resident code bytes/vector=%zu "
+                "(float rows are %zu bytes)\n",
+                index.resident_bytes_per_vector(), float_bytes);
+  }
+}
+
 int CmdBuild(const Args& args) {
   const data::Metric metric = ParseMetric(args);
-  data::Dataset base = LoadFvecsOrDie(args.Require("base"), "base", metric);
+  const data::Dataset base =
+      LoadFvecsOrDie(args.Require("base"), "base", metric);
 
-  core::GannsIndex::Options options;
+  serve::ShardBuildOptions options = ParseShardBuildFlags(args);
   options.nsw.d_max = args.Size("d-max", 32);
   options.nsw.d_min = args.Size("d-min", 16);
-  options.nsw.ef_construction =
-      args.Size("ef", 2 * options.nsw.d_min);
-  options.num_groups = static_cast<int>(args.Size("groups", 64, 1));
-  if (args.Get("kernel").value_or("ganns") == "song") {
-    options.construction_kernel = core::SearchKernel::kSong;
-  }
+  options.nsw.ef_construction = args.Size("ef", 2 * options.nsw.d_min);
   if (args.Flag("hnsw")) options.kind = core::GraphKind::kHnsw;
   options.quantize = ParseQuantizeFlags(args);
 
-  core::GannsIndex index = core::GannsIndex::Build(std::move(base), options);
+  const serve::ShardedIndex index =
+      serve::ShardedIndex::Build(base, 1, options);
   const std::string out = args.Require("out");
-  if (!index.Save(out)) {
-    std::fprintf(stderr, "failed to save index to %s\n", out.c_str());
+  if (!index.SaveShards(out)) {
+    std::fprintf(stderr, "failed to save index to %s.shard0\n", out.c_str());
     return 1;
   }
   std::printf("built %s index over %zu points in %.3f simulated GPU s; "
-              "saved to %s\n",
+              "saved to %s.shard0\n",
               options.kind == core::GraphKind::kHnsw ? "HNSW" : "NSW",
-              index.base().size(), index.timing().build_seconds, out.c_str());
-  if (index.quantizer() != nullptr) {
-    std::printf("quantized: precision=%s code_bytes=%zu rerank_factor=%zu "
-                "(float rows are %zu bytes)\n",
-                data::PrecisionName(index.quantizer()->precision()),
-                index.quantizer()->code_bytes(),
-                index.quantizer()->rerank_factor(),
-                index.base().dim() * sizeof(float));
-  }
+              index.size(), index.build_sim_seconds(), out.c_str());
+  PrintCompression(index);
   return 0;
 }
 
 int CmdSearch(const Args& args) {
   const data::Metric metric = ParseMetric(args);
-  data::Dataset base = LoadFvecsOrDie(args.Require("base"), "base", metric);
+  const data::Dataset base =
+      LoadFvecsOrDie(args.Require("base"), "base", metric);
   const data::Dataset queries =
       LoadFvecsOrDie(args.Require("queries"), "queries", metric);
 
+  const std::string prefix = args.Require("index");
   std::string load_error;
-  auto index = core::GannsIndex::Load(args.Require("index"), std::move(base),
-                                      core::GannsIndex::Options(),
-                                      &load_error);
+  auto index = serve::ShardedIndex::LoadShards(
+      prefix, base, 1, serve::ShardBuildOptions(), &load_error);
   if (!index.has_value()) {
-    std::fprintf(stderr, "failed to load index %s: %s\n",
-                 args.Require("index").c_str(), load_error.c_str());
+    std::fprintf(stderr, "failed to load index %s: %s\n", prefix.c_str(),
+                 load_error.c_str());
     return 1;
   }
-  if (index->quantizer() != nullptr) {
-    std::printf("index is quantized: precision=%s code_bytes=%zu "
-                "rerank_factor=%zu\n",
-                data::PrecisionName(index->quantizer()->precision()),
-                index->quantizer()->code_bytes(),
-                index->quantizer()->rerank_factor());
-  }
+  PrintCompression(*index);
 
   const std::size_t k = args.Size("k", 10);
-  core::GannsParams params;
-  params.l_n = args.Size("ln", 64);
-  params.e = args.Size("e", 0);
+  const std::size_t budget = args.Size("budget", 64);
 
   const TelemetryOut telemetry{.trace = args.Get("trace-out")};
   if (telemetry.trace.has_value()) {
@@ -446,11 +464,15 @@ int CmdSearch(const Args& args) {
     obs::SetMetricsEnabled(true);
   }
 
-  const auto rows = index->Search(queries, k, params);
-  std::printf("searched %zu queries (k=%zu, l_n=%zu, e=%zu) at %.0f "
-              "simulated QPS\n",
-              queries.size(), k, params.l_n, params.EffectiveE(),
-              index->timing().last_search_qps);
+  serve::RouteStats stats;
+  const auto rows = index->SearchBatch(bench::RouteQueries(queries, k, budget),
+                                       core::SearchKernel::kGanns, &stats);
+  std::printf("searched %zu queries (k=%zu, budget=%zu) at %.0f simulated "
+              "QPS\n",
+              queries.size(), k, budget,
+              stats.sim_seconds > 0
+                  ? static_cast<double>(queries.size()) / stats.sim_seconds
+                  : 0.0);
   if (!WriteTelemetry(telemetry, "metrics")) return 1;
 
   if (const auto out = args.Get("out"); out.has_value()) {
@@ -586,28 +608,6 @@ int CmdProfile(const Args& args) {
   return WriteTelemetry(telemetry, "metrics") ? 0 : 1;
 }
 
-core::SearchKernel ParseServeKernel(const Args& args) {
-  const std::string name = args.Get("kernel").value_or("ganns");
-  if (name == "ganns") return core::SearchKernel::kGanns;
-  if (name == "song") return core::SearchKernel::kSong;
-  if (name == "beam") return core::SearchKernel::kBeam;
-  std::fprintf(stderr, "unknown kernel '%s' (use ganns|song|beam)\n",
-               name.c_str());
-  std::exit(2);
-}
-
-/// --groups / --kernel as shard build options. Beam is a search-only
-/// kernel, so a beam run builds with GANNS.
-serve::ShardBuildOptions ParseShardBuildFlags(const Args& args) {
-  serve::ShardBuildOptions options;
-  options.num_groups = static_cast<int>(args.Size("groups", 64, 1));
-  options.construction_kernel = ParseServeKernel(args);
-  if (options.construction_kernel == core::SearchKernel::kBeam) {
-    options.construction_kernel = core::SearchKernel::kGanns;
-  }
-  return options;
-}
-
 /// Writes a command's JSON report to --json (when given), then prints it.
 /// Returns false when the write fails.
 bool EmitReport(const Args& args, const std::string& json) {
@@ -739,12 +739,7 @@ int CmdServeBench(const Args& args) {
                   save->c_str());
     }
   }
-  if (index->resident_bytes_per_vector() < base.dim() * sizeof(float)) {
-    std::printf("compressed serving: resident code bytes/vector=%zu "
-                "(float rows are %zu bytes)\n",
-                index->resident_bytes_per_vector(),
-                base.dim() * sizeof(float));
-  }
+  PrintCompression(*index);
 
   // Observability artifacts are opt-in per flag; requesting one turns the
   // matching subsystem on for this run.
@@ -1071,7 +1066,6 @@ int CmdUpdate(const Args& args) {
   build_options.update.ef_insert = args.Size("ef-insert", 64);
   build_options.update.compact_threshold =
       static_cast<double>(args.Int("compact-threshold-pct", 25)) / 100.0;
-  build_options.update.host_updates = args.Flag("host");
   build_options.update.auto_compact = !args.Flag("no-auto-compact");
 
   const TelemetryOut telemetry = EnableTelemetry(args);
