@@ -10,8 +10,8 @@
 #include <sstream>
 #include <string>
 
+#include "common/file.h"
 #include "common/logging.h"
-#include "common/text_file.h"
 
 namespace ganns {
 namespace bench {

@@ -12,7 +12,7 @@ namespace ganns {
 namespace core {
 
 /// Parameters of the online insert/delete paths (the index lifecycle built
-/// on the unified GraphStore; see DESIGN.md "Index lifecycle").
+/// on ProximityGraph; see DESIGN.md "Index lifecycle").
 struct UpdateParams {
   /// Edges linked per inserted vertex (the NSW d_min role).
   std::size_t d_min = 16;

@@ -43,25 +43,9 @@ std::size_t Dataset::ReadRows(std::FILE* file, std::size_t n) {
   return read;
 }
 
-void Dataset::SetRow(VertexId i, std::span<const float> point) {
-  GANNS_CHECK_MSG(std::size_t{i} < size(),
-                  "row " << i << " out of range (size " << size() << ")");
-  GANNS_CHECK_MSG(point.size() == dim_,
-                  "writing " << point.size() << "-dim point to " << dim_
-                             << "-dim dataset");
-  std::copy(point.begin(), point.end(),
-            values_.data() + std::size_t{i} * padded_dim_);
-}
-
 void Dataset::NormalizeRows() {
-  const std::size_t n = size();
-  for (std::size_t i = 0; i < n; ++i) {
-    float* row = values_.data() + i * padded_dim_;
-    double norm_sq = 0;
-    for (std::size_t d = 0; d < dim_; ++d) norm_sq += double{row[d]} * row[d];
-    if (norm_sq <= 0) continue;
-    const float inv = static_cast<float>(1.0 / std::sqrt(norm_sq));
-    for (std::size_t d = 0; d < dim_; ++d) row[d] *= inv;
+  for (std::size_t i = 0; i < size(); ++i) {
+    NormalizeRow({values_.data() + i * padded_dim_, dim_});
   }
 }
 
@@ -74,6 +58,14 @@ Dataset Dataset::TruncateDims(std::size_t new_dim) const {
   }
   if (metric_ == Metric::kCosine) out.NormalizeRows();
   return out;
+}
+
+void NormalizeRow(std::span<float> row) {
+  double norm_sq = 0;
+  for (const float x : row) norm_sq += double{x} * x;
+  if (norm_sq <= 0) return;
+  const float inv = static_cast<float>(1.0 / std::sqrt(norm_sq));
+  for (float& x : row) x *= inv;
 }
 
 Dist ExactDistance(Metric metric, std::span<const float> a,

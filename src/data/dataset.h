@@ -86,10 +86,6 @@ class Dataset {
   /// leaves exactly that many rows appended.
   std::size_t ReadRows(std::FILE* file, std::size_t n);
 
-  /// Overwrites row i in place (padding floats stay zero). Used by the index
-  /// lifecycle when an insert reuses a compacted slot.
-  void SetRow(VertexId i, std::span<const float> point);
-
   /// Reserves storage for n points.
   void Reserve(std::size_t n) { values_.reserve(n * padded_dim_); }
 
@@ -116,6 +112,11 @@ class Dataset {
   Metric metric_;
   AlignedFloatVector values_;
 };
+
+/// L2-normalizes `row` in place; a zero row stays as it is. The one cosine
+/// normalizer: datasets, generators and online inserts all go through it, so
+/// a point normalizes to the same floats on every path.
+void NormalizeRow(std::span<float> row);
 
 /// Computes the dataset's metric between two equal-length vectors through
 /// the runtime-dispatched SIMD kernel layer (data/distance.h). For kL2 this

@@ -1,25 +1,16 @@
 #include "data/io.h"
 
 #include <cstdio>
-#include <memory>
+
+#include "common/file.h"
 
 namespace ganns {
 namespace data {
-namespace {
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using File = std::unique_ptr<std::FILE, FileCloser>;
-
-}  // namespace
 
 std::optional<Dataset> ReadFvecs(const std::string& path,
                                  const std::string& name, Metric metric) {
-  File file(std::fopen(path.c_str(), "rb"));
-  if (file == nullptr) return std::nullopt;
+  File file(path, "rb");
+  if (!file) return std::nullopt;
 
   std::optional<Dataset> dataset;
   std::vector<float> row;
@@ -46,8 +37,8 @@ std::optional<Dataset> ReadFvecs(const std::string& path,
 }
 
 bool WriteFvecs(const std::string& path, const Dataset& dataset) {
-  File file(std::fopen(path.c_str(), "wb"));
-  if (file == nullptr) return false;
+  File file(path, "wb");
+  if (!file) return false;
   const std::int32_t dim = static_cast<std::int32_t>(dataset.dim());
   for (std::size_t i = 0; i < dataset.size(); ++i) {
     const auto point = dataset.PointChecked(static_cast<VertexId>(i));
@@ -57,13 +48,13 @@ bool WriteFvecs(const std::string& path, const Dataset& dataset) {
       return false;
     }
   }
-  return true;
+  return file.Close();
 }
 
 std::optional<std::vector<std::vector<std::int32_t>>> ReadIvecs(
     const std::string& path) {
-  File file(std::fopen(path.c_str(), "rb"));
-  if (file == nullptr) return std::nullopt;
+  File file(path, "rb");
+  if (!file) return std::nullopt;
   std::vector<std::vector<std::int32_t>> rows;
   for (;;) {
     std::int32_t dim = 0;
@@ -82,8 +73,8 @@ std::optional<std::vector<std::vector<std::int32_t>>> ReadIvecs(
 
 bool WriteIvecs(const std::string& path,
                 const std::vector<std::vector<std::int32_t>>& rows) {
-  File file(std::fopen(path.c_str(), "wb"));
-  if (file == nullptr) return false;
+  File file(path, "wb");
+  if (!file) return false;
   for (const auto& row : rows) {
     const std::int32_t dim = static_cast<std::int32_t>(row.size());
     if (std::fwrite(&dim, sizeof(dim), 1, file.get()) != 1) return false;
@@ -93,7 +84,7 @@ bool WriteIvecs(const std::string& path,
       return false;
     }
   }
-  return true;
+  return file.Close();
 }
 
 }  // namespace data

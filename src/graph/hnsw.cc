@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <memory>
 #include <optional>
 
+#include "common/file.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/scratch.h"
@@ -60,13 +60,6 @@ namespace {
 
 constexpr std::uint64_t kHnswVersion = 1;
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using File = std::unique_ptr<std::FILE, FileCloser>;
-
 }  // namespace
 
 bool HnswGraph::WriteTo(std::FILE* file) const {
@@ -95,41 +88,47 @@ std::optional<HnswGraph> HnswGraph::ReadFrom(std::FILE* file) {
   const std::uint64_t num_vertices = header[2];
   const std::uint64_t d_max = header[3];
   const std::uint64_t num_layers = header[4];
-  if (num_vertices > (std::uint64_t{1} << 40) || d_max == 0 ||
-      num_layers == 0 || num_layers > 256 || header[5] >= num_vertices) {
+  const std::uint64_t entry = header[5];
+  // Each layer is a full-size graph record: hold the header to the same
+  // limits before allocating anything. Both factors of the cell count are
+  // bounded, so the product cannot wrap.
+  if (num_vertices > ProximityGraph::kMaxVertices || d_max == 0 ||
+      d_max > ProximityGraph::kMaxDegree ||
+      num_vertices * d_max > ProximityGraph::kMaxCells || num_layers == 0 ||
+      num_layers > 256 || entry >= num_vertices) {
     return std::nullopt;
   }
   std::vector<std::uint8_t> levels(num_vertices);
   if (std::fread(levels.data(), 1, levels.size(), file) != levels.size()) {
     return std::nullopt;
   }
-  HnswGraph graph(num_vertices, d_max, std::move(levels));
   // The level array determines the layer count; a file whose layer records
   // disagree with its own levels is corrupt.
-  if (static_cast<std::uint64_t>(graph.max_level_) + 1 != num_layers) {
-    return std::nullopt;
-  }
-  for (int l = 0; l <= graph.max_level_; ++l) {
+  const std::uint64_t top = *std::max_element(levels.begin(), levels.end());
+  if (top + 1 != num_layers) return std::nullopt;
+  std::vector<ProximityGraph> layers;
+  layers.reserve(num_layers);
+  for (std::uint64_t l = 0; l < num_layers; ++l) {
     auto layer = ProximityGraph::ReadFrom(file);
     if (!layer.has_value() || layer->num_vertices() != num_vertices ||
         layer->d_max() != d_max) {
       return std::nullopt;
     }
-    graph.layers_[l] = *std::move(layer);
+    layers.push_back(*std::move(layer));
   }
-  graph.entry_ = static_cast<VertexId>(header[5]);
-  return graph;
+  return HnswGraph(std::move(levels), std::move(layers),
+                   static_cast<VertexId>(entry));
 }
 
 bool HnswGraph::SaveTo(const std::string& path) const {
-  File file(std::fopen(path.c_str(), "wb"));
-  if (file == nullptr) return false;
-  return WriteTo(file.get());
+  File file(path, "wb");
+  if (!file) return false;
+  return WriteTo(file.get()) && file.Close();
 }
 
 std::optional<HnswGraph> HnswGraph::LoadFrom(const std::string& path) {
-  File file(std::fopen(path.c_str(), "rb"));
-  if (file == nullptr) return std::nullopt;
+  File file(path, "rb");
+  if (!file) return std::nullopt;
   return ReadFrom(file.get());
 }
 
@@ -144,6 +143,13 @@ HnswGraph::HnswGraph(std::size_t num_vertices, std::size_t d_max,
     layers_.emplace_back(num_vertices, d_max);
   }
 }
+
+HnswGraph::HnswGraph(std::vector<std::uint8_t> levels,
+                     std::vector<ProximityGraph> layers, VertexId entry)
+    : levels_(std::move(levels)),
+      layers_(std::move(layers)),
+      max_level_(static_cast<int>(layers_.size()) - 1),
+      entry_(entry) {}
 
 std::size_t HnswGraph::LayerSize(int l) const {
   std::size_t count = 0;

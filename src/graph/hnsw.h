@@ -83,6 +83,11 @@ class HnswGraph {
   static std::optional<HnswGraph> ReadFrom(std::FILE* file);
 
  private:
+  /// A graph read back from a record: `layers` are its layer graphs, one
+  /// per level up to the top one.
+  HnswGraph(std::vector<std::uint8_t> levels,
+            std::vector<ProximityGraph> layers, VertexId entry);
+
   std::vector<std::uint8_t> levels_;
   std::vector<ProximityGraph> layers_;
   int max_level_ = 0;

@@ -5,7 +5,7 @@
 #include <cstdlib>
 #include <set>
 
-#include "common/text_file.h"
+#include "common/file.h"
 #include "obs/trace.h"
 
 namespace ganns {

@@ -4,8 +4,8 @@
 #include <map>
 #include <utility>
 
+#include "common/file.h"
 #include "common/logging.h"
-#include "common/text_file.h"
 
 namespace ganns {
 namespace obs {

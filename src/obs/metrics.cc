@@ -5,7 +5,7 @@
 #include <memory>
 #include <mutex>
 
-#include "common/text_file.h"
+#include "common/file.h"
 #include "common/thread_pool.h"
 
 namespace ganns {

@@ -9,8 +9,8 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "common/file.h"
 #include "common/logging.h"
-#include "common/text_file.h"
 #include "common/timer.h"
 
 namespace ganns {

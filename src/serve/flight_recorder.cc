@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <utility>
 
-#include "common/text_file.h"
+#include "common/file.h"
 #include "obs/metrics.h"
 
 namespace ganns {

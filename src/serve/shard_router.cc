@@ -18,25 +18,6 @@ std::shared_ptr<const std::vector<VertexId>> ShardedIndex::IotaGlobalIds(
   return ids;
 }
 
-/// The builders produce exactly-sized graphs; the serving layer
-/// over-provisions so online inserts have slots to claim.
-graph::ProximityGraph ShardedIndex::WithCapacity(graph::ProximityGraph built,
-                                                 std::size_t capacity) {
-  if (capacity <= built.num_vertices()) return built;
-  graph::ProximityGraph grown(built.num_vertices(), built.d_max(), capacity);
-  std::vector<graph::ProximityGraph::Edge> row;
-  row.reserve(built.d_max());
-  for (VertexId v = 0; v < built.num_vertices(); ++v) {
-    row.clear();
-    const auto ids = built.Neighbors(v);
-    const auto dists = built.NeighborDists(v);
-    const std::size_t degree = built.Degree(v);
-    for (std::size_t i = 0; i < degree; ++i) row.push_back({ids[i], dists[i]});
-    grown.SetNeighbors(v, row);
-  }
-  return grown;
-}
-
 ShardedIndex::~ShardedIndex() { StopCompactor(); }
 
 std::size_t ShardedIndex::size() const {
@@ -146,8 +127,7 @@ core::GpuBuildParams ShardedIndex::MakeBuildParams(
 
 core::UpdateParams ShardedIndex::MakeUpdateParams() const {
   core::UpdateParams params;
-  params.d_min = options_.update.d_min_insert != 0 ? options_.update.d_min_insert
-                                                   : options_.nsw.d_min;
+  params.d_min = options_.nsw.d_min;
   params.ef = options_.update.ef_insert;
   params.kernel = options_.construction_kernel;
   params.block_lanes = options_.block_lanes;
@@ -177,8 +157,10 @@ std::unique_ptr<ShardedIndex::Shard> ShardedIndex::BuildShard(
         slice.size() + static_cast<std::size_t>(std::ceil(
                            static_cast<double>(slice.size()) *
                            std::max(0.0, options.update.capacity_slack)));
-    snapshot->graph = std::make_shared<graph::ProximityGraph>(
-        WithCapacity(std::move(result.graph), capacity));
+    // The builder sizes the graph exactly; serving adds insert headroom.
+    result.graph.Reserve(capacity);
+    snapshot->graph =
+        std::make_shared<graph::ProximityGraph>(std::move(result.graph));
   } else {
     graph::HnswParams hnsw = options.hnsw;
     hnsw.nsw = options.nsw;

@@ -30,12 +30,11 @@ namespace serve {
 /// Lifecycle configuration of a mutable (NSW) sharded index.
 struct IndexUpdateOptions {
   /// Extra adjacency capacity per shard as a fraction of its initial size:
-  /// slack 0.5 lets a shard grow 50% before inserts need compacted slots.
+  /// slack 0.5 lets a shard grow 50% before it is full. Compaction repacks
+  /// the survivors, so removed points' slots become free capacity again.
   double capacity_slack = 0.5;
   /// Visited budget of the insert neighbor-selection search.
   std::size_t ef_insert = 64;
-  /// Edges linked per insert; 0 uses the construction d_min.
-  std::size_t d_min_insert = 0;
   /// Tombstone fraction at which a shard is scheduled for compaction.
   double compact_threshold = 0.25;
   /// Run the background compaction task (manual Compact() otherwise).
@@ -178,8 +177,8 @@ class ShardedIndex {
 
   /// Inserts one vector (normalized first on cosine corpora), routing it to
   /// the shard with the most free capacity. Returns the new global id, or
-  /// std::nullopt when every shard is full (capacity_slack exhausted and no
-  /// compacted slots available).
+  /// std::nullopt when every shard is full (capacity_slack exhausted since
+  /// the last compaction).
   std::optional<VertexId> Insert(std::span<const float> vector);
 
   /// Deletes a point by global id. Returns false when the id is unknown or
@@ -187,10 +186,10 @@ class ShardedIndex {
   /// is reclaimed by compaction.
   bool Remove(VertexId global_id);
 
-  /// Compacts shard s now if it has any tombstones (rebuilds the graph over
-  /// the survivors and releases their slots). Returns true when a rebuild
-  /// happened. The background task calls this automatically past the
-  /// threshold; tests and tools can force it.
+  /// Compacts shard s now if it has any tombstones (repacks the survivors
+  /// into the lowest slots and rebuilds their graph at the same capacity).
+  /// Returns true when a rebuild happened. The background task calls this
+  /// automatically past the threshold; tests and tools can force it.
   bool Compact(std::size_t s);
 
   /// Lifecycle introspection.
@@ -367,10 +366,6 @@ class ShardedIndex {
                                     VertexId end);
   static core::GpuBuildParams MakeBuildParams(const ShardBuildOptions& options,
                                               std::size_t shard_size);
-  /// Re-homes a freshly built graph into a store with `capacity` slots of
-  /// growth headroom (no-op when already at least that large).
-  static graph::ProximityGraph WithCapacity(graph::ProximityGraph built,
-                                            std::size_t capacity);
   core::UpdateParams MakeUpdateParams() const;
 
   /// Resolves a global id to (shard, slot) without validating liveness.

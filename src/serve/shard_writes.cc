@@ -3,12 +3,12 @@
 // live-mutated shard. The read path lives in shard_router.cc.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <vector>
 
+#include "common/file.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -24,15 +24,6 @@ namespace {
 
 constexpr std::uint64_t kShardMagic = 0x33485347;  // "GSH3"
 constexpr std::uint64_t kShardVersion = 3;
-/// Leading word of a legacy (pre-lifecycle) bare graph record.
-constexpr std::uint64_t kGraphMagic = 0x474e4e53;  // "GNNS"
-
-struct FileCloser {
-  void operator()(std::FILE* file) const {
-    if (file != nullptr) std::fclose(file);
-  }
-};
-using File = std::unique_ptr<std::FILE, FileCloser>;
 
 /// fetch_add for std::atomic<double> (not guaranteed before C++20 TS
 /// support everywhere): plain CAS loop, relaxed — it is a counter.
@@ -98,12 +89,7 @@ std::optional<VertexId> ShardedIndex::Insert(std::span<const float> vector) {
   // match or its dot-product distances are meaningless.
   std::vector<float> point(vector.begin(), vector.end());
   if (PinSnapshot(0)->base->metric() == data::Metric::kCosine) {
-    double norm_sq = 0;
-    for (const float x : point) norm_sq += static_cast<double>(x) * x;
-    if (norm_sq > 0) {
-      const float inv = static_cast<float>(1.0 / std::sqrt(norm_sq));
-      for (float& x : point) x *= inv;
-    }
+    data::NormalizeRow(point);
   }
 
   std::lock_guard<std::mutex> lock(writes_->write_mutex);
@@ -138,16 +124,12 @@ std::optional<VertexId> ShardedIndex::Insert(std::span<const float> vector) {
   base->AppendPaddedRows(snap->base->values());
   auto gids = std::make_shared<std::vector<VertexId>>(*snap->global_ids);
 
+  // The new slot is the graph's high-water mark, one past the last row.
   const std::optional<VertexId> slot = graph->AllocVertex();
-  GANNS_CHECK(slot.has_value());  // FreeCapacity() > 0 above
-  if (*slot == base->size()) {
-    base->Append(point);
-    gids->push_back(kInvalidVertex);
-  } else {
-    base->SetRow(*slot, point);
-  }
+  GANNS_CHECK(slot.has_value() && *slot == base->size());
+  base->Append(point);
   const VertexId gid = writes_->next_global_id++;
-  (*gids)[*slot] = gid;
+  gids->push_back(gid);
 
   // Compressed shards keep the code array in lockstep with the slot space:
   // clone it and encode the new row with the shard's (fixed) codebooks.
@@ -278,10 +260,8 @@ bool ShardedIndex::CompactLocked(std::size_t s) {
     core::GpuBuildResult result = core::BuildNswGGraphCon(
         *shard.update_device, *base, MakeBuildParams(options_, base->size()));
     sim_seconds = result.sim_seconds;
-    const std::size_t capacity =
-        std::max(snap->graph->capacity(), result.graph.num_vertices());
-    graph = std::make_shared<graph::ProximityGraph>(
-        WithCapacity(std::move(result.graph), capacity));
+    result.graph.Reserve(snap->graph->capacity());
+    graph = std::make_shared<graph::ProximityGraph>(std::move(result.graph));
   } else {
     graph = std::make_shared<graph::ProximityGraph>(
         0, snap->graph->d_max(), snap->graph->capacity());
@@ -399,8 +379,8 @@ bool ShardedIndex::SaveShards(const std::string& prefix) const {
     const graph::ProximityGraph& graph =
         shard.hnsw != nullptr ? shard.hnsw->layer(0) : *snap->graph;
     const data::Dataset& base = *snap->base;
-    File file(std::fopen(path.c_str(), "wb"));
-    if (file == nullptr) return false;
+    File file(path, "wb");
+    if (!file) return false;
     const std::uint64_t header[8] = {
         kShardMagic,
         kShardVersion,
@@ -437,6 +417,7 @@ bool ShardedIndex::SaveShards(const std::string& prefix) const {
                                      *snap->codes)) {
       return false;
     }
+    if (!file.Close()) return false;
   }
   return true;
 }
@@ -451,8 +432,8 @@ std::unique_ptr<ShardedIndex::Shard> ShardedIndex::LoadShard(
   shard->device = std::make_unique<gpusim::Device>(options.device);
   shard->update_device = std::make_unique<gpusim::Device>(options.device);
 
-  File file(std::fopen(path.c_str(), "rb"));
-  if (file == nullptr) {
+  File file(path, "rb");
+  if (!file) {
     SetShardError(error, path, "cannot open");
     return nullptr;
   }
@@ -461,151 +442,115 @@ std::unique_ptr<ShardedIndex::Shard> ShardedIndex::LoadShard(
     SetShardError(error, path, "truncated (cannot read magic word)");
     return nullptr;
   }
-  auto snapshot = std::make_shared<Snapshot>();
-
-  if (magic == kGraphMagic) {
-    // Legacy bare record: a pristine (never mutated) shard graph over the
-    // corpus slice.
-    if (std::fseek(file.get(), 0, SEEK_SET) != 0) {
-      SetShardError(error, path, "seek failure rewinding legacy record");
-      return nullptr;
-    }
-    auto graph = graph::ProximityGraph::ReadFrom(file.get());
-    if (!graph.has_value()) {
-      SetShardError(error, path, "truncated or corrupt legacy graph record");
-      return nullptr;
-    }
-    if (graph->num_vertices() != shard->initial_size ||
-        graph->num_tombstones() != 0) {
-      SetShardError(error, path,
-                    "legacy graph record mismatch (file has " +
-                        std::to_string(graph->num_vertices()) +
-                        " vertices / " +
-                        std::to_string(graph->num_tombstones()) +
-                        " tombstones, expected " +
-                        std::to_string(shard->initial_size) +
-                        " vertices / 0 tombstones)");
-      return nullptr;
-    }
-    snapshot->entry = shard->initial_size > 0 ? 0 : kInvalidVertex;
-    snapshot->graph =
-        std::make_shared<graph::ProximityGraph>(*std::move(graph));
-    snapshot->base =
-        std::make_shared<data::Dataset>(SliceDataset(base, begin, end));
-    snapshot->global_ids = IotaGlobalIds(begin, end - begin);
-  } else if (magic == kShardMagic) {
-    std::uint64_t rest[7] = {};
-    if (std::fread(rest, sizeof(rest), 1, file.get()) != 1) {
-      SetShardError(error, path, "shard header: truncated");
-      return nullptr;
-    }
-    const std::uint64_t version = rest[0];
-    if (version != kShardVersion) {
-      SetShardError(error, path,
-                    "shard header: unsupported version " +
-                        std::to_string(version) + " (expected " +
-                        std::to_string(kShardVersion) + ")");
-      return nullptr;
-    }
-    if (rest[1] != shard->offset || rest[2] != shard->initial_size ||
-        rest[4] != base.dim() ||
-        rest[5] != static_cast<std::uint64_t>(base.metric())) {
-      SetShardError(
-          error, path,
-          "shard header: geometry mismatch (file offset/size/dim/metric " +
-              std::to_string(rest[1]) + "/" + std::to_string(rest[2]) + "/" +
-              std::to_string(rest[4]) + "/" + std::to_string(rest[5]) +
-              ", expected " + std::to_string(shard->offset) + "/" +
-              std::to_string(shard->initial_size) + "/" +
-              std::to_string(base.dim()) + "/" +
-              std::to_string(static_cast<std::uint64_t>(base.metric())) +
-              ")");
-      return nullptr;
-    }
-    const VertexId entry = static_cast<VertexId>(rest[3]);
-    const std::uint64_t num_rows = rest[6];
-    // The graph record's own leading word names the shard's kind: an HNSW
-    // hierarchy, or else a flat NSW graph (whose reader checks its magic).
-    std::uint64_t record_magic = 0;
-    const long record_at = std::ftell(file.get());
-    const bool peeked =
-        std::fread(&record_magic, sizeof(record_magic), 1, file.get()) == 1 &&
-        std::fseek(file.get(), record_at, SEEK_SET) == 0;
-    std::optional<graph::ProximityGraph> graph;
-    const graph::ProximityGraph* bottom = nullptr;
-    if (peeked && record_magic == graph::HnswGraph::kRecordMagic) {
-      if (auto hnsw = graph::HnswGraph::ReadFrom(file.get())) {
-        shard->hnsw = std::make_unique<graph::HnswGraph>(*std::move(hnsw));
-        bottom = &shard->hnsw->layer(0);
-      }
-    } else if (peeked) {
-      graph = graph::ProximityGraph::ReadFrom(file.get());
-      if (graph.has_value()) bottom = &*graph;
-    }
-    if (bottom == nullptr || bottom->num_vertices() != num_rows) {
-      SetShardError(error, path,
-                    "graph record: truncated, corrupt, or vertex count "
-                    "disagrees with shard header");
-      return nullptr;
-    }
-    if (entry == kInvalidVertex) {
-      if (bottom->num_live() != 0) {
-        SetShardError(error, path,
-                      "entry vertex: header says empty shard but graph "
-                      "has live vertices");
-        return nullptr;
-      }
-    } else if (entry >= num_rows || !bottom->IsLive(entry)) {
-      SetShardError(error, path,
-                    "entry vertex " + std::to_string(entry) +
-                        " is out of range or tombstoned");
-      return nullptr;
-    }
-    auto gids = std::make_shared<std::vector<VertexId>>(num_rows);
-    if (num_rows > 0 &&
-        std::fread(gids->data(), sizeof(VertexId), num_rows, file.get()) !=
-            num_rows) {
-      SetShardError(error, path, "global id map: truncated");
-      return nullptr;
-    }
-    auto rows = std::make_shared<data::Dataset>(base.name() + ".shard",
-                                                base.dim(), base.metric());
-    const std::size_t rows_read = rows->ReadRows(file.get(), num_rows);
-    if (rows_read != num_rows) {
-      SetShardError(error, path,
-                    "vector rows: truncated at row " +
-                        std::to_string(rows_read) + " of " +
-                        std::to_string(num_rows));
-      return nullptr;
-    }
-    // Every non-free slot's gid was issued once, so it advances the id
-    // counter; tombstoned ones stay reserved but are not addressable. A live
-    // slot needs a map entry only where the offset arithmetic of
-    // ResolveGlobalId would miss it: inserted ids and compaction-moved
-    // initial ids. Identity slots resolve as in a fresh build.
-    for (VertexId slot = 0; slot < num_rows; ++slot) {
-      if (bottom->store().state(slot) == graph::GraphStore::SlotState::kFree) {
-        continue;
-      }
-      const VertexId gid = (*gids)[slot];
-      ids.next_global_id = std::max(ids.next_global_id, gid + 1);
-      if (!bottom->IsLive(slot)) continue;
-      if (slot < shard->initial_size && gid == shard->offset + slot) continue;
-      ids.moved.emplace_back(gid, slot);
-    }
-    snapshot->entry = entry;
-    if (graph.has_value()) {
-      snapshot->graph =
-          std::make_shared<graph::ProximityGraph>(*std::move(graph));
-    }
-    snapshot->base = std::move(rows);
-    snapshot->global_ids = std::move(gids);
-  } else {
+  if (magic != kShardMagic) {
     SetShardError(error, path,
-                  "unknown magic word (expected GSH3 shard container or "
-                  "legacy GNNS graph record)");
+                  "unknown magic word (not a GSH3 shard container)");
     return nullptr;
   }
+  std::uint64_t rest[7] = {};
+  if (std::fread(rest, sizeof(rest), 1, file.get()) != 1) {
+    SetShardError(error, path, "shard header: truncated");
+    return nullptr;
+  }
+  const std::uint64_t version = rest[0];
+  if (version != kShardVersion) {
+    SetShardError(error, path,
+                  "shard header: unsupported version " +
+                      std::to_string(version) + " (expected " +
+                      std::to_string(kShardVersion) + ")");
+    return nullptr;
+  }
+  if (rest[1] != shard->offset || rest[2] != shard->initial_size ||
+      rest[4] != base.dim() ||
+      rest[5] != static_cast<std::uint64_t>(base.metric())) {
+    SetShardError(
+        error, path,
+        "shard header: geometry mismatch (file offset/size/dim/metric " +
+            std::to_string(rest[1]) + "/" + std::to_string(rest[2]) + "/" +
+            std::to_string(rest[4]) + "/" + std::to_string(rest[5]) +
+            ", expected " + std::to_string(shard->offset) + "/" +
+            std::to_string(shard->initial_size) + "/" +
+            std::to_string(base.dim()) + "/" +
+            std::to_string(static_cast<std::uint64_t>(base.metric())) +
+            ")");
+    return nullptr;
+  }
+  const VertexId entry = static_cast<VertexId>(rest[3]);
+  const std::uint64_t num_rows = rest[6];
+  // The graph record's own leading word names the shard's kind: an HNSW
+  // hierarchy, or else a flat NSW graph (whose reader checks its magic).
+  std::uint64_t record_magic = 0;
+  const long record_at = std::ftell(file.get());
+  const bool peeked =
+      std::fread(&record_magic, sizeof(record_magic), 1, file.get()) == 1 &&
+      std::fseek(file.get(), record_at, SEEK_SET) == 0;
+  std::optional<graph::ProximityGraph> graph;
+  const graph::ProximityGraph* bottom = nullptr;
+  if (peeked && record_magic == graph::HnswGraph::kRecordMagic) {
+    if (auto hnsw = graph::HnswGraph::ReadFrom(file.get())) {
+      shard->hnsw = std::make_unique<graph::HnswGraph>(*std::move(hnsw));
+      bottom = &shard->hnsw->layer(0);
+    }
+  } else if (peeked) {
+    graph = graph::ProximityGraph::ReadFrom(file.get());
+    if (graph.has_value()) bottom = &*graph;
+  }
+  if (bottom == nullptr || bottom->num_vertices() != num_rows) {
+    SetShardError(error, path,
+                  "graph record: truncated, corrupt, or vertex count "
+                  "disagrees with shard header");
+    return nullptr;
+  }
+  if (entry == kInvalidVertex) {
+    if (bottom->num_live() != 0) {
+      SetShardError(error, path,
+                    "entry vertex: header says empty shard but graph "
+                    "has live vertices");
+      return nullptr;
+    }
+  } else if (entry >= num_rows || !bottom->IsLive(entry)) {
+    SetShardError(error, path,
+                  "entry vertex " + std::to_string(entry) +
+                      " is out of range or tombstoned");
+    return nullptr;
+  }
+  auto gids = std::make_shared<std::vector<VertexId>>(num_rows);
+  if (num_rows > 0 &&
+      std::fread(gids->data(), sizeof(VertexId), num_rows, file.get()) !=
+          num_rows) {
+    SetShardError(error, path, "global id map: truncated");
+    return nullptr;
+  }
+  auto rows = std::make_shared<data::Dataset>(base.name() + ".shard",
+                                              base.dim(), base.metric());
+  const std::size_t rows_read = rows->ReadRows(file.get(), num_rows);
+  if (rows_read != num_rows) {
+    SetShardError(error, path,
+                  "vector rows: truncated at row " +
+                      std::to_string(rows_read) + " of " +
+                      std::to_string(num_rows));
+    return nullptr;
+  }
+  // Every slot's gid was issued once, so it advances the id counter;
+  // tombstoned ones stay reserved but are not addressable. A live slot needs
+  // a map entry only where the offset arithmetic of ResolveGlobalId would
+  // miss it: inserted ids and compaction-moved initial ids. Identity slots
+  // resolve as in a fresh build.
+  for (VertexId slot = 0; slot < num_rows; ++slot) {
+    const VertexId gid = (*gids)[slot];
+    ids.next_global_id = std::max(ids.next_global_id, gid + 1);
+    if (!bottom->IsLive(slot)) continue;
+    if (slot < shard->initial_size && gid == shard->offset + slot) continue;
+    ids.moved.emplace_back(gid, slot);
+  }
+  auto snapshot = std::make_shared<Snapshot>();
+  snapshot->entry = entry;
+  if (graph.has_value()) {
+    snapshot->graph =
+        std::make_shared<graph::ProximityGraph>(*std::move(graph));
+  }
+  snapshot->base = std::move(rows);
+  snapshot->global_ids = std::move(gids);
   // Optional trailing quantization section (compressed shards). Clean EOF
   // means an exact shard; a present-but-corrupt section is a load error.
   std::string quant_error;

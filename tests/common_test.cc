@@ -22,10 +22,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/file.h"
 #include "common/kway_merge.h"
 #include "common/prefix_sum.h"
 #include "common/random.h"
-#include "common/text_file.h"
 #include "common/thread_pool.h"
 #include "graph/beam_search.h"
 

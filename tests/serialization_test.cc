@@ -4,6 +4,8 @@
 // never crash on, never partially apply — a corrupted file. One corruption
 // family crossed with every format: wrong magic, unknown version, truncated
 // header, truncated payload, and an oversized element count in the header.
+// The writers' other failure path is covered too: a save whose final flush
+// fails (a full disk) must report it.
 
 #include <cstdint>
 #include <cstdio>
@@ -12,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "data/io.h"
 #include "data/quantize.h"
 #include "data/synthetic.h"
 #include "graph/hnsw.h"
@@ -87,7 +90,6 @@ std::string WriteValidFile(Format format, const char* suffix) {
   if (format == Format::kGraphV3Lifecycle) {
     graph.Tombstone(2);
     graph.Tombstone(5);
-    graph.ReleaseTombstone(5);
     const auto v = graph.AllocVertex();
     EXPECT_TRUE(v.has_value());
   }
@@ -150,9 +152,9 @@ void Corrupt(std::vector<std::uint8_t>& bytes, Corruption corruption) {
       bytes.resize(bytes.size() * 3 / 5);
       break;
     case Corruption::kOversizedCount:
-      // Word 2 is the element count in every header (num_slots for graph
-      // records, num_vertices for the HNSW stream, dim for the quantized
-      // section): far past the sanity cap.
+      // Word 2 is the element count in every header (the vertex count for
+      // graph records and the HNSW stream, dim for the quantized section):
+      // far past the sanity cap.
       put_u64(2, std::uint64_t{1} << 50);
       break;
   }
@@ -189,6 +191,28 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(FormatName(std::get<0>(info.param))) + "_" +
              CorruptionName(std::get<1>(info.param));
     });
+
+// stdio buffers a small file until the close, so on /dev/full only the final
+// flush fails: every binary writer must report that as a failed save.
+TEST(SerializationWriterTest, FailedFinalFlushIsReported) {
+  const std::string full = "/dev/full";
+  if (std::FILE* file = std::fopen(full.c_str(), "wb")) {
+    std::fclose(file);
+  } else {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  const data::Dataset base =
+      data::GenerateBase(data::PaperDataset("SIFT1M"), 4, 3);
+  EXPECT_FALSE(data::WriteFvecs(full, base));
+  EXPECT_FALSE(data::WriteIvecs(full, {{1, 2, 3}, {4, 5, 6}}));
+  ProximityGraph graph(4, 2);
+  graph.InsertNeighbor(0, 1, 0.5f);
+  EXPECT_FALSE(graph.SaveTo(full));
+  HnswParams params;
+  params.nsw.d_min = 2;
+  params.nsw.d_max = 4;
+  EXPECT_FALSE(BuildHnswCpu(base, params).graph.SaveTo(full));
+}
 
 }  // namespace
 }  // namespace graph

@@ -2,6 +2,8 @@
 // sharded merge, the bounded queue / micro-batcher concurrency, admission
 // control, deadline enforcement, graceful shutdown, and shard persistence.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -427,6 +429,10 @@ class CorruptShardTest : public ServeTest {
     std::memcpy(&word, bytes.data() + i * sizeof(word), sizeof(word));
     return word;
   }
+
+  static void SetWord(Bytes& bytes, std::size_t i, std::uint64_t word) {
+    std::memcpy(bytes.data() + i * sizeof(word), &word, sizeof(word));
+  }
 };
 
 TEST_F(CorruptShardTest, EverySectionFailsNamingFileAndSection) {
@@ -501,6 +507,55 @@ TEST_F(CorruptShardTest, EverySectionFailsNamingFileAndSection) {
          return Bytes(l.exact.begin(),
                       l.exact.begin() + kHeaderBytes + graph_bytes / 2);
        }},
+      {"bare graph record",
+       [](const Layout&) -> std::string { return "unknown magic word"; },
+       [](const Layout& l, std::size_t) {
+         // The graph record alone, as pre-container shard files were saved.
+         return Bytes(l.exact.begin() + kHeaderBytes,
+                      l.exact.begin() + l.ids_at);
+       }},
+      {"v1 graph record",
+       [](const Layout&) -> std::string {
+         return "graph record: truncated, corrupt";
+       },
+       [](const Layout& l, std::size_t) {
+         // The same graph in the retired v1 layout: a 4-word header
+         // {magic, 1, vertices, d_max}, ids, dists and degrees, no capacity
+         // or state bytes.
+         Bytes b = l.exact;
+         b.erase(b.begin() + l.ids_at - l.rows, b.begin() + l.ids_at);
+         b.erase(b.begin() + kHeaderBytes + 4 * sizeof(std::uint64_t),
+                 b.begin() + kHeaderBytes + 8 * sizeof(std::uint64_t));
+         SetWord(b, 8 + 1, 1);
+         return b;
+       }},
+      {"free-listed slot",
+       [](const Layout&) -> std::string {
+         return "graph record: truncated, corrupt";
+       },
+       [](const Layout& l, std::size_t) {
+         // The last slot released onto a free list, as the record's free
+         // count and state byte 0 once described: one live vertex fewer,
+         // free count 1, and the slot's id after the state bytes.
+         Bytes b = l.exact;
+         SetWord(b, 8 + 5, Word(b, 8 + 5) - 1);
+         SetWord(b, 8 + 7, 1);
+         b[l.ids_at - 1] = 0;
+         const VertexId freed = static_cast<VertexId>(l.rows - 1);
+         const char* freed_bytes = reinterpret_cast<const char*>(&freed);
+         b.insert(b.begin() + l.ids_at, freed_bytes,
+                  freed_bytes + sizeof(freed));
+         return b;
+       }},
+      {"state byte 0",
+       [](const Layout&) -> std::string {
+         return "graph record: truncated, corrupt";
+       },
+       [](const Layout& l, std::size_t) {
+         Bytes b = l.exact;
+         b[l.ids_at - 1] = 0;  // the last slot's state byte
+         return b;
+       }},
       {"absurd graph capacity",
        [](const Layout&) -> std::string {
          return "graph record: truncated, corrupt";
@@ -572,6 +627,68 @@ TEST_F(CorruptShardTest, EverySectionFailsNamingFileAndSection) {
   }
   std::remove(path(0).c_str());
   std::remove(path(1).c_str());
+}
+
+// The HNSW record header is held to the graph record's limits before
+// anything is allocated: a vertex count or degree no process could hold
+// gives the named graph record error instead of bad_alloc.
+TEST_F(CorruptShardTest, AbsurdHnswHeaderIsNamedError) {
+  const std::string prefix = ::testing::TempDir() + "/corrupt_hnsw";
+  const std::string path = prefix + ".shard0";
+  ShardBuildOptions options;
+  options.kind = core::GraphKind::kHnsw;
+  ASSERT_TRUE(ShardedIndex::Build(*base_, 1, options).SaveShards(prefix));
+  const Bytes pristine = ReadBytes(path);
+  // The HNSW record follows the 8-word shard header: {magic, version,
+  // vertices, d_max, layers, entry}.
+  ASSERT_EQ(Word(pristine, 8), graph::HnswGraph::kRecordMagic);
+  ASSERT_EQ(Word(pristine, 8 + 2), kN);
+  struct Case {
+    const char* name;
+    std::size_t word;
+    std::uint64_t value;
+  };
+  const Case cases[] = {
+      {"vertex count 2^40", 2, std::uint64_t{1} << 40},
+      {"degree 2^40", 3, std::uint64_t{1} << 40},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Bytes b = pristine;
+    SetWord(b, 8 + c.word, c.value);
+    WriteBytes(path, b);
+    std::string error;
+    EXPECT_FALSE(
+        ShardedIndex::LoadShards(prefix, *base_, 1, options, &error)
+            .has_value());
+    const std::string want =
+        "shard file '" + path + "': graph record: truncated, corrupt";
+    EXPECT_EQ(error.substr(0, want.size()), want) << error;
+  }
+  std::remove(path.c_str());
+}
+
+// A save whose final flush fails reports it: the shard file is a symlink to
+// /dev/full, and the index is small enough that stdio buffers every byte
+// until the close.
+TEST_F(ServeTest, ShardSaveReportsFailedFlush) {
+  if (std::FILE* full = std::fopen("/dev/full", "wb")) {
+    std::fclose(full);
+  } else {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  const std::string prefix = ::testing::TempDir() + "/full_disk";
+  const std::string path = prefix + ".shard0";
+  std::remove(path.c_str());
+  ASSERT_EQ(symlink("/dev/full", path.c_str()), 0);
+  data::Dataset tiny("tiny", 4, data::Metric::kL2);
+  for (int i = 0; i < 8; ++i) {
+    const float row[4] = {static_cast<float>(i), static_cast<float>(i % 3),
+                          static_cast<float>(i % 2), 1.0f};
+    tiny.Append(row);
+  }
+  EXPECT_FALSE(ShardedIndex::Build(tiny, 1, {}).SaveShards(prefix));
+  std::remove(path.c_str());
 }
 
 // A loaded index resolves global ids exactly like the index it was saved
@@ -1429,7 +1546,7 @@ class LifecycleTest : public ServeTest {
     std::optional<data::QuantizedStore> store;
   };
 
-  ShardFile ReadShardFile(const std::string& path) const {
+  static ShardFile ReadShardFile(const std::string& path) {
     ShardFile file;
     std::FILE* f = std::fopen(path.c_str(), "rb");
     EXPECT_NE(f, nullptr) << path;
@@ -1441,33 +1558,15 @@ class LifecycleTest : public ServeTest {
     file.gids.resize(num_rows);
     EXPECT_EQ(std::fread(file.gids.data(), sizeof(VertexId), num_rows, f),
               num_rows);
-    file.rows.emplace("rows", base_->dim(), base_->metric());
+    // Header words 5 and 6 are the corpus dim and metric.
+    file.rows.emplace("rows", file.header[5],
+                      static_cast<data::Metric>(file.header[6]));
     EXPECT_EQ(file.rows->ReadRows(f, num_rows), num_rows);
     std::string error;
     file.store = data::ReadQuantizedSection(f, num_rows, &error);
     EXPECT_TRUE(error.empty()) << error;
     std::fclose(f);
     return file;
-  }
-
-  static void WriteShardFile(const std::string& path, const ShardFile& file) {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr) << path;
-    ASSERT_EQ(std::fwrite(file.header, sizeof(file.header), 1, f), 1u);
-    ASSERT_TRUE(file.graph->WriteTo(f));
-    ASSERT_EQ(std::fwrite(file.gids.data(), sizeof(VertexId),
-                          file.gids.size(), f),
-              file.gids.size());
-    for (VertexId v = 0; v < file.rows->size(); ++v) {
-      ASSERT_EQ(std::fwrite(file.rows->Point(v).data(), sizeof(float),
-                            file.rows->dim(), f),
-                file.rows->dim());
-    }
-    if (file.store.has_value()) {
-      ASSERT_TRUE(data::WriteQuantizedSection(f, file.store->quantizer,
-                                              file.store->codes));
-    }
-    std::fclose(f);
   }
 
   /// Every live slot's saved code equals a fresh encode of its saved row.
@@ -1709,62 +1808,48 @@ TEST_F(LifecycleTest, InsertsAfterCompactTakeReleasedSlots) {
   std::remove((prefix + ".shard0").c_str());
 }
 
-// A graph record may carry a free-listed slot (the v3 store record
-// serializes its free list). Such a shard loads, and the next insert reuses
-// that slot: it overwrites the slot's vector row and, on a compressed
-// shard, re-encodes its code in place instead of appending.
-TEST_F(LifecycleTest, InsertReusesFreeListedSlot) {
-  const std::string prefix = ::testing::TempDir() + "/free_slot";
-  const std::string path = prefix + ".shard0";
+// An insert into a cosine index is normalized like the corpus: the saved
+// row is the unit vector, not the scaled input, and querying the scaled
+// input finds the inserted point first.
+TEST_F(LifecycleTest, CosineInsertIsNormalized) {
+  const std::string prefix = ::testing::TempDir() + "/cosine_insert";
+  const data::Dataset corpus =
+      data::GenerateBase(data::PaperDataset("GloVe200"), 300, 13);
   const data::Dataset extra =
-      data::GenerateBase(data::PaperDataset("SIFT1M"), 1, 37);
-  constexpr VertexId kFreed = 137;
-  for (const data::Precision precision :
-       {data::Precision::kFloat32, data::Precision::kSq8}) {
-    SCOPED_TRACE(data::PrecisionName(precision));
-    ShardBuildOptions options = MutableOptions(false);
-    options.quantize.precision = precision;
-    ASSERT_TRUE(ShardedIndex::Build(*base_, 1, options).SaveShards(prefix));
+      data::GenerateBase(data::PaperDataset("GloVe200"), 1, 41);
+  ASSERT_EQ(corpus.metric(), data::Metric::kCosine);
+  ShardedIndex index = ShardedIndex::Build(corpus, 1, MutableOptions(false));
 
-    // Free the slot as the store's contract asks: tombstone it, unlink
-    // every edge into it, release it onto the free list.
-    ShardFile file = ReadShardFile(path);
-    graph::ProximityGraph& graph = *file.graph;
-    graph.Tombstone(kFreed);
-    for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-      graph.RemoveNeighbor(v, kFreed);
-    }
-    graph.ReleaseTombstone(kFreed);
-    WriteShardFile(path, file);
+  // extra's row is already a unit vector; scaling it moves it off the
+  // sphere, and normalizing the scaled copy brings it back.
+  std::vector<float> scaled(extra.Point(0).begin(), extra.Point(0).end());
+  for (float& x : scaled) x *= 3.5f;
+  std::vector<float> unit = scaled;
+  double norm_sq = 0;
+  for (const float x : unit) norm_sq += double{x} * x;
+  const float inv = static_cast<float>(1.0 / std::sqrt(norm_sq));
+  for (float& x : unit) x *= inv;
 
-    std::string error;
-    auto index = ShardedIndex::LoadShards(prefix, *base_, 1, options, &error);
-    ASSERT_TRUE(index.has_value()) << error;
-    auto live = InitialLiveSet();
-    live.erase(kFreed);
-    EXPECT_EQ(index->size(), live.size());
+  const auto gid = index.Insert(scaled);
+  ASSERT_TRUE(gid.has_value());
+  std::vector<RoutedQuery> routed(1);
+  routed[0].query = scaled;
+  routed[0].k = kK;
+  routed[0].budget = 1024;
+  const auto rows = index.SearchBatch(routed, core::SearchKernel::kGanns);
+  ASSERT_FALSE(rows[0].empty());
+  EXPECT_EQ(rows[0][0].id, *gid);
 
-    const auto point = extra.Point(0);
-    const auto gid = index->Insert(point);
-    ASSERT_TRUE(gid.has_value());
-    EXPECT_EQ(*gid, kN);  // a fresh id past the corpus
-    live[*gid] = {point.begin(), point.end()};
-    ExpectInsertedFoundFirst(*index, extra, {*gid});
-    if (precision == data::Precision::kFloat32) {
-      ExpectMatchesSurvivors(*index, live);
-    }
-
-    ASSERT_TRUE(index->SaveShards(prefix));
-    const ShardFile after = ReadShardFile(path);
-    EXPECT_EQ(after.header[7], kN);  // no row appended
-    EXPECT_EQ(after.gids[kFreed], *gid);
-    const auto row = after.rows->Point(kFreed);
-    EXPECT_TRUE(std::equal(row.begin(), row.end(), point.begin()));
-    if (precision != data::Precision::kFloat32) {
-      ExpectCodesMatchFreshEncode(after);
-    }
+  ASSERT_TRUE(index.SaveShards(prefix));
+  const ShardFile file = ReadShardFile(prefix + ".shard0");
+  ASSERT_EQ(file.header[7], corpus.size() + 1);
+  EXPECT_EQ(file.gids.back(), *gid);
+  const auto saved = file.rows->Point(static_cast<VertexId>(corpus.size()));
+  EXPECT_TRUE(std::equal(saved.begin(), saved.end(), unit.begin()));
+  for (std::size_t d = 0; d < unit.size(); ++d) {
+    EXPECT_NEAR(saved[d], extra.Point(0)[d], 1e-6) << "d=" << d;
   }
-  std::remove(path.c_str());
+  std::remove((prefix + ".shard0").c_str());
 }
 
 // A shard drained to zero live points serves empty rows (no kernel launch)

@@ -155,7 +155,7 @@
 #include "bench/bench_common.h"
 #include "bench/drills.h"
 #include "cluster/cluster_router.h"
-#include "common/text_file.h"
+#include "common/file.h"
 #include "core/ganns_search.h"
 #include "core/ggraphcon.h"
 #include "data/ground_truth.h"
