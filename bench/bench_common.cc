@@ -1,7 +1,6 @@
 #include "bench/bench_common.h"
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdarg>
@@ -69,13 +68,12 @@ graph::ProximityGraph CachedNswGraph(const Workload& workload,
     return *std::move(cached);
   }
   graph::CpuBuildResult built = graph::BuildNswCpu(workload.base, params);
-  // Write under a per-process name and rename into place, so a concurrent
-  // bench run reading the cache never sees a half-written file.
-  const std::string tmp = path.str() + ".tmp" + std::to_string(::getpid());
-  if (!built.graph.SaveTo(tmp) ||
-      std::rename(tmp.c_str(), path.str().c_str()) != 0) {
-    std::remove(tmp.c_str());
-  }
+  // Written under a per-process name and renamed into place, so a
+  // concurrent bench run reading the cache never sees a half-written file.
+  const std::string target = path.str();
+  ReplaceFiles({&target, 1}, [&](std::size_t, const std::string& tmp) {
+    return built.graph.SaveTo(tmp);
+  });
   return std::move(built.graph);
 }
 

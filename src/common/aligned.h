@@ -3,13 +3,20 @@
 
 #include <cstddef>
 #include <new>
+#include <utility>
 #include <vector>
 
 namespace ganns {
 
 /// Minimal std::allocator replacement that over-aligns every allocation.
 /// Used for the dataset's row-major feature buffer so each padded row starts
-/// on a 32-byte boundary (one full AVX2 register / two NEON registers).
+/// on a 32-byte boundary (one full AVX2 register / two NEON registers), and
+/// through UnfilledVector for every array a shard file loads into.
+///
+/// A value-less construct default-initializes, so resize(n) without a value
+/// leaves new scalars unfilled: a reader sizes its buffer and reads straight
+/// into it, touching each page once. Every resize that must fill passes the
+/// value.
 template <typename T, std::size_t Alignment>
 class AlignedAllocator {
  public:
@@ -37,13 +44,27 @@ class AlignedAllocator {
   }
 
   template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+
+  template <typename U>
   bool operator==(const AlignedAllocator<U, Alignment>&) const {
     return true;
   }
 };
 
+/// 32-byte-aligned vector whose value-less resize leaves new scalars
+/// unfilled: the storage of everything a shard file loads into.
+template <typename T>
+using UnfilledVector = std::vector<T, AlignedAllocator<T, 32>>;
+
 /// 32-byte-aligned float vector (AVX2 register width).
-using AlignedFloatVector = std::vector<float, AlignedAllocator<float, 32>>;
+using AlignedFloatVector = UnfilledVector<float>;
 
 }  // namespace ganns
 

@@ -1,7 +1,11 @@
 #ifndef GANNS_COMMON_FILE_H_
 #define GANNS_COMMON_FILE_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -41,6 +45,33 @@ class File {
 /// contract every artifact exporter (metrics, traces, windows, alerts,
 /// flight dumps) reports to its caller.
 bool WriteTextFile(const std::string& path, std::string_view text);
+
+/// Writes each of `paths` so that it either keeps its old contents or takes
+/// the new ones whole. `write(i, tmp)` writes file i to the temporary name
+/// `tmp` (`<paths[i]>.tmp<pid>`) and returns false on any failure, including
+/// a failed close. Only after every write succeeded are the temporaries
+/// renamed into place, in order. On failure every temporary still present
+/// is removed and false is returned; a failed write leaves every target
+/// untouched.
+bool ReplaceFiles(
+    std::span<const std::string> paths,
+    const std::function<bool(std::size_t, const std::string&)>& write);
+
+/// Bytes between the stream's position and the end of its file: the most
+/// any section read from here can hold. 0 when the position or the file
+/// size is unavailable. Readers check a section against it before they
+/// allocate, so a header claiming more than the file holds fails cleanly.
+std::uint64_t BytesLeft(std::FILE* file);
+
+/// Bulk sections are read in chunks of this many bytes.
+inline constexpr std::size_t kReadChunkBytes = std::size_t{1} << 20;
+
+/// Reads `size` bytes from the stream's position into `out`, then moves the
+/// stream past them. The range is read with positioned reads (pread) in
+/// kReadChunkBytes chunks spread over ThreadPool::Global(); a call from a
+/// pool task shares the pool. Returns false when the file ends early or a
+/// read fails.
+bool ReadBulk(std::FILE* file, void* out, std::size_t size);
 
 }  // namespace ganns
 

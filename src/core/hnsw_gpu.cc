@@ -21,7 +21,7 @@ GpuHnswBuildResult BuildHnswGGraphCon(gpusim::Device& device,
 
   // Levels use the same sampler (and seed) as the CPU baseline, so both
   // builders produce the same layer membership.
-  const std::vector<std::uint8_t> levels =
+  const graph::HnswGraph::Levels levels =
       graph::HnswGraph::SampleLevels(n, hnsw_params);
 
   // Shuffle ids: stable-sort by descending level. shuffled_to_original[s] is

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
+#include "common/file.h"
 #include "common/logging.h"
 #include "data/distance.h"
 
@@ -25,22 +28,28 @@ void Dataset::AppendPaddedRows(std::span<const float> rows) {
 }
 
 std::size_t Dataset::ReadRows(std::FILE* file, std::size_t n) {
+  const std::size_t row_bytes = sizeof(float) * dim_;
+  if (row_bytes == 0) return 0;
+  const std::size_t rows = static_cast<std::size_t>(
+      std::min<std::uint64_t>(n, BytesLeft(file) / row_bytes));
   const std::size_t first = values_.size();
-  values_.resize(first + n * padded_dim_, 0.0f);
+  values_.resize(first + rows * padded_dim_);  // unfilled: read over below
   float* out = values_.data() + first;
-  std::size_t read = 0;
-  if (padded_dim_ == dim_) {
-    read = std::fread(out, sizeof(float) * dim_, n, file);
-  } else {
-    while (read < n &&
-           std::fread(out + read * padded_dim_, sizeof(float), dim_, file) ==
-               dim_) {
-      ++read;
+  if (!ReadBulk(file, out, rows * row_bytes)) {
+    values_.resize(first);
+    return 0;
+  }
+  if (padded_dim_ != dim_) {
+    // The rows arrived packed; spread them to their stride from the last
+    // one back, so no row is overwritten before it moves, and zero the
+    // padding.
+    for (std::size_t r = rows; r-- > 0;) {
+      float* row = out + r * padded_dim_;
+      std::memmove(row, out + r * dim_, row_bytes);
+      std::fill(row + dim_, row + padded_dim_, 0.0f);
     }
   }
-  // Drop the rows past the short read, including a partly read one.
-  values_.resize(first + read * padded_dim_);
-  return read;
+  return rows;
 }
 
 void Dataset::NormalizeRows() {

@@ -80,10 +80,12 @@ class Dataset {
   /// dataset with the same dim. One copy, no per-row work.
   void AppendPaddedRows(std::span<const float> rows);
 
-  /// Appends up to n rows of dim() unpadded floats read from `file`. Reads
-  /// the block with one fread when rows need no padding, row by row
-  /// otherwise. Returns the number of complete rows read; a short read
-  /// leaves exactly that many rows appended.
+  /// Appends up to n rows of dim() unpadded floats read from `file`: the
+  /// complete rows the rest of the file holds, at most n, are read in one
+  /// bulk read (common/file.h) into unfilled storage and, when dim() needs
+  /// padding, spread to their stride in place. Returns the number of rows
+  /// appended: fewer than n only when the file ends early, and 0 on a read
+  /// error.
   std::size_t ReadRows(std::FILE* file, std::size_t n);
 
   /// Reserves storage for n points.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "common/file.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "data/distance.h"
@@ -393,7 +394,9 @@ QuantizedCodes QuantizedCodes::EncodeAll(const Quantizer& quantizer,
 void QuantizedCodes::EncodeRow(const Quantizer& quantizer, std::size_t slot,
                                std::span<const float> row) {
   GANNS_CHECK(stride_ == quantizer.code_bytes());
-  if ((slot + 1) * stride_ > bytes_.size()) bytes_.resize((slot + 1) * stride_);
+  if ((slot + 1) * stride_ > bytes_.size()) {
+    bytes_.resize((slot + 1) * stride_, 0);
+  }
   quantizer.EncodeRow(row, bytes_.data() + slot * stride_);
 }
 
@@ -504,10 +507,14 @@ std::optional<QuantizedStore> ReadQuantizedSection(std::FILE* file,
   QuantizedStore store;
   store.quantizer = *std::move(quantizer);
   store.codes = QuantizedCodes(store.quantizer.code_bytes());
-  store.codes.Resize(num_codes);
-  const std::size_t total = store.codes.resident_bytes();
-  if (total > 0 &&
-      std::fread(store.codes.mutable_data(), 1, total, file) != total) {
+  // The code array must be in the file before it is allocated.
+  const std::size_t total = num_codes * store.codes.code_bytes();
+  bool read = BytesLeft(file) >= total;
+  if (read) {
+    store.codes.Resize(num_codes);
+    read = ReadBulk(file, store.codes.mutable_data(), total);
+  }
+  if (!read) {
     SetError(error, "quantization section: truncated code array (expected " +
                         std::to_string(total) + " bytes)");
     return std::nullopt;

@@ -10,6 +10,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/aligned.h"
 #include "common/types.h"
 #include "data/dataset.h"
 
@@ -148,6 +149,8 @@ class QuantizedCodes {
   /// Grows (zero-filled) to cover `slot`, then encodes `row` into it.
   void EncodeRow(const Quantizer& quantizer, std::size_t slot,
                  std::span<const float> row);
+  /// Sizes the array to `num_slots` codes; new slots are unfilled, for a
+  /// caller that writes every one of them.
   void Resize(std::size_t num_slots) { bytes_.resize(num_slots * stride_); }
 
   const std::uint8_t* data() const { return bytes_.data(); }
@@ -155,7 +158,7 @@ class QuantizedCodes {
 
  private:
   std::size_t stride_ = 0;
-  std::vector<std::uint8_t> bytes_;
+  UnfilledVector<std::uint8_t> bytes_;
 };
 
 /// Borrowed view bundling everything a search kernel needs to run the

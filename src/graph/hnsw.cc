@@ -98,10 +98,15 @@ std::optional<HnswGraph> HnswGraph::ReadFrom(std::FILE* file) {
       num_layers > 256 || entry >= num_vertices) {
     return std::nullopt;
   }
-  std::vector<std::uint8_t> levels(num_vertices);
-  if (std::fread(levels.data(), 1, levels.size(), file) != levels.size()) {
+  // The level array and every layer record must be in the file before
+  // anything is allocated. Bounded as above: no product can wrap.
+  if (BytesLeft(file) <
+      num_vertices +
+          num_layers * ProximityGraph::RecordBytes(num_vertices, d_max)) {
     return std::nullopt;
   }
+  Levels levels(num_vertices);  // unfilled: read over below
+  if (!ReadBulk(file, levels.data(), levels.size())) return std::nullopt;
   // The level array determines the layer count; a file whose layer records
   // disagree with its own levels is corrupt.
   const std::uint64_t top = *std::max_element(levels.begin(), levels.end());
@@ -133,7 +138,7 @@ std::optional<HnswGraph> HnswGraph::LoadFrom(const std::string& path) {
 }
 
 HnswGraph::HnswGraph(std::size_t num_vertices, std::size_t d_max,
-                     std::vector<std::uint8_t> levels)
+                     Levels levels)
     : levels_(std::move(levels)) {
   GANNS_CHECK(levels_.size() == num_vertices);
   max_level_ = 0;
@@ -144,8 +149,8 @@ HnswGraph::HnswGraph(std::size_t num_vertices, std::size_t d_max,
   }
 }
 
-HnswGraph::HnswGraph(std::vector<std::uint8_t> levels,
-                     std::vector<ProximityGraph> layers, VertexId entry)
+HnswGraph::HnswGraph(Levels levels, std::vector<ProximityGraph> layers,
+                     VertexId entry)
     : levels_(std::move(levels)),
       layers_(std::move(layers)),
       max_level_(static_cast<int>(layers_.size()) - 1),
@@ -185,13 +190,13 @@ VertexId HnswGraph::DescendToLayer0(const data::Dataset& base,
   return current;
 }
 
-std::vector<std::uint8_t> HnswGraph::SampleLevels(std::size_t num_vertices,
-                                                  const HnswParams& params) {
+HnswGraph::Levels HnswGraph::SampleLevels(std::size_t num_vertices,
+                                          const HnswParams& params) {
   const double m_l = params.level_mult > 0
                          ? params.level_mult
                          : 1.0 / std::log(static_cast<double>(
                                std::max<std::size_t>(2, params.nsw.d_min)));
-  std::vector<std::uint8_t> levels(num_vertices, 0);
+  Levels levels(num_vertices, 0);
   Rng rng(params.seed);
   constexpr int kMaxLevel = 24;
   for (std::size_t v = 0; v < num_vertices; ++v) {
@@ -211,8 +216,7 @@ CpuHnswBuildResult BuildHnswCpu(const data::Dataset& base,
   WallTimer timer;
   const NswParams& nsw = params.nsw;
 
-  std::vector<std::uint8_t> levels =
-      HnswGraph::SampleLevels(base.size(), params);
+  HnswGraph::Levels levels = HnswGraph::SampleLevels(base.size(), params);
   CpuHnswBuildResult result{
       HnswGraph(base.size(), nsw.d_max, std::move(levels)), 0.0, 0.0, {}};
   HnswGraph& graph = result.graph;

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/aligned.h"
 #include "data/dataset.h"
 #include "graph/beam_search.h"
 #include "graph/cpu_cost.h"
@@ -35,8 +36,11 @@ struct HnswParams {
 /// participates in layer l iff level(v) >= l.
 class HnswGraph {
  public:
-  HnswGraph(std::size_t num_vertices, std::size_t d_max,
-            std::vector<std::uint8_t> levels);
+  /// Per-vertex levels; unfilled on a value-less resize (ReadFrom reads
+  /// them straight in).
+  using Levels = UnfilledVector<std::uint8_t>;
+
+  HnswGraph(std::size_t num_vertices, std::size_t d_max, Levels levels);
 
   std::size_t num_vertices() const { return levels_.size(); }
   int max_level() const { return max_level_; }
@@ -63,8 +67,8 @@ class HnswGraph {
 
   /// Samples per-vertex levels with the HNSW distribution
   /// floor(-ln(U) * m_L); deterministic in (params.seed, vertex id).
-  static std::vector<std::uint8_t> SampleLevels(std::size_t num_vertices,
-                                                const HnswParams& params);
+  static Levels SampleLevels(std::size_t num_vertices,
+                             const HnswParams& params);
 
   /// Serializes the full hierarchy — per-vertex levels, entry point, and
   /// every layer graph — to one binary file, mirroring
@@ -85,10 +89,10 @@ class HnswGraph {
  private:
   /// A graph read back from a record: `layers` are its layer graphs, one
   /// per level up to the top one.
-  HnswGraph(std::vector<std::uint8_t> levels,
-            std::vector<ProximityGraph> layers, VertexId entry);
+  HnswGraph(Levels levels, std::vector<ProximityGraph> layers,
+            VertexId entry);
 
-  std::vector<std::uint8_t> levels_;
+  Levels levels_;
   std::vector<ProximityGraph> layers_;
   int max_level_ = 0;
   VertexId entry_ = 0;

@@ -13,6 +13,8 @@ constexpr std::uint32_t kMagic = 0x474e4e53;  // "GNNS"
 /// The only record version read: it carries capacity and per-vertex states
 /// (v1 records, without them, are rejected).
 constexpr std::uint32_t kVersion = 3;
+/// Words of the record header.
+constexpr std::size_t kHeaderWords = 8;
 
 }  // namespace
 
@@ -193,12 +195,19 @@ std::optional<ProximityGraph> ProximityGraph::LoadFrom(
   return ReadFrom(file.get());
 }
 
+std::uint64_t ProximityGraph::RecordBytes(std::uint64_t num_vertices,
+                                          std::uint64_t d_max) {
+  return kHeaderWords * sizeof(std::uint64_t) +
+         num_vertices * d_max * (sizeof(VertexId) + sizeof(Dist)) +
+         num_vertices * (sizeof(std::uint32_t) + sizeof(SlotState));
+}
+
 bool ProximityGraph::WriteTo(std::FILE* file) const {
   // The last word is the v3 record's free-slot count: always 0, since no
   // graph holds a released slot.
-  const std::uint64_t header[8] = {kMagic,    kVersion,        num_vertices_,
-                                   d_max_,    capacity_,       num_live_,
-                                   num_tombstones_, 0};
+  const std::uint64_t header[kHeaderWords] = {
+      kMagic,    kVersion,  num_vertices_,   d_max_,
+      capacity_, num_live_, num_tombstones_, 0};
   if (std::fwrite(header, sizeof(header), 1, file) != 1) return false;
   const std::size_t cells = num_vertices_ * d_max_;
   if (cells > 0) {
@@ -225,7 +234,7 @@ bool ProximityGraph::WriteTo(std::FILE* file) const {
 std::optional<ProximityGraph> ProximityGraph::ReadFrom(std::FILE* file) {
   // {magic, version, num_vertices, d_max, capacity, num_live,
   //  num_tombstones, free_count}
-  std::uint64_t header[8] = {};
+  std::uint64_t header[kHeaderWords] = {};
   if (std::fread(header, sizeof(header), 1, file) != 1) return std::nullopt;
   if (header[0] != kMagic || header[1] != kVersion) return std::nullopt;
   // Reject absurd sizes before allocating (a truncated or foreign file must
@@ -246,8 +255,14 @@ std::optional<ProximityGraph> ProximityGraph::ReadFrom(std::FILE* file) {
     return std::nullopt;
   }
 
-  // The constructor reserves for capacity; the rows are read straight into
-  // place.
+  // The rest of the record must be in the file before anything is
+  // allocated for it.
+  const std::uint64_t body_bytes =
+      RecordBytes(num_vertices, d_max) - sizeof(header);
+  if (BytesLeft(file) < body_bytes) return std::nullopt;
+
+  // The constructor reserves for capacity; the arrays are sized unfilled
+  // and read straight into place.
   ProximityGraph graph(0, d_max, capacity);
   graph.num_vertices_ = num_vertices;
   graph.num_live_ = num_live;
@@ -257,27 +272,16 @@ std::optional<ProximityGraph> ProximityGraph::ReadFrom(std::FILE* file) {
   graph.dists_.resize(cells);
   graph.degrees_.resize(num_vertices);
   graph.states_.resize(num_vertices);
-  if (cells > 0) {
-    if (std::fread(graph.ids_.data(), sizeof(VertexId), cells, file) !=
-        cells) {
-      return std::nullopt;
-    }
-    if (std::fread(graph.dists_.data(), sizeof(Dist), cells, file) != cells) {
-      return std::nullopt;
-    }
-  }
-  if (num_vertices > 0 &&
-      std::fread(graph.degrees_.data(), sizeof(std::uint32_t), num_vertices,
-                 file) != num_vertices) {
+  if (!ReadBulk(file, graph.ids_.data(), cells * sizeof(VertexId)) ||
+      !ReadBulk(file, graph.dists_.data(), cells * sizeof(Dist)) ||
+      !ReadBulk(file, graph.degrees_.data(),
+                num_vertices * sizeof(std::uint32_t)) ||
+      !ReadBulk(file, graph.states_.data(),
+                num_vertices * sizeof(SlotState))) {
     return std::nullopt;
   }
   for (std::size_t v = 0; v < num_vertices; ++v) {
     if (graph.degrees_[v] > d_max) return std::nullopt;
-  }
-  if (num_vertices > 0 &&
-      std::fread(graph.states_.data(), sizeof(SlotState), num_vertices,
-                 file) != num_vertices) {
-    return std::nullopt;
   }
   // Recount the states: the header counts must describe the state bytes, or
   // the record is corrupt.

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/aligned.h"
 #include "common/types.h"
 
 namespace ganns {
@@ -157,12 +158,20 @@ class ProximityGraph {
   /// file. Returns false on IO failure.
   bool WriteTo(std::FILE* file) const;
 
-  /// Reads one v3 record from the stream's current position, rows straight
-  /// into place. Returns std::nullopt on a short read, a format mismatch, a
-  /// header whose sizes exceed the record limits, or lifecycle state no
-  /// graph holds (a free-listed slot); truncated, corrupt or foreign files
-  /// fail cleanly, never crash.
+  /// Reads one v3 record from the stream's current position. Every array
+  /// is read with one bulk read (common/file.h) straight into unfilled
+  /// storage, after the header is checked against the record limits and
+  /// the whole record against the bytes left in the file, so nothing is
+  /// allocated for data the file does not hold. Returns std::nullopt on a
+  /// short read, a format mismatch, a header whose sizes exceed the limits
+  /// or the file, or lifecycle state no graph holds (a free-listed slot);
+  /// truncated, corrupt or foreign files fail cleanly, never crash.
   static std::optional<ProximityGraph> ReadFrom(std::FILE* file);
+
+  /// Size in bytes of the v3 record of a graph with these dimensions
+  /// (header, id and dist rows, degrees, states).
+  static std::uint64_t RecordBytes(std::uint64_t num_vertices,
+                                   std::uint64_t d_max);
 
  private:
   /// Per-vertex state byte of the v3 record; a record holding any other
@@ -179,10 +188,11 @@ class ProximityGraph {
   std::size_t num_vertices_;
   std::size_t num_live_;
   std::size_t num_tombstones_ = 0;
-  std::vector<VertexId> ids_;
-  std::vector<Dist> dists_;
-  std::vector<std::uint32_t> degrees_;
-  std::vector<SlotState> states_;
+  // Unfilled on a value-less resize: ReadFrom reads the rows straight in.
+  UnfilledVector<VertexId> ids_;
+  UnfilledVector<Dist> dists_;
+  UnfilledVector<std::uint32_t> degrees_;
+  UnfilledVector<SlotState> states_;
 };
 
 }  // namespace graph

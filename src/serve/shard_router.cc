@@ -11,9 +11,9 @@
 
 namespace ganns {
 namespace serve {
-std::shared_ptr<const std::vector<VertexId>> ShardedIndex::IotaGlobalIds(
+std::shared_ptr<const ShardedIndex::GlobalIds> ShardedIndex::IotaGlobalIds(
     VertexId offset, std::size_t n) {
-  auto ids = std::make_shared<std::vector<VertexId>>(n);
+  auto ids = std::make_shared<GlobalIds>(n);
   std::iota(ids->begin(), ids->end(), offset);
   return ids;
 }
@@ -237,7 +237,7 @@ double ShardedIndex::SearchShardReplica(
   // batch sees a single consistent (graph, vectors, id map) triple.
   const std::shared_ptr<const Snapshot> snap = PinSnapshot(s);
   const data::Dataset& base = *snap->base;
-  const std::vector<VertexId>& global_ids = *snap->global_ids;
+  const GlobalIds& global_ids = *snap->global_ids;
   if (shard.hnsw == nullptr && snap->entry == kInvalidVertex) {
     // Every point of this shard was deleted: nothing to search, no kernel.
     return 0.0;

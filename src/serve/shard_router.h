@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/aligned.h"
 #include "core/ggraphcon.h"
 #include "core/hnsw_gpu.h"
 #include "core/mutate.h"
@@ -213,16 +214,20 @@ class ShardedIndex {
   /// Persists every shard as `<prefix>.shard<N>` in the GSH3 container:
   /// geometry header, graph record (an NSW graph, or an HNSW hierarchy),
   /// global id map and vector rows, so a mutated shard round-trips exactly,
-  /// plus the quantization section of a compressed shard. Returns false on
-  /// IO failure.
+  /// plus the quantization section of a compressed shard. The files are
+  /// written under temporary names and renamed into place only once all of
+  /// them are written (common/file.h ReplaceFiles). Returns false on IO
+  /// failure, which leaves the files of a previous save untouched.
   bool SaveShards(const std::string& prefix) const;
 
   /// Rebuild-free load: restores shard state written by SaveShards over the
   /// same corpus. The graph kind and the compression come from the files
   /// (each shard's graph record names its kind; shards of different kinds
   /// are an error); `options` supplies the device and the construction and
-  /// update settings later writes use. Legacy (pre-lifecycle) bare NSW
-  /// graph records load as pristine shards. Returns std::nullopt on
+  /// update settings later writes use. Every bulk section is checked
+  /// against the bytes left in its file before it is allocated, then read
+  /// with positioned reads spread over the global pool (common/file.h
+  /// ReadBulk) into storage nothing fills first. Returns std::nullopt on
   /// missing/truncated/mismatched files; when `error` is non-null it
   /// receives a description naming the offending file/section and the
   /// expected vs actual values.
@@ -261,6 +266,10 @@ class ShardedIndex {
   /// The reader-visible state of one shard: immutable once published.
   /// Writers build a fresh Snapshot (sharing whatever sub-state they did
   /// not change) and swap the shared_ptr under the shard's snapshot mutex.
+  /// Slot -> global id map; unfilled on a value-less resize (LoadShard
+  /// reads it straight in).
+  using GlobalIds = UnfilledVector<VertexId>;
+
   struct Snapshot {
     std::uint64_t epoch = 0;
     /// Search entry vertex; kInvalidVertex when the shard has no live point.
@@ -268,7 +277,7 @@ class ShardedIndex {
     std::shared_ptr<const graph::ProximityGraph> graph;
     std::shared_ptr<const data::Dataset> base;
     /// Slot -> global id (pristine shards: offset + slot).
-    std::shared_ptr<const std::vector<VertexId>> global_ids;
+    std::shared_ptr<const GlobalIds> global_ids;
     /// Compressed path (null for exact shards). The quantizer is trained
     /// once per shard and shared across epochs; the code array mirrors the
     /// slot space, so writers clone-and-re-encode it alongside `base`.
@@ -360,7 +369,7 @@ class ShardedIndex {
   static std::vector<VertexId> ShardBounds(std::size_t total,
                                            std::size_t num_shards);
   /// A pristine shard's slot -> global id map: offset + slot.
-  static std::shared_ptr<const std::vector<VertexId>> IotaGlobalIds(
+  static std::shared_ptr<const GlobalIds> IotaGlobalIds(
       VertexId offset, std::size_t n);
   static data::Dataset SliceDataset(const data::Dataset& base, VertexId begin,
                                     VertexId end);

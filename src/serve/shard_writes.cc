@@ -122,7 +122,7 @@ std::optional<VertexId> ShardedIndex::Insert(std::span<const float> vector) {
       snap->base->name(), snap->base->dim(), snap->base->metric());
   base->Reserve(snap->base->size() + 1);
   base->AppendPaddedRows(snap->base->values());
-  auto gids = std::make_shared<std::vector<VertexId>>(*snap->global_ids);
+  auto gids = std::make_shared<GlobalIds>(*snap->global_ids);
 
   // The new slot is the graph's high-water mark, one past the last row.
   const std::optional<VertexId> slot = graph->AllocVertex();
@@ -247,7 +247,7 @@ bool ShardedIndex::CompactLocked(std::size_t s) {
   auto base = std::make_shared<data::Dataset>(old_base.name(),
                                               old_base.dim(),
                                               old_base.metric());
-  auto gids = std::make_shared<std::vector<VertexId>>();
+  auto gids = std::make_shared<GlobalIds>();
   for (VertexId v = 0; v < snap->graph->num_vertices(); ++v) {
     if (!snap->graph->IsLive(v)) continue;
     base->Append(old_base.Point(v));
@@ -371,15 +371,21 @@ void ShardedIndex::RecordTombstoneGauge() const {
 }
 
 bool ShardedIndex::SaveShards(const std::string& prefix) const {
+  std::vector<std::string> paths;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const std::string path = prefix + ".shard" + std::to_string(s);
+    paths.push_back(prefix + ".shard" + std::to_string(s));
+  }
+  // Each shard is written under a temporary name, and the files replace the
+  // previous index only once all of them are written: a failed save leaves
+  // it whole.
+  return ReplaceFiles(paths, [&](std::size_t s, const std::string& tmp) {
     const Shard& shard = *shards_[s];
     const std::shared_ptr<const Snapshot> snap = PinSnapshot(s);
     // An HNSW shard is static: its bottom layer spans the slot space.
     const graph::ProximityGraph& graph =
         shard.hnsw != nullptr ? shard.hnsw->layer(0) : *snap->graph;
     const data::Dataset& base = *snap->base;
-    File file(path, "wb");
+    File file(tmp, "wb");
     if (!file) return false;
     const std::uint64_t header[8] = {
         kShardMagic,
@@ -396,7 +402,7 @@ bool ShardedIndex::SaveShards(const std::string& prefix) const {
                               ? shard.hnsw->WriteTo(file.get())
                               : graph.WriteTo(file.get());
     if (!graph_ok) return false;
-    const std::vector<VertexId>& gids = *snap->global_ids;
+    const GlobalIds& gids = *snap->global_ids;
     if (!gids.empty() &&
         std::fwrite(gids.data(), sizeof(VertexId), gids.size(), file.get()) !=
             gids.size()) {
@@ -417,9 +423,8 @@ bool ShardedIndex::SaveShards(const std::string& prefix) const {
                                      *snap->codes)) {
       return false;
     }
-    if (!file.Close()) return false;
-  }
-  return true;
+    return file.Close();
+  });
 }
 
 std::unique_ptr<ShardedIndex::Shard> ShardedIndex::LoadShard(
@@ -514,10 +519,13 @@ std::unique_ptr<ShardedIndex::Shard> ShardedIndex::LoadShard(
                       " is out of range or tombstoned");
     return nullptr;
   }
-  auto gids = std::make_shared<std::vector<VertexId>>(num_rows);
-  if (num_rows > 0 &&
-      std::fread(gids->data(), sizeof(VertexId), num_rows, file.get()) !=
-          num_rows) {
+  const std::size_t gid_bytes = num_rows * sizeof(VertexId);
+  if (BytesLeft(file.get()) < gid_bytes) {
+    SetShardError(error, path, "global id map: truncated");
+    return nullptr;
+  }
+  auto gids = std::make_shared<GlobalIds>(num_rows);  // unfilled
+  if (!ReadBulk(file.get(), gids->data(), gid_bytes)) {
     SetShardError(error, path, "global id map: truncated");
     return nullptr;
   }

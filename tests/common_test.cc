@@ -1,11 +1,15 @@
 // Unit tests for the common utilities: deterministic RNG, prefix sums, the
 // host thread pool (including nested calls that share it), the shared
-// k-way merge's edge cases, and the artifact file writer.
+// k-way merge's edge cases, the artifact file writer, the bulk file reader
+// and all-or-nothing file replacement.
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <condition_variable>
 #include <fstream>
@@ -44,6 +48,72 @@ TEST(TextFileTest, WritesExactBytesAndFailsOnMissingDirectory) {
   // An unopenable path reports failure instead of silently dropping data.
   EXPECT_FALSE(WriteTextFile(
       ::testing::TempDir() + "ganns_missing_dir/nested/out.txt", text));
+}
+
+std::string ReadWhole(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream read;
+  read << in.rdbuf();
+  return read.str();
+}
+
+// A range of more than three chunks, starting mid-file after a buffered
+// header read, arrives byte-exact; the stream then sits just past it, and a
+// range past the end of the file fails.
+TEST(BulkReadTest, ReadsChunksAcrossThePoolAndMovesPastTheRange) {
+  const std::size_t size = 3 * kReadChunkBytes + 12345;
+  std::vector<unsigned char> bytes(16 + size + 8);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<unsigned char>(i * 131 + i / 4099);
+  }
+  std::FILE* file = std::tmpfile();
+  ASSERT_NE(file, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
+  std::rewind(file);
+
+  unsigned char header[16];
+  ASSERT_EQ(std::fread(header, 1, sizeof(header), file), sizeof(header));
+  EXPECT_EQ(BytesLeft(file), size + 8);
+  std::vector<unsigned char> got(size);
+  ASSERT_TRUE(ReadBulk(file, got.data(), size));
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), bytes.begin() + 16));
+  EXPECT_EQ(BytesLeft(file), 8u);
+  unsigned char tail[8];
+  ASSERT_EQ(std::fread(tail, 1, sizeof(tail), file), sizeof(tail));
+  EXPECT_TRUE(std::equal(tail, tail + 8, bytes.end() - 8));
+  EXPECT_EQ(BytesLeft(file), 0u);
+
+  std::rewind(file);
+  std::vector<unsigned char> past(bytes.size() + 1);
+  EXPECT_FALSE(ReadBulk(file, past.data(), past.size()));
+  std::fclose(file);
+}
+
+// Replacement is all or nothing: a failing writer leaves every target as
+// it was and no temporary behind; a succeeding one replaces them all.
+TEST(ReplaceFilesTest, ReplacesAllOrKeepsEveryTarget) {
+  const std::string dir = ::testing::TempDir();
+  const std::vector<std::string> paths = {dir + "ganns_replace_a",
+                                          dir + "ganns_replace_b"};
+  for (const std::string& path : paths) ASSERT_TRUE(WriteTextFile(path, "old"));
+  const auto writer = [](std::size_t fail_at) {
+    return [fail_at](std::size_t i, const std::string& tmp) {
+      return WriteTextFile(tmp, "new") && i != fail_at;
+    };
+  };
+  for (const std::size_t fail_at : {std::size_t{0}, std::size_t{1}}) {
+    EXPECT_FALSE(ReplaceFiles(paths, writer(fail_at)));
+    for (const std::string& path : paths) {
+      EXPECT_EQ(ReadWhole(path), "old");
+      EXPECT_FALSE(std::ifstream(path + ".tmp" + std::to_string(::getpid())))
+          << "temporary left behind";
+    }
+  }
+  EXPECT_TRUE(ReplaceFiles(paths, writer(paths.size())));
+  for (const std::string& path : paths) {
+    EXPECT_EQ(ReadWhole(path), "new");
+    std::remove(path.c_str());
+  }
 }
 
 TEST(RngTest, SameSeedSameStream) {

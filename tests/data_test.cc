@@ -41,35 +41,6 @@ std::vector<float> Values(const Dataset& d) {
   return std::vector<float>(d.values().begin(), d.values().end());
 }
 
-// dim 8 takes ReadRows' one-fread path, dim 5 the padded per-row path; both
-// must equal row-by-row Append, and a short file must leave exactly its
-// complete rows.
-TEST(DatasetTest, ReadRowsMatchesAppendAndStopsAtLastCompleteRow) {
-  for (const std::size_t dim : {std::size_t{5}, std::size_t{8}}) {
-    SCOPED_TRACE("dim " + std::to_string(dim));
-    const std::vector<float> flat = RowMajor(4, dim);
-    Dataset want("want", dim, Metric::kL2);
-    for (std::size_t r = 0; r < 4; ++r) {
-      want.Append(std::span<const float>(flat).subspan(r * dim, dim));
-    }
-    for (const std::size_t stored : {dim * 4, dim * 2 + dim / 2}) {
-      std::FILE* file = std::tmpfile();
-      ASSERT_NE(file, nullptr);
-      ASSERT_EQ(std::fwrite(flat.data(), sizeof(float), stored, file), stored);
-      std::rewind(file);
-      Dataset got("got", dim, Metric::kL2);
-      const std::size_t complete = stored / dim;
-      EXPECT_EQ(got.ReadRows(file, 4), complete);
-      std::fclose(file);
-      EXPECT_EQ(got.size(), complete);
-      const std::vector<float> all = Values(want);
-      EXPECT_EQ(Values(got),
-                std::vector<float>(all.begin(),
-                                   all.begin() + complete * want.padded_dim()));
-    }
-  }
-}
-
 TEST(DatasetTest, AppendPaddedRowsCopiesABlockOfRows) {
   const std::vector<float> flat = RowMajor(4, 5);
   Dataset base("base", 5, Metric::kL2);

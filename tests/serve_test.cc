@@ -2,6 +2,8 @@
 // sharded merge, the bounded queue / micro-batcher concurrency, admission
 // control, deadline enforcement, graceful shutdown, and shard persistence.
 
+#include <sys/resource.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -21,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/file.h"
 #include "common/kway_merge.h"
 #include "data/ground_truth.h"
 #include "data/quantize.h"
@@ -60,6 +63,29 @@ class ServeTest : public ::testing::Test {
     request.k = kK;
     request.budget = budget;
     return request;
+  }
+
+  using Bytes = std::vector<char>;
+
+  static Bytes ReadBytes(const std::string& path) {
+    std::FILE* file = std::fopen(path.c_str(), "rb");
+    EXPECT_NE(file, nullptr) << path;
+    Bytes bytes;
+    if (file == nullptr) return bytes;
+    char buf[1 << 14];
+    std::size_t got = 0;
+    while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0) {
+      bytes.insert(bytes.end(), buf, buf + got);
+    }
+    std::fclose(file);
+    return bytes;
+  }
+
+  static void WriteBytes(const std::string& path, const Bytes& bytes) {
+    std::FILE* file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr) << path;
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
+    std::fclose(file);
   }
 
   std::vector<RoutedQuery> RoutedQueries(std::size_t budget) const {
@@ -291,6 +317,51 @@ TEST_F(ServeTest, ShutdownDrainsInFlightWork) {
   EXPECT_EQ(late.get().status, StatusCode::kShutdown);
 }
 
+// The shard rows reader, over a file of more than three read chunks: dim 8
+// rows arrive in place, dim 5 rows are spread to their padded stride. Both
+// must equal row-by-row Append, read whole or in two calls that continue
+// where the first stopped, and a short file, ending in the first chunk or
+// mid-row inside a later one, must leave exactly its complete rows. It runs
+// with the persistence cases (the serve_persistence stress entries and the
+// sanitizer gates), since every shard load reads its rows through it.
+TEST(DatasetTest, ReadRowsMatchesAppendAndStopsAtLastCompleteRow) {
+  for (const std::size_t dim : {std::size_t{5}, std::size_t{8}}) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    const std::size_t rows = 3 * kReadChunkBytes / (dim * sizeof(float)) + 7;
+    std::vector<float> flat(rows * dim);
+    for (std::size_t i = 0; i < flat.size(); ++i) {
+      flat[i] = static_cast<float>(i % 1000003) + 0.5f;
+    }
+    data::Dataset want("want", dim, data::Metric::kL2);
+    for (std::size_t r = 0; r < rows; ++r) {
+      want.Append(std::span<const float>(flat).subspan(r * dim, dim));
+    }
+    const std::vector<float> all(want.values().begin(), want.values().end());
+    const std::size_t later_chunk_end =
+        (2 * kReadChunkBytes + 1000) / sizeof(float) + dim / 2;
+    for (const std::size_t stored :
+         {rows * dim, dim * 2 + dim / 2, later_chunk_end}) {
+      SCOPED_TRACE("stored floats " + std::to_string(stored));
+      std::FILE* file = std::tmpfile();
+      ASSERT_NE(file, nullptr);
+      ASSERT_EQ(std::fwrite(flat.data(), sizeof(float), stored, file), stored);
+      const std::size_t complete = stored / dim;
+      for (const std::size_t first_call : {rows, rows / 3}) {
+        std::rewind(file);
+        data::Dataset got("got", dim, data::Metric::kL2);
+        std::size_t read = got.ReadRows(file, first_call);
+        if (first_call < rows) read += got.ReadRows(file, rows - first_call);
+        EXPECT_EQ(read, complete);
+        EXPECT_EQ(got.size(), complete);
+        EXPECT_TRUE(std::equal(got.values().begin(), got.values().end(),
+                               all.begin(),
+                               all.begin() + complete * want.padded_dim()));
+      }
+      std::fclose(file);
+    }
+  }
+}
+
 TEST_F(ServeTest, ShardPersistenceRoundtrip) {
   const std::string prefix = ::testing::TempDir() + "/serve_shards";
   ShardedIndex built = ShardedIndex::Build(*base_, 2, {});
@@ -340,6 +411,56 @@ TEST_F(ServeTest, HnswShardPersistenceRoundtrip) {
   }
   std::remove((prefix + ".shard0").c_str());
   std::remove((prefix + ".shard1").c_str());
+}
+
+// Shards whose bulk sections each span more than one read chunk: the id
+// and dist rows of every graph layer, the vector rows and the sq8 codes
+// (the gid map, at 4 bytes a slot, stays inside one). NSW, HNSW and sq8
+// indexes of two shards load bit-identical to what was saved: saving the
+// loaded index again writes the same bytes (every row, graph cell, degree,
+// state, gid and code), and it answers the same.
+TEST_F(ServeTest, ShardPersistenceOfMultiChunkSectionsIsBitIdentical) {
+  constexpr std::size_t kShards = 2;
+  const std::size_t per_shard = kReadChunkBytes / (32 * sizeof(VertexId)) + 200;
+  const data::Dataset base = data::GenerateBase(
+      data::PaperDataset("SIFT1M"), kShards * per_shard, 11);
+  const std::string saved = ::testing::TempDir() + "/chunked_saved";
+  const std::string again = ::testing::TempDir() + "/chunked_again";
+  const auto routed = RoutedQueries(64);
+  struct Case {
+    const char* name;
+    core::GraphKind kind;
+    data::Precision precision;
+  };
+  const Case cases[] = {
+      {"nsw", core::GraphKind::kNsw, data::Precision::kFloat32},
+      {"hnsw", core::GraphKind::kHnsw, data::Precision::kFloat32},
+      {"nsw sq8", core::GraphKind::kNsw, data::Precision::kSq8},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ShardBuildOptions options;
+    options.kind = c.kind;
+    options.quantize.precision = c.precision;
+    ShardedIndex built = ShardedIndex::Build(base, kShards, options);
+    ASSERT_EQ(options.nsw.d_max, 32u);
+    const auto before = built.SearchBatch(routed, core::SearchKernel::kGanns);
+    ASSERT_TRUE(built.SaveShards(saved));
+
+    std::string error;
+    auto loaded = ShardedIndex::LoadShards(saved, base, kShards, {}, &error);
+    ASSERT_TRUE(loaded.has_value()) << error;
+    EXPECT_EQ(loaded->SearchBatch(routed, core::SearchKernel::kGanns), before);
+    ASSERT_TRUE(loaded->SaveShards(again));
+    for (std::size_t s = 0; s < kShards; ++s) {
+      const std::string suffix = ".shard" + std::to_string(s);
+      const Bytes bytes = ReadBytes(saved + suffix);
+      EXPECT_GT(bytes.size(), 4 * kReadChunkBytes);
+      EXPECT_TRUE(bytes == ReadBytes(again + suffix)) << "shard " << s;
+      std::remove((saved + suffix).c_str());
+      std::remove((again + suffix).c_str());
+    }
+  }
 }
 
 // Regression: HNSW shard files used to be bare graph records with no
@@ -401,29 +522,6 @@ TEST_F(ServeTest, MixedKindShardFilesAreNamedError) {
 // lowest-numbered failing shard's error wins, not the first to finish.
 class CorruptShardTest : public ServeTest {
  protected:
-  using Bytes = std::vector<char>;
-
-  static Bytes ReadBytes(const std::string& path) {
-    std::FILE* file = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(file, nullptr) << path;
-    Bytes bytes;
-    if (file == nullptr) return bytes;
-    char buf[1 << 14];
-    std::size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0) {
-      bytes.insert(bytes.end(), buf, buf + got);
-    }
-    std::fclose(file);
-    return bytes;
-  }
-
-  static void WriteBytes(const std::string& path, const Bytes& bytes) {
-    std::FILE* file = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(file, nullptr) << path;
-    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
-    std::fclose(file);
-  }
-
   static std::uint64_t Word(const Bytes& bytes, std::size_t i) {
     std::uint64_t word = 0;
     std::memcpy(&word, bytes.data() + i * sizeof(word), sizeof(word));
@@ -668,9 +766,114 @@ TEST_F(CorruptShardTest, AbsurdHnswHeaderIsNamedError) {
   std::remove(path.c_str());
 }
 
-// A save whose final flush fails reports it: the shard file is a symlink to
-// /dev/full, and the index is small enough that stdio buffers every byte
-// until the close.
+// Headers claiming 1 GiB of graph cells, HNSW levels, vector rows or codes
+// in a file of under 4 KB: each reader checks the claim against the bytes
+// left in the file before allocating, so it gives its named error (the
+// rows reader its complete-row prefix) and the peak RSS barely moves.
+TEST_F(CorruptShardTest, OversizedHeadersFailBeforeAllocating) {
+  const auto peak_rss_mb = [] {
+    struct rusage usage;
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+  };
+  constexpr std::size_t kFileBytes = 4000;
+  constexpr std::uint64_t kGiB = std::uint64_t{1} << 30;
+  const std::string nsw_prefix = ::testing::TempDir() + "/oversized_nsw";
+  const std::string hnsw_prefix = ::testing::TempDir() + "/oversized_hnsw";
+  ShardBuildOptions hnsw_options;
+  hnsw_options.kind = core::GraphKind::kHnsw;
+  ASSERT_TRUE(ShardedIndex::Build(*base_, 1, {}).SaveShards(nsw_prefix));
+  ASSERT_TRUE(
+      ShardedIndex::Build(*base_, 1, hnsw_options).SaveShards(hnsw_prefix));
+  const Bytes nsw = ReadBytes(nsw_prefix + ".shard0");
+  const Bytes hnsw = ReadBytes(hnsw_prefix + ".shard0");
+  std::remove((nsw_prefix + ".shard0").c_str());
+  std::remove((hnsw_prefix + ".shard0").c_str());
+
+  // NSW graph record after the 8-word shard header: {magic, version,
+  // vertices, d_max, capacity, live, tombstones, free}. 2^23 vertices at
+  // d_max 32 are 2^28 cells: 1 GiB of ids, 1 GiB of dists.
+  ASSERT_EQ(Word(nsw, 8 + 3), 32u);
+  Bytes cells(nsw.begin(), nsw.begin() + kFileBytes);
+  for (const std::size_t word : {2, 4, 5}) {
+    SetWord(cells, 8 + word, kGiB / (32 * sizeof(VertexId)));
+  }
+  // HNSW record: {magic, version, vertices, d_max, layers, entry}; 2^30
+  // vertices at d_max 1 are a 1 GiB level array.
+  ASSERT_EQ(Word(hnsw, 8), graph::HnswGraph::kRecordMagic);
+  Bytes levels(hnsw.begin(), hnsw.begin() + kFileBytes);
+  SetWord(levels, 8 + 2, kGiB);
+  SetWord(levels, 8 + 3, 1);
+
+  const std::string path = ::testing::TempDir() + "/oversized.shard0";
+  const std::string prefix = ::testing::TempDir() + "/oversized";
+  for (const auto& [name, bytes] :
+       {std::pair<const char*, const Bytes*>{"graph cells", &cells},
+        std::pair<const char*, const Bytes*>{"hnsw levels", &levels}}) {
+    SCOPED_TRACE(name);
+    WriteBytes(path, *bytes);
+    const double rss_before = peak_rss_mb();
+    std::string error;
+    EXPECT_FALSE(
+        ShardedIndex::LoadShards(prefix, *base_, 1, {}, &error).has_value());
+    EXPECT_LT(peak_rss_mb() - rss_before, 256.0);
+    const std::string want =
+        "shard file '" + path + "': graph record: truncated, corrupt";
+    EXPECT_EQ(error.substr(0, want.size()), want) << error;
+  }
+  std::remove(path.c_str());
+
+  // Rows: 2^21 rows of 128 floats asked of a file holding 7.5 of them.
+  {
+    SCOPED_TRACE("vector rows");
+    std::FILE* file = std::tmpfile();
+    ASSERT_NE(file, nullptr);
+    const std::size_t row_bytes = base_->dim() * sizeof(float);
+    ASSERT_EQ(std::fwrite(base_->values().data(), 1, row_bytes * 15 / 2, file),
+              row_bytes * 15 / 2);
+    std::rewind(file);
+    data::Dataset rows("rows", base_->dim(), base_->metric());
+    const double rss_before = peak_rss_mb();
+    EXPECT_EQ(rows.ReadRows(file, kGiB / row_bytes), 7u);
+    EXPECT_LT(peak_rss_mb() - rss_before, 256.0);
+    std::fclose(file);
+  }
+
+  // Codes: an sq8 section whose count claims 1 GiB of codes, cut to 4 KB.
+  {
+    SCOPED_TRACE("quantization codes");
+    data::QuantizerOptions sq8;
+    sq8.precision = data::Precision::kSq8;
+    const data::Quantizer quantizer = data::Quantizer::Train(*base_, sq8);
+    const data::QuantizedCodes codes =
+        data::QuantizedCodes::EncodeAll(quantizer, *base_);
+    std::FILE* file = std::tmpfile();
+    ASSERT_NE(file, nullptr);
+    ASSERT_TRUE(data::WriteQuantizedSection(file, quantizer, codes));
+    // The code count is the word just before the code array.
+    const long count_at =
+        std::ftell(file) - static_cast<long>(codes.resident_bytes()) - 8;
+    const std::uint64_t claimed = kGiB / quantizer.code_bytes();
+    ASSERT_EQ(std::fseek(file, count_at, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(&claimed, sizeof(claimed), 1, file), 1u);
+    ASSERT_EQ(ftruncate(fileno(file), kFileBytes), 0);
+    std::rewind(file);
+    const double rss_before = peak_rss_mb();
+    std::string error;
+    EXPECT_FALSE(
+        data::ReadQuantizedSection(file, SIZE_MAX, &error).has_value());
+    EXPECT_LT(peak_rss_mb() - rss_before, 256.0);
+    const std::string want = "quantization section: truncated code array";
+    EXPECT_EQ(error.substr(0, want.size()), want) << error;
+    std::fclose(file);
+  }
+}
+
+// A save whose final flush fails reports it and leaves the previous index
+// whole: each shard is written under `<path>.tmp<pid>` first, here a symlink
+// to /dev/full, and the index is small enough that stdio buffers every byte
+// until the close. The shard saved before stays byte-identical, and the
+// temporary is removed.
 TEST_F(ServeTest, ShardSaveReportsFailedFlush) {
   if (std::FILE* full = std::fopen("/dev/full", "wb")) {
     std::fclose(full);
@@ -679,15 +882,28 @@ TEST_F(ServeTest, ShardSaveReportsFailedFlush) {
   }
   const std::string prefix = ::testing::TempDir() + "/full_disk";
   const std::string path = prefix + ".shard0";
-  std::remove(path.c_str());
-  ASSERT_EQ(symlink("/dev/full", path.c_str()), 0);
-  data::Dataset tiny("tiny", 4, data::Metric::kL2);
-  for (int i = 0; i < 8; ++i) {
-    const float row[4] = {static_cast<float>(i), static_cast<float>(i % 3),
-                          static_cast<float>(i % 2), 1.0f};
-    tiny.Append(row);
-  }
-  EXPECT_FALSE(ShardedIndex::Build(tiny, 1, {}).SaveShards(prefix));
+  const std::string tmp = path + ".tmp" + std::to_string(::getpid());
+  const auto tiny = [](float shift) {
+    data::Dataset rows("tiny", 4, data::Metric::kL2);
+    for (int i = 0; i < 8; ++i) {
+      const float row[4] = {static_cast<float>(i) + shift,
+                            static_cast<float>(i % 3),
+                            static_cast<float>(i % 2), 1.0f};
+      rows.Append(row);
+    }
+    return rows;
+  };
+  std::remove(tmp.c_str());
+  ASSERT_TRUE(ShardedIndex::Build(tiny(0), 1, {}).SaveShards(prefix));
+  const Bytes previous = ReadBytes(path);
+  ASSERT_FALSE(previous.empty());
+
+  ASSERT_EQ(symlink("/dev/full", tmp.c_str()), 0);
+  EXPECT_FALSE(ShardedIndex::Build(tiny(0.5f), 1, {}).SaveShards(prefix));
+  EXPECT_EQ(ReadBytes(path), previous);
+  struct stat info;
+  EXPECT_NE(lstat(tmp.c_str(), &info), 0) << "temporary left behind";
+  std::remove(tmp.c_str());
   std::remove(path.c_str());
 }
 
