@@ -9,12 +9,13 @@
 //   baseline_scalar  - the pre-SIMD reference loop: one sequential
 //                      accumulator, which also blocks compiler
 //                      auto-vectorization of the FP reduction.
-//   scalar/sse2/avx2/neon - the dispatched pairwise kernel, per supported
-//                      variant (8-stripe deterministic accumulation).
-//   batched_<best>   - DistanceMany over the padded row storage with the
-//                      best supported kernel (the GANNS phase-3 shape).
-//   sq8_<kernel>     - asymmetric int8 distance (dequantize-on-the-fly
-//                      against the float query) per supported kernel variant.
+//   scalar / avx2    - the pairwise kernel of the portable and the AVX2
+//                      kernel set (8-stripe deterministic accumulation); the
+//                      avx2 rows appear only on a CPU with AVX2.
+//   batched_<active> - DistanceMany over the padded row storage with the set
+//                      the CPU picks (the GANNS phase-3 shape).
+//   sq8_<set>        - asymmetric int8 distance (dequantize-on-the-fly
+//                      against the float query) per kernel set.
 //   pq_lut           - product-quantization asymmetric distance: M table
 //                      lookups per candidate (LUT built once per query).
 //
@@ -34,6 +35,7 @@
 #include "common/types.h"
 #include "data/dataset.h"
 #include "data/distance.h"
+#include "data/distance_kernels.h"
 #include "data/quantize.h"
 #include "data/synthetic.h"
 
@@ -102,6 +104,16 @@ void EmitRecord(bool& first, std::size_t dim, const char* metric,
   first = false;
 }
 
+/// The kernel sets this CPU can run: the portable set, then AVX2 if any.
+std::vector<const data::internal::KernelSet*> KernelSets() {
+  std::vector<const data::internal::KernelSet*> sets = {
+      &data::internal::kPortableKernels};
+  if (data::internal::Avx2Kernels() != nullptr) {
+    sets.push_back(data::internal::Avx2Kernels());
+  }
+  return sets;
+}
+
 void BenchDim(bool& first, std::size_t dim) {
   constexpr std::size_t kRows = 2048;
   Rng rng(99 + dim);
@@ -131,8 +143,8 @@ void BenchDim(bool& first, std::size_t dim) {
     EmitRecord(first, dim, metric_name, "baseline_scalar", baseline,
                baseline.ns_per_distance, float_bytes);
 
-    for (const data::DistanceKernel k : data::SupportedDistanceKernels()) {
-      if (!data::SetDistanceKernel(k)) continue;
+    for (const data::internal::KernelSet* set : KernelSets()) {
+      const data::internal::ScopedKernelSet scoped(*set);
       const Timing t = Measure(kRows, [&](std::size_t reps) {
         float sum = 0;
         for (std::size_t r = 0; r < reps; ++r) {
@@ -144,7 +156,7 @@ void BenchDim(bool& first, std::size_t dim) {
         }
         return sum;
       });
-      EmitRecord(first, dim, metric_name, data::DistanceKernelName(k), t,
+      EmitRecord(first, dim, metric_name, set->name, t,
                  baseline.ns_per_distance, float_bytes);
     }
 
@@ -157,10 +169,10 @@ void BenchDim(bool& first, std::size_t dim) {
       const data::QuantizedCodes sq8_codes =
           data::QuantizedCodes::EncodeAll(sq8, base);
       const data::SearchQuantization sq8_quant{&sq8, &sq8_codes, 4};
-      for (const data::DistanceKernel k : data::SupportedDistanceKernels()) {
-        if (!data::SetDistanceKernel(k)) continue;
-        // The context resolves its SQ8 kernel from the active dispatch at
-        // construction, so build it inside the forced-kernel scope.
+      for (const data::internal::KernelSet* set : KernelSets()) {
+        // The context takes its SQ8 kernel from the set active at
+        // construction, so build it inside the set's scope.
+        const data::internal::ScopedKernelSet scoped(*set);
         const data::CodeDistanceContext ctx(sq8_quant, metric, query);
         const Timing t = Measure(kRows, [&](std::size_t reps) {
           float sum = 0;
@@ -172,7 +184,7 @@ void BenchDim(bool& first, std::size_t dim) {
           return sum;
         });
         EmitRecord(first, dim, metric_name,
-                   std::string("sq8_") + data::DistanceKernelName(k), t,
+                   std::string("sq8_") + set->name, t,
                    baseline.ns_per_distance, sq8.code_bytes());
       }
 
@@ -182,7 +194,6 @@ void BenchDim(bool& first, std::size_t dim) {
       const data::QuantizedCodes pq_codes =
           data::QuantizedCodes::EncodeAll(pq, base);
       const data::SearchQuantization pq_quant{&pq, &pq_codes, 4};
-      data::SetDistanceKernel(data::SupportedDistanceKernels().front());
       const data::CodeDistanceContext pq_ctx(pq_quant, metric, query);
       const Timing t = Measure(kRows, [&](std::size_t reps) {
         float sum = 0;
@@ -197,9 +208,7 @@ void BenchDim(bool& first, std::size_t dim) {
                  baseline.ns_per_distance, pq.code_bytes());
     }
 
-    // Batched path with the best kernel, over the padded aligned rows.
-    const auto supported = data::SupportedDistanceKernels();
-    data::SetDistanceKernel(supported.front());
+    // Batched path with the active set, over the padded aligned rows.
     std::vector<VertexId> ids(kRows);
     for (std::size_t i = 0; i < kRows; ++i) ids[i] = static_cast<VertexId>(i);
     std::vector<Dist> out(kRows);
@@ -212,8 +221,7 @@ void BenchDim(bool& first, std::size_t dim) {
       return sum;
     });
     EmitRecord(first, dim, metric_name,
-               std::string("batched_") +
-                   data::DistanceKernelName(supported.front()),
+               std::string("batched_") + data::internal::ActiveKernels().name,
                batched, baseline.ns_per_distance, float_bytes);
   }
 }
@@ -224,8 +232,7 @@ void BenchDim(bool& first, std::size_t dim) {
 int main() {
   std::printf("{\n  \"bench\": \"micro_distance\",\n  \"active_kernel\": "
               "\"%s\",\n  \"results\": [\n",
-              ganns::data::DistanceKernelName(
-                  ganns::data::ActiveDistanceKernel()));
+              ganns::data::internal::ActiveKernels().name);
   bool first = true;
   for (const std::size_t dim : {32u, 128u, 960u}) {
     ganns::BenchDim(first, dim);

@@ -23,7 +23,7 @@ exec > bench_output.txt 2>&1
 export GANNS_PROV_GIT_SHA="$(git describe --always --dirty 2>/dev/null || echo unknown)"
 export GANNS_PROV_DATE="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 export GANNS_PROV_HOST="$(hostname 2>/dev/null || echo unknown)"
-export GANNS_PROV_FLAGS="$(grep -E '^CMAKE_BUILD_TYPE|^GANNS_(TRACING|SANITIZE|NATIVE_ARCH)' build/CMakeCache.txt 2>/dev/null | tr '\n' ' ' || echo unknown)"
+export GANNS_PROV_FLAGS="$(grep -E '^CMAKE_BUILD_TYPE|^GANNS_(TRACING|SANITIZE)' build/CMakeCache.txt 2>/dev/null | tr '\n' ' ' || echo unknown)"
 
 # Telemetry overhead: sim QPS of the same serve run with tracing+metrics on,
 # divided by the run with them off. It must be exactly 1.000000 —

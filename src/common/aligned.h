@@ -10,7 +10,7 @@ namespace ganns {
 
 /// Minimal std::allocator replacement that over-aligns every allocation.
 /// Used for the dataset's row-major feature buffer so each padded row starts
-/// on a 32-byte boundary (one full AVX2 register / two NEON registers), and
+/// on a 32-byte boundary (one full AVX2 register), and
 /// through UnfilledVector for every array a shard file loads into.
 ///
 /// A value-less construct default-initializes, so resize(n) without a value

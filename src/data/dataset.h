@@ -121,7 +121,7 @@ class Dataset {
 void NormalizeRow(std::span<float> row);
 
 /// Computes the dataset's metric between two equal-length vectors through
-/// the runtime-dispatched SIMD kernel layer (data/distance.h). For kL2 this
+/// the host distance kernels (data/distance.h). For kL2 this
 /// is squared Euclidean; for kCosine it is 1 - <a, b> and assumes both
 /// vectors are unit-normalized.
 Dist ExactDistance(Metric metric, std::span<const float> a,

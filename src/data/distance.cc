@@ -1,8 +1,5 @@
 #include "data/distance.h"
 
-#include <cstdlib>
-#include <string>
-
 #include "common/logging.h"
 #include "data/dataset.h"
 #include "data/distance_kernels.h"
@@ -10,11 +7,12 @@
 namespace ganns {
 namespace data {
 namespace internal {
+namespace {
 
-// Portable canonical kernels. The stripe loop is written exactly in the
-// shape the SIMD variants implement (8 independent accumulators, remainder
-// elements appended to stripe i % 8, fixed combine tree), so the compiler
-// may auto-vectorize it freely without changing the result: IEEE semantics
+// Portable kernels. The stripe loops are written exactly in the shape the
+// AVX2 kernels implement (8 independent accumulators, remainder elements
+// appended to stripe i % 8, fixed combine tree), so the compiler may
+// auto-vectorize them freely without changing the result: IEEE semantics
 // are fixed by the accumulation order, not by the register width.
 
 Dist L2Portable(const float* a, const float* b, std::size_t dim) {
@@ -47,151 +45,99 @@ Dist DotPortable(const float* a, const float* b, std::size_t dim) {
   return CombineStripes(acc);
 }
 
-}  // namespace internal
+// The SQ8 kernels dequantize each element (min + code * scale) before the
+// usual diff/dot accumulation.
 
-namespace {
-
-using PairKernel = Dist (*)(const float*, const float*, std::size_t);
-
-/// The two function pointers the dispatcher swaps as one unit.
-struct KernelTable {
-  PairKernel l2;
-  PairKernel dot;
-  DistanceKernel kind;
-};
-
-bool CpuSupports(DistanceKernel kernel) {
-  switch (kernel) {
-    case DistanceKernel::kScalar:
-      return true;
-    case DistanceKernel::kSse2:
-#if defined(GANNS_DISTANCE_HAVE_SSE2)
-      return __builtin_cpu_supports("sse2");
-#else
-      return false;
-#endif
-    case DistanceKernel::kAvx2:
-#if defined(GANNS_DISTANCE_HAVE_AVX2)
-      return __builtin_cpu_supports("avx2");
-#else
-      return false;
-#endif
-    case DistanceKernel::kNeon:
-#if defined(GANNS_DISTANCE_HAVE_NEON)
-      return true;  // NEON is mandatory on AArch64.
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-KernelTable TableFor(DistanceKernel kernel) {
-  switch (kernel) {
-#if defined(GANNS_DISTANCE_HAVE_SSE2)
-    case DistanceKernel::kSse2:
-      return {internal::L2Sse2, internal::DotSse2, DistanceKernel::kSse2};
-#endif
-#if defined(GANNS_DISTANCE_HAVE_AVX2)
-    case DistanceKernel::kAvx2:
-      return {internal::L2Avx2, internal::DotAvx2, DistanceKernel::kAvx2};
-#endif
-#if defined(GANNS_DISTANCE_HAVE_NEON)
-    case DistanceKernel::kNeon:
-      return {internal::L2Neon, internal::DotNeon, DistanceKernel::kNeon};
-#endif
-    default:
-      return {internal::L2Portable, internal::DotPortable,
-              DistanceKernel::kScalar};
-  }
-}
-
-DistanceKernel BestSupported() {
-  for (DistanceKernel k : {DistanceKernel::kAvx2, DistanceKernel::kNeon,
-                           DistanceKernel::kSse2}) {
-    if (CpuSupports(k)) return k;
-  }
-  return DistanceKernel::kScalar;
-}
-
-DistanceKernel InitialKernel() {
-  const char* env = std::getenv("GANNS_DISTANCE_KERNEL");
-  if (env != nullptr && *env != '\0') {
-    const std::string name(env);
-    for (DistanceKernel k : {DistanceKernel::kScalar, DistanceKernel::kSse2,
-                             DistanceKernel::kAvx2, DistanceKernel::kNeon}) {
-      if (name == DistanceKernelName(k)) {
-        GANNS_CHECK_MSG(CpuSupports(k), "GANNS_DISTANCE_KERNEL="
-                                            << name
-                                            << " is not available on this "
-                                               "build/CPU");
-        return k;
-      }
+Dist Sq8L2Portable(const float* query, const std::uint8_t* code,
+                   const float* min, const float* scale, std::size_t dim) {
+  float acc[kDistanceStripes] = {};
+  std::size_t i = 0;
+  for (; i + kDistanceStripes <= dim; i += kDistanceStripes) {
+    for (std::size_t s = 0; s < kDistanceStripes; ++s) {
+      const float value =
+          min[i + s] + static_cast<float>(code[i + s]) * scale[i + s];
+      const float diff = query[i + s] - value;
+      acc[s] += diff * diff;
     }
-    GANNS_CHECK_MSG(name == "auto",
-                    "unknown GANNS_DISTANCE_KERNEL value '" << name << "'");
   }
-  return BestSupported();
+  for (std::size_t s = 0; i < dim; ++i, ++s) {
+    const float value = min[i] + static_cast<float>(code[i]) * scale[i];
+    const float diff = query[i] - value;
+    acc[s] += diff * diff;
+  }
+  return CombineStripes(acc);
 }
 
-/// Dispatch is resolved once at startup (first use); SetDistanceKernel is a
-/// test/bench hook and not expected to race with searches.
-KernelTable& ActiveTable() {
-  static KernelTable table = TableFor(InitialKernel());
-  return table;
+Dist Sq8DotPortable(const float* query, const std::uint8_t* code,
+                    const float* min, const float* scale, std::size_t dim) {
+  float acc[kDistanceStripes] = {};
+  std::size_t i = 0;
+  for (; i + kDistanceStripes <= dim; i += kDistanceStripes) {
+    for (std::size_t s = 0; s < kDistanceStripes; ++s) {
+      const float value =
+          min[i + s] + static_cast<float>(code[i + s]) * scale[i + s];
+      acc[s] += query[i + s] * value;
+    }
+  }
+  for (std::size_t s = 0; i < dim; ++i, ++s) {
+    const float value = min[i] + static_cast<float>(code[i]) * scale[i];
+    acc[s] += query[i] * value;
+  }
+  return CombineStripes(acc);
+}
+
+/// The active set, picked at first use. Held by value, so a distance call
+/// reads its kernel pointer with one load.
+KernelSet& ActiveSlot() {
+  static KernelSet active = [] {
+    const KernelSet* avx2 = Avx2Kernels();
+    return avx2 != nullptr ? *avx2 : kPortableKernels;
+  }();
+  return active;
 }
 
 }  // namespace
 
-const char* DistanceKernelName(DistanceKernel kernel) {
-  switch (kernel) {
-    case DistanceKernel::kScalar:
-      return "scalar";
-    case DistanceKernel::kSse2:
-      return "sse2";
-    case DistanceKernel::kAvx2:
-      return "avx2";
-    case DistanceKernel::kNeon:
-      return "neon";
-  }
-  return "unknown";
+const KernelSet kPortableKernels = {"scalar", L2Portable, DotPortable,
+                                    Sq8L2Portable, Sq8DotPortable};
+
+const KernelSet* Avx2Kernels() {
+#if defined(GANNS_DISTANCE_HAVE_AVX2)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) return &kAvx2Kernels;
+#endif
+  return nullptr;
 }
 
-std::vector<DistanceKernel> SupportedDistanceKernels() {
-  std::vector<DistanceKernel> out;
-  for (DistanceKernel k : {DistanceKernel::kAvx2, DistanceKernel::kNeon,
-                           DistanceKernel::kSse2, DistanceKernel::kScalar}) {
-    if (CpuSupports(k)) out.push_back(k);
-  }
-  return out;
+const KernelSet& ActiveKernels() { return ActiveSlot(); }
+
+ScopedKernelSet::ScopedKernelSet(const KernelSet& set)
+    : previous_(ActiveSlot()) {
+  ActiveSlot() = set;
 }
 
-DistanceKernel ActiveDistanceKernel() { return ActiveTable().kind; }
+ScopedKernelSet::~ScopedKernelSet() { ActiveSlot() = previous_; }
 
-bool SetDistanceKernel(DistanceKernel kernel) {
-  if (!CpuSupports(kernel)) return false;
-  ActiveTable() = TableFor(kernel);
-  return true;
-}
+}  // namespace internal
 
 Dist ComputeDistance(Metric metric, const float* a, const float* b,
                      std::size_t dim) {
-  const KernelTable& table = ActiveTable();
-  if (metric == Metric::kL2) return table.l2(a, b, dim);
-  return 1.0f - table.dot(a, b, dim);
+  const internal::KernelSet& set = internal::ActiveKernels();
+  if (metric == Metric::kL2) return set.l2(a, b, dim);
+  return 1.0f - set.dot(a, b, dim);
 }
 
 Dist ComputeInnerProduct(const float* a, const float* b, std::size_t dim) {
-  return ActiveTable().dot(a, b, dim);
+  return internal::ActiveKernels().dot(a, b, dim);
 }
 
 void DistanceMany(const Dataset& base, std::span<const VertexId> ids,
                   std::span<const float> query, std::span<Dist> out) {
   GANNS_DCHECK(out.size() >= ids.size());
   GANNS_DCHECK(query.size() == base.dim());
-  const KernelTable& table = ActiveTable();
-  const PairKernel kernel =
-      base.metric() == Metric::kL2 ? table.l2 : table.dot;
+  const internal::KernelSet& set = internal::ActiveKernels();
+  const internal::PairKernel kernel =
+      base.metric() == Metric::kL2 ? set.l2 : set.dot;
   const float* data = base.row_data();
   const std::size_t stride = base.padded_dim();
   const std::size_t dim = base.dim();
@@ -213,9 +159,9 @@ void DistanceRange(const Dataset& base, VertexId first, std::size_t count,
   GANNS_DCHECK(out.size() >= count);
   GANNS_DCHECK(query.size() == base.dim());
   GANNS_DCHECK(std::size_t{first} + count <= base.size());
-  const KernelTable& table = ActiveTable();
-  const PairKernel kernel =
-      base.metric() == Metric::kL2 ? table.l2 : table.dot;
+  const internal::KernelSet& set = internal::ActiveKernels();
+  const internal::PairKernel kernel =
+      base.metric() == Metric::kL2 ? set.l2 : set.dot;
   const float* row = base.row_data() + std::size_t{first} * base.padded_dim();
   const std::size_t stride = base.padded_dim();
   const std::size_t dim = base.dim();

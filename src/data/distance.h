@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "common/types.h"
 
@@ -13,50 +12,25 @@ namespace data {
 class Dataset;
 enum class Metric;
 
-/// Host distance-kernel variants. The simulator charges distance *cycles*
-/// through gpusim::Warp::ChargeDistance regardless of which host kernel
-/// computes the value, so the choice here affects wall-clock time only —
-/// never simulated time or (by the determinism contract below) results.
-enum class DistanceKernel {
-  kScalar,  ///< Portable striped-accumulator kernel; always available.
-  kSse2,    ///< x86 SSE2, two 4-lane accumulators.
-  kAvx2,    ///< x86 AVX2, one 8-lane accumulator.
-  kNeon,    ///< AArch64 NEON, two 4-lane accumulators.
-};
+/// Host distance kernels. The simulator charges distance *cycles* through
+/// gpusim::Warp::ChargeDistance regardless of which host kernel computes the
+/// value, so the kernels affect wall-clock time only — never simulated time
+/// or results. There are two kernel sets, the portable one and an AVX2 one,
+/// picked once by the CPU; both return the same float for the same input
+/// (see distance_kernels.h for the contract), so results do not depend on
+/// the host's ISA.
 
-/// Human-readable kernel name ("scalar", "sse2", "avx2", "neon").
-const char* DistanceKernelName(DistanceKernel kernel);
-
-/// Kernel variants compiled into this binary *and* supported by the running
-/// CPU, best first. Always contains at least kScalar.
-std::vector<DistanceKernel> SupportedDistanceKernels();
-
-/// The kernel the dispatcher currently routes all distance computation
-/// through. Resolved once at first use: the best supported variant, unless
-/// the environment variable GANNS_DISTANCE_KERNEL ("scalar", "sse2", "avx2",
-/// "neon", or "auto") overrides it.
-DistanceKernel ActiveDistanceKernel();
-
-/// Forces a specific kernel (used by tests and microbenchmarks). Returns
-/// false — and changes nothing — if the variant is not compiled in or the
-/// CPU lacks the instruction set.
-bool SetDistanceKernel(DistanceKernel kernel);
-
-/// Raw-pointer distance between two `dim`-length vectors under `metric`
-/// through the dispatched kernel. Every kernel variant returns the same
-/// float for the same input (see distance_kernels.h for the contract), so a
-/// build's results do not depend on which ISA the host happens to have.
+/// Raw-pointer distance between two `dim`-length vectors under `metric`.
 Dist ComputeDistance(Metric metric, const float* a, const float* b,
                      std::size_t dim);
 
-/// Raw inner product of two `dim`-length vectors through the dispatched dot
-/// kernel, with no cosine adjustment. Used by the PQ LUT builder
-/// (data/quantize.h): partial dots over subspaces must follow the same
-/// dispatch determinism contract as full distances.
+/// Raw inner product of two `dim`-length vectors, with no cosine
+/// adjustment. Used by the PQ LUT builder (data/quantize.h): partial dots
+/// over subspaces follow the same determinism contract as full distances.
 Dist ComputeInnerProduct(const float* a, const float* b, std::size_t dim);
 
 /// Batched distances from `query` to base[ids[i]] for every i, written to
-/// out[i]. Reads the dispatched kernel once, walks the dataset's padded
+/// out[i]. Reads the active kernel once, walks the dataset's padded
 /// aligned rows directly, and prefetches the next row — the preferred entry
 /// point for the per-iteration bulk-distance phases (GANNS phase 3, SONG
 /// stage 2). `out.size()` must be at least `ids.size()`.

@@ -9,59 +9,11 @@
 #include "common/random.h"
 #include "data/distance.h"
 #include "data/distance_kernels.h"
-#include "data/quantize_kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace ganns {
 namespace data {
-namespace internal {
-
-// Portable SQ8 kernels in the canonical stripe shape (see
-// distance_kernels.h). The dequantization min + code * scale is performed
-// per element before the usual diff/dot accumulation; this TU is compiled
-// with -ffp-contract=off so no variant fuses any of the three multiplies.
-
-Dist Sq8L2Portable(const float* query, const std::uint8_t* code,
-                   const float* min, const float* scale, std::size_t dim) {
-  float acc[kDistanceStripes] = {};
-  std::size_t i = 0;
-  for (; i + kDistanceStripes <= dim; i += kDistanceStripes) {
-    for (std::size_t s = 0; s < kDistanceStripes; ++s) {
-      const float value =
-          min[i + s] + static_cast<float>(code[i + s]) * scale[i + s];
-      const float diff = query[i + s] - value;
-      acc[s] += diff * diff;
-    }
-  }
-  for (std::size_t s = 0; i < dim; ++i, ++s) {
-    const float value = min[i] + static_cast<float>(code[i]) * scale[i];
-    const float diff = query[i] - value;
-    acc[s] += diff * diff;
-  }
-  return CombineStripes(acc);
-}
-
-Dist Sq8DotPortable(const float* query, const std::uint8_t* code,
-                    const float* min, const float* scale, std::size_t dim) {
-  float acc[kDistanceStripes] = {};
-  std::size_t i = 0;
-  for (; i + kDistanceStripes <= dim; i += kDistanceStripes) {
-    for (std::size_t s = 0; s < kDistanceStripes; ++s) {
-      const float value =
-          min[i + s] + static_cast<float>(code[i + s]) * scale[i + s];
-      acc[s] += query[i + s] * value;
-    }
-  }
-  for (std::size_t s = 0; i < dim; ++i, ++s) {
-    const float value = min[i] + static_cast<float>(code[i]) * scale[i];
-    acc[s] += query[i] * value;
-  }
-  return CombineStripes(acc);
-}
-
-}  // namespace internal
-
 namespace {
 
 // Section layout (all little-endian u64 header words):
@@ -95,8 +47,8 @@ void SetError(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
 }
 
-/// Nearest centroid in subspace m by squared L2 through the dispatched
-/// kernels; ties break to the lowest index (strict less-than).
+/// Nearest centroid in subspace m by squared L2; ties break to the lowest
+/// index (strict less-than).
 std::size_t NearestCentroid(const Quantizer& q, std::size_t m,
                             const float* sub) {
   std::size_t best = 0;
@@ -336,11 +288,16 @@ std::optional<Quantizer> Quantizer::ReadBody(std::FILE* file,
   q.precision_ = static_cast<Precision>(precision);
   q.dim_ = dim;
   q.rerank_factor_ = rerank;
+  // Each payload must be in the file before it is allocated.
   if (q.precision_ == Precision::kSq8) {
-    q.sq8_min_.resize(dim);
-    q.sq8_scale_.resize(dim);
-    if (std::fread(q.sq8_min_.data(), sizeof(float), dim, file) != dim ||
-        std::fread(q.sq8_scale_.data(), sizeof(float), dim, file) != dim) {
+    bool read = BytesLeft(file) >= 2 * dim * sizeof(float);
+    if (read) {
+      q.sq8_min_.resize(dim);
+      q.sq8_scale_.resize(dim);
+      read = std::fread(q.sq8_min_.data(), sizeof(float), dim, file) == dim &&
+             std::fread(q.sq8_scale_.data(), sizeof(float), dim, file) == dim;
+    }
+    if (!read) {
       SetError(error, "quantization section: truncated sq8 affine payload");
       return std::nullopt;
     }
@@ -366,9 +323,14 @@ std::optional<Quantizer> Quantizer::ReadBody(std::FILE* file,
   for (std::size_t i = 0; i < m; ++i) {
     q.sub_offset_[i + 1] = q.sub_offset_[i] + base_sub + (i < remainder ? 1 : 0);
   }
-  q.centroids_.resize(q.k_ * q.dim_);
-  if (std::fread(q.centroids_.data(), sizeof(float), q.centroids_.size(),
-                 file) != q.centroids_.size()) {
+  const std::size_t floats = q.k_ * q.dim_;
+  bool read = BytesLeft(file) >= floats * sizeof(float);
+  if (read) {
+    q.centroids_.resize(floats);
+    read = std::fread(q.centroids_.data(), sizeof(float), floats, file) ==
+           floats;
+  }
+  if (!read) {
     SetError(error, "quantization section: truncated pq codebook payload");
     return std::nullopt;
   }
@@ -411,23 +373,13 @@ CodeDistanceContext::CodeDistanceContext(const SearchQuantization& quant,
   GANNS_CHECK(query.size() == quantizer_->dim());
   code_bytes_ = quantizer_->code_bytes();
   if (quantizer_->precision() == Precision::kSq8) {
-    switch (ActiveDistanceKernel()) {
-#if defined(GANNS_DISTANCE_HAVE_AVX2)
-      case DistanceKernel::kAvx2:
-        sq8_kernel_ = metric_ == Metric::kL2 ? internal::Sq8L2Avx2
-                                             : internal::Sq8DotAvx2;
-        break;
-#endif
-      default:
-        sq8_kernel_ = metric_ == Metric::kL2 ? internal::Sq8L2Portable
-                                             : internal::Sq8DotPortable;
-        break;
-    }
+    const internal::KernelSet& set = internal::ActiveKernels();
+    sq8_kernel_ = metric_ == Metric::kL2 ? set.sq8_l2 : set.sq8_dot;
     return;
   }
   // PQ: per-query LUT of partial distances (L2) or partial dots (cosine),
-  // built through the dispatched float kernels so every ISA computes the
-  // same table bit-for-bit.
+  // built through the float kernels, so both kernel sets compute the same
+  // table bit for bit.
   const std::size_t m = quantizer_->pq_subspaces();
   const std::size_t k = quantizer_->pq_centroids();
   lut_.resize(m * k);

@@ -21,14 +21,15 @@
 // Two code families:
 //   - SQ8: per-dimension min/max affine scalar quantization to one byte per
 //     dimension (4x smaller than float32). Asymmetric distance dequantizes
-//     on the fly against the float query through the striped kernel family
-//     in quantize_kernels.h (same determinism contract as distance_*).
+//     on the fly against the float query through the SQ8 kernels of the
+//     active kernel set (data/distance_kernels.h, same determinism contract
+//     as the float kernels).
 //   - PQ: product quantization — the dimensions are split into M contiguous
 //     subspaces, each with its own K <= 256 centroid codebook learned by
 //     deterministic seeded k-means; a vector is M bytes (typically 32x
 //     smaller). Per-query asymmetric distance is a table lookup: a LUT of
-//     M*K partial distances is built once per query from the dispatched
-//     float kernels, then each candidate costs M adds.
+//     M*K partial distances is built once per query from the float
+//     kernels, then each candidate costs M adds.
 //
 // Codebooks and packed codes serialize as an optional trailing section of
 // the v3 containers (see WriteQuantizedSection); files without the section
@@ -174,10 +175,10 @@ struct SearchQuantization {
   }
 };
 
-/// Per-query approximate-distance evaluator. Construction resolves the SQ8
-/// kernel from the active dispatch (so GANNS_DISTANCE_KERNEL forcing applies)
-/// and, for PQ, builds the M*K LUT of partial distances from the dispatched
-/// float kernels. Thereafter One() is pure lookup/accumulation.
+/// Per-query approximate-distance evaluator. Construction takes the SQ8
+/// kernel from the active kernel set and, for PQ, builds the M*K LUT of
+/// partial distances from the float kernels. Thereafter One() is pure
+/// lookup/accumulation.
 class CodeDistanceContext {
  public:
   CodeDistanceContext(const SearchQuantization& quant, Metric metric,

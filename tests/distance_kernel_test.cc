@@ -1,21 +1,22 @@
-// Tests for the runtime-dispatched SIMD distance layer (data/distance.h).
+// Tests for the host distance kernels (data/distance.h and the internal
+// data/distance_kernels.h).
 //
-// The determinism contract: every kernel variant (scalar, SSE2, AVX2, NEON)
-// partitions elements into kDistanceStripes accumulators by index modulo the
-// stripe count and folds them through the same fixed combine tree, with FP
-// contraction disabled on every kernel translation unit. So all variants must
-// return *bit-identical* results on any input — not merely close ones — and
-// the whole-pipeline outputs (brute-force truth, GANNS search results, and
-// simulated cycle counts) must not depend on which variant the dispatcher
+// The determinism contract: both kernel sets — the portable one and the AVX2
+// one — partition elements into kDistanceStripes accumulators by index
+// modulo the stripe count and fold them through the same fixed combine tree,
+// with FP contraction disabled on both kernel translation units. So the two
+// sets must return *bit-identical* results on any input — not merely close
+// ones — and the whole-pipeline outputs (brute-force truth, GANNS search
+// results, and simulated cycle counts) must not depend on which set the CPU
 // picked.
 //
-// This binary is registered with ctest twice: once in auto-dispatch mode and
-// once under GANNS_DISTANCE_KERNEL=scalar, so the env-forced path gets the
-// same coverage as the default one.
+// Every case reaches both sets through the internal header, so one ctest
+// registration covers both. On a CPU without AVX2 the portable half runs and
+// the AVX2 half reports itself skipped.
 
-#include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "core/ganns_search.h"
 #include "data/dataset.h"
 #include "data/distance.h"
+#include "data/distance_kernels.h"
 #include "data/ground_truth.h"
 #include "data/synthetic.h"
 #include "graph/cpu_nsw.h"
@@ -32,14 +34,10 @@ namespace ganns {
 namespace data {
 namespace {
 
-/// Restores the dispatcher state a test mutated via SetDistanceKernel.
-class DistanceKernelTest : public ::testing::Test {
- protected:
-  void SetUp() override { initial_ = ActiveDistanceKernel(); }
-  void TearDown() override { ASSERT_TRUE(SetDistanceKernel(initial_)); }
+using internal::KernelSet;
 
-  DistanceKernel initial_ = DistanceKernel::kScalar;
-};
+constexpr const char* kNoAvx2 =
+    "this CPU (or build) has no AVX2 kernel set; only the portable set ran";
 
 std::vector<float> RandomVector(Rng& rng, std::size_t dim) {
   std::vector<float> v(dim);
@@ -47,47 +45,80 @@ std::vector<float> RandomVector(Rng& rng, std::size_t dim) {
   return v;
 }
 
-TEST_F(DistanceKernelTest, ScalarAlwaysSupported) {
-  const auto kernels = SupportedDistanceKernels();
-  ASSERT_FALSE(kernels.empty());
-  // The list is ordered best-first, but scalar must always be present.
-  EXPECT_NE(std::find(kernels.begin(), kernels.end(), DistanceKernel::kScalar),
-            kernels.end());
-  for (const DistanceKernel k : kernels) {
-    EXPECT_TRUE(SetDistanceKernel(k)) << DistanceKernelName(k);
-    EXPECT_EQ(ActiveDistanceKernel(), k);
-  }
+/// Bitwise float equality: NaN-safe and stricter than ==(-0.0, 0.0).
+bool SameBits(Dist a, Dist b) { return std::memcmp(&a, &b, sizeof(Dist)) == 0; }
+
+/// Whether the active set holds exactly the kernels of `set`.
+bool IsActive(const KernelSet& set) {
+  const KernelSet& active = internal::ActiveKernels();
+  return active.l2 == set.l2 && active.dot == set.dot &&
+         active.sq8_l2 == set.sq8_l2 && active.sq8_dot == set.sq8_dot;
 }
 
-// Every supported variant must agree bitwise with the scalar kernel on every
-// dimension from 1 to 257 — covering empty-tail (multiples of 8), every
-// possible tail length, and sub-stripe vectors (dim < 8).
-TEST_F(DistanceKernelTest, AllVariantsBitIdenticalToScalar) {
+// The CPU picks the set: AVX2 whenever the CPU has it, else portable.
+TEST(KernelSetTest, ActiveSetIsPickedByCpu) {
+  const KernelSet* avx2 = internal::Avx2Kernels();
+  const KernelSet& want = avx2 != nullptr ? *avx2 : internal::kPortableKernels;
+  EXPECT_TRUE(IsActive(want)) << internal::ActiveKernels().name;
+  {
+    const internal::ScopedKernelSet portable(internal::kPortableKernels);
+    EXPECT_TRUE(IsActive(internal::kPortableKernels));
+  }
+  EXPECT_TRUE(IsActive(want));
+}
+
+// The AVX2 set must agree bitwise with the portable set on every dimension
+// from 1 to 257 — covering empty-tail (multiples of 8), every possible tail
+// length, and sub-stripe vectors (dim < 8) — for all four kernels.
+TEST(KernelSetTest, Avx2BitIdenticalToPortable) {
+  const KernelSet* avx2 = internal::Avx2Kernels();
+  if (avx2 == nullptr) GTEST_SKIP() << kNoAvx2;
+  const KernelSet& portable = internal::kPortableKernels;
   Rng rng(20260805);
-  const auto kernels = SupportedDistanceKernels();
   for (std::size_t dim = 1; dim <= 257; ++dim) {
     const std::vector<float> a = RandomVector(rng, dim);
     const std::vector<float> b = RandomVector(rng, dim);
-    for (const Metric metric : {Metric::kL2, Metric::kCosine}) {
-      ASSERT_TRUE(SetDistanceKernel(DistanceKernel::kScalar));
-      const Dist want = ComputeDistance(metric, a.data(), b.data(), dim);
-      for (const DistanceKernel k : kernels) {
-        ASSERT_TRUE(SetDistanceKernel(k));
-        const Dist got = ComputeDistance(metric, a.data(), b.data(), dim);
-        // Bitwise comparison: NaN-safe and stricter than ==(-0.0, 0.0).
-        EXPECT_EQ(std::memcmp(&want, &got, sizeof(Dist)), 0)
-            << DistanceKernelName(k) << " dim=" << dim
-            << " metric=" << (metric == Metric::kL2 ? "l2" : "cos")
-            << " want=" << want << " got=" << got;
-      }
+    std::vector<std::uint8_t> code(dim);
+    std::vector<float> min(dim);
+    std::vector<float> scale(dim);
+    for (std::size_t i = 0; i < dim; ++i) {
+      code[i] = static_cast<std::uint8_t>(rng.NextBounded(256));
+      min[i] = rng.NextUniform(-2.0f, 0.0f);
+      scale[i] = rng.NextUniform(0.0f, 4.0f / 255.0f);
+    }
+    const struct {
+      const char* kernel;
+      Dist want;
+      Dist got;
+    } cases[] = {
+        {"l2", portable.l2(a.data(), b.data(), dim),
+         avx2->l2(a.data(), b.data(), dim)},
+        {"dot", portable.dot(a.data(), b.data(), dim),
+         avx2->dot(a.data(), b.data(), dim)},
+        {"sq8_l2",
+         portable.sq8_l2(a.data(), code.data(), min.data(), scale.data(), dim),
+         avx2->sq8_l2(a.data(), code.data(), min.data(), scale.data(), dim)},
+        {"sq8_dot",
+         portable.sq8_dot(a.data(), code.data(), min.data(), scale.data(),
+                          dim),
+         avx2->sq8_dot(a.data(), code.data(), min.data(), scale.data(), dim)},
+    };
+    for (const auto& c : cases) {
+      EXPECT_TRUE(SameBits(c.want, c.got))
+          << c.kernel << " dim=" << dim << " want=" << c.want
+          << " got=" << c.got;
     }
   }
 }
 
-// DistanceMany / DistanceRange read the padded, aligned dataset rows; their
-// output must match per-pair ComputeDistance on the unpadded logical rows,
-// for dimensions whose padded tail is non-empty.
-TEST_F(DistanceKernelTest, BatchedMatchesPairwiseOnPaddedRows) {
+// DistanceMany / DistanceRange read the padded, aligned dataset rows; under
+// either set their output must match the portable pairwise kernel on the
+// unpadded logical rows, for dimensions whose padded tail is non-empty.
+TEST(KernelSetTest, BatchedMatchesPortableOnPaddedRows) {
+  std::vector<const KernelSet*> sets = {&internal::kPortableKernels};
+  if (internal::Avx2Kernels() != nullptr) {
+    sets.push_back(internal::Avx2Kernels());
+  }
   Rng rng(7);
   for (const std::size_t dim : {1u, 3u, 7u, 8u, 13u, 96u, 100u}) {
     for (const Metric metric : {Metric::kL2, Metric::kCosine}) {
@@ -98,37 +129,40 @@ TEST_F(DistanceKernelTest, BatchedMatchesPairwiseOnPaddedRows) {
       EXPECT_GE(base.padded_dim(), base.dim());
 
       const std::vector<float> query = RandomVector(rng, dim);
+      const auto want = [&](VertexId v) {
+        const float* row = base.Point(v).data();
+        return metric == Metric::kL2
+                   ? internal::kPortableKernels.l2(row, query.data(), dim)
+                   : 1.0f - internal::kPortableKernels.dot(row, query.data(),
+                                                           dim);
+      };
       std::vector<VertexId> ids;
       for (std::size_t i = 0; i < n; i += 3) {
         ids.push_back(static_cast<VertexId>(n - 1 - i));
       }
-      for (const DistanceKernel k : SupportedDistanceKernels()) {
-        ASSERT_TRUE(SetDistanceKernel(k));
+      for (const KernelSet* set : sets) {
+        const internal::ScopedKernelSet scoped(*set);
         std::vector<Dist> many(ids.size());
         DistanceMany(base, ids, query, many);
         for (std::size_t i = 0; i < ids.size(); ++i) {
-          const Dist want = ComputeDistance(metric, base.Point(ids[i]).data(),
-                                            query.data(), dim);
-          EXPECT_EQ(std::memcmp(&want, &many[i], sizeof(Dist)), 0)
-              << DistanceKernelName(k) << " dim=" << dim << " i=" << i;
+          EXPECT_TRUE(SameBits(want(ids[i]), many[i]))
+              << set->name << " dim=" << dim << " i=" << i;
         }
         std::vector<Dist> range(n);
         DistanceRange(base, 0, n, query, range);
         for (std::size_t v = 0; v < n; ++v) {
-          const Dist want = ComputeDistance(
-              metric, base.Point(static_cast<VertexId>(v)).data(),
-              query.data(), dim);
-          EXPECT_EQ(std::memcmp(&want, &range[v], sizeof(Dist)), 0)
-              << DistanceKernelName(k) << " dim=" << dim << " v=" << v;
+          EXPECT_TRUE(SameBits(want(static_cast<VertexId>(v)), range[v]))
+              << set->name << " dim=" << dim << " v=" << v;
         }
       }
     }
   }
+  if (sets.size() == 1) GTEST_SKIP() << kNoAvx2;
 }
 
 // Padding floats must stay zero after appends so kernels may safely read the
 // full padded stripe width when convenient.
-TEST_F(DistanceKernelTest, DatasetPaddingIsZero) {
+TEST(KernelSetTest, DatasetPaddingIsZero) {
   Rng rng(3);
   Dataset base("pad", 5, Metric::kL2);
   for (std::size_t i = 0; i < 9; ++i) base.Append(RandomVector(rng, 5));
@@ -141,10 +175,10 @@ TEST_F(DistanceKernelTest, DatasetPaddingIsZero) {
 }
 
 // Whole-pipeline regression: brute-force truth, GANNS search results, recall,
-// and the simulated cycle counts must be identical under every kernel
-// variant. This is the "host-side-only optimization" guarantee — SIMD choice
-// may change wall-clock time but never the simulated device behaviour.
-TEST_F(DistanceKernelTest, SearchPipelineInvariantAcrossKernels) {
+// and the simulated cycle counts must be identical under both kernel sets.
+// This is the "host-side-only optimization" guarantee — the kernel set may
+// change wall-clock time but never the simulated device behaviour.
+TEST(KernelSetTest, SearchPipelineInvariantAcrossKernelSets) {
   const Dataset base =
       GenerateBase(PaperDataset("SIFT1M"), 600, /*seed=*/11);
   const Dataset queries =
@@ -154,36 +188,39 @@ TEST_F(DistanceKernelTest, SearchPipelineInvariantAcrossKernels) {
   params.k = 10;
   params.l_n = 64;
 
-  ASSERT_TRUE(SetDistanceKernel(DistanceKernel::kScalar));
-  const GroundTruth scalar_truth = BruteForceKnn(base, queries, params.k);
-  const graph::CpuBuildResult scalar_built = graph::BuildNswCpu(base, {});
-  gpusim::Device scalar_device;
-  const graph::BatchSearchResult scalar_batch = core::GannsSearchBatch(
-      scalar_device, scalar_built.graph, base, queries, params);
-  const double scalar_recall =
-      MeanRecall(scalar_batch.results, scalar_truth, params.k);
-
-  for (const DistanceKernel k : SupportedDistanceKernels()) {
-    SCOPED_TRACE(DistanceKernelName(k));
-    ASSERT_TRUE(SetDistanceKernel(k));
-
-    const GroundTruth truth = BruteForceKnn(base, queries, params.k);
-    ASSERT_EQ(truth.neighbors, scalar_truth.neighbors);
-
-    const graph::CpuBuildResult built = graph::BuildNswCpu(base, {});
-    ASSERT_EQ(built.search_stats.distance_computations,
-              scalar_built.search_stats.distance_computations);
-    EXPECT_EQ(built.sim_seconds, scalar_built.sim_seconds);
-
+  struct Run {
+    GroundTruth truth;
+    graph::CpuBuildResult built;
+    graph::BatchSearchResult batch;
+    double recall = 0;
+  };
+  const auto run_under = [&](const KernelSet& set) {
+    const internal::ScopedKernelSet scoped(set);
+    GroundTruth truth = BruteForceKnn(base, queries, params.k);
+    graph::CpuBuildResult built = graph::BuildNswCpu(base, {});
     gpusim::Device device;
-    const graph::BatchSearchResult batch =
+    graph::BatchSearchResult batch =
         core::GannsSearchBatch(device, built.graph, base, queries, params);
-    EXPECT_EQ(batch.results, scalar_batch.results);
-    EXPECT_EQ(batch.kernel.sim_cycles, scalar_batch.kernel.sim_cycles);
-    EXPECT_EQ(batch.kernel.work_total(), scalar_batch.kernel.work_total());
-    EXPECT_EQ(batch.sim_seconds, scalar_batch.sim_seconds);
-    EXPECT_EQ(MeanRecall(batch.results, truth, params.k), scalar_recall);
-  }
+    const double recall = MeanRecall(batch.results, truth, params.k);
+    return Run{std::move(truth), std::move(built), std::move(batch), recall};
+  };
+
+  const Run portable = run_under(internal::kPortableKernels);
+  EXPECT_GT(portable.recall, 0.9);
+  const KernelSet* avx2 = internal::Avx2Kernels();
+  if (avx2 == nullptr) GTEST_SKIP() << kNoAvx2;
+  const Run fast = run_under(*avx2);
+
+  ASSERT_EQ(fast.truth.neighbors, portable.truth.neighbors);
+  ASSERT_EQ(fast.built.search_stats.distance_computations,
+            portable.built.search_stats.distance_computations);
+  EXPECT_EQ(fast.built.sim_seconds, portable.built.sim_seconds);
+  EXPECT_EQ(fast.batch.results, portable.batch.results);
+  EXPECT_EQ(fast.batch.kernel.sim_cycles, portable.batch.kernel.sim_cycles);
+  EXPECT_EQ(fast.batch.kernel.work_total(),
+            portable.batch.kernel.work_total());
+  EXPECT_EQ(fast.batch.sim_seconds, portable.batch.sim_seconds);
+  EXPECT_EQ(fast.recall, portable.recall);
 }
 
 }  // namespace

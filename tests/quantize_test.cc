@@ -4,20 +4,19 @@
 //    and PQ encoding picks the nearest centroid of every subspace;
 //  * the approximate code distance agrees with the exact distance to the
 //    decoded (reconstructed) vector, and CodeDistanceContext is *bit
-//    identical* across every supported SIMD kernel variant — the same
-//    determinism contract as the float distance layer, which is why this
-//    binary (like distance_kernel_test) is registered with ctest twice:
-//    auto-dispatch and GANNS_DISTANCE_KERNEL=scalar;
+//    identical* under the portable and the AVX2 kernel sets — the same
+//    determinism contract as the float distance layer;
 //  * two-stage search (code distances in the loop, exact rerank before
 //    emission) recovers recall to within 1% of the exact float path at the
 //    same visited budget, measured against a brute-force oracle;
 //  * the quantized trailing section round-trips through the v3 containers
 //    (standalone section, shard files),
-//    missing sections load as uncompressed, and mismatched sections fail
+//    missing sections load as uncompressed, and malformed sections fail
 //    with named errors.
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -29,6 +28,7 @@
 #include "core/ganns_search.h"
 #include "data/dataset.h"
 #include "data/distance.h"
+#include "data/distance_kernels.h"
 #include "data/ground_truth.h"
 #include "data/quantize.h"
 #include "data/synthetic.h"
@@ -40,14 +40,7 @@ namespace ganns {
 namespace data {
 namespace {
 
-/// Restores the dispatcher state a test mutated via SetDistanceKernel.
-class QuantizeTest : public ::testing::Test {
- protected:
-  void SetUp() override { initial_ = ActiveDistanceKernel(); }
-  void TearDown() override { ASSERT_TRUE(SetDistanceKernel(initial_)); }
-
-  DistanceKernel initial_ = DistanceKernel::kScalar;
-};
+class QuantizeTest : public ::testing::Test {};
 
 Dataset RandomDataset(std::size_t n, std::size_t dim, Metric metric,
                       std::uint64_t seed) {
@@ -157,10 +150,12 @@ TEST_F(QuantizeTest, CodeDistanceMatchesDecodedVector) {
   }
 }
 
-// The SQ8 kernel family honours the same stripe-and-combine determinism
-// contract as the float kernels: every supported variant must return bit
-// identical code distances.
-TEST_F(QuantizeTest, CodeDistanceBitIdenticalAcrossKernels) {
+// The SQ8 kernels honour the same stripe-and-combine determinism contract
+// as the float kernels: the AVX2 set must return bit-identical code
+// distances to the portable set.
+TEST_F(QuantizeTest, CodeDistanceBitIdenticalAcrossKernelSets) {
+  const internal::KernelSet* avx2 = internal::Avx2Kernels();
+  if (avx2 == nullptr) GTEST_SKIP() << "no AVX2 kernel set on this CPU";
   const Dataset base = RandomDataset(64, 129, Metric::kL2, 23);
   QuantizerOptions options;
   options.precision = Precision::kSq8;
@@ -172,24 +167,23 @@ TEST_F(QuantizeTest, CodeDistanceBitIdenticalAcrossKernels) {
   std::vector<float> query(base.dim());
   for (auto& x : query) x = rng.NextUniform(-2.0f, 2.0f);
 
-  for (const Metric metric : {Metric::kL2, Metric::kCosine}) {
-    ASSERT_TRUE(SetDistanceKernel(DistanceKernel::kScalar));
-    std::vector<Dist> want(base.size());
-    {
-      const CodeDistanceContext scalar_ctx(quant, metric, query);
-      for (std::size_t i = 0; i < base.size(); ++i) {
-        want[i] = scalar_ctx.One(static_cast<VertexId>(i));
-      }
+  // The context takes its SQ8 kernel from the set active at construction.
+  const auto distances = [&](const internal::KernelSet& set, Metric metric) {
+    const internal::ScopedKernelSet scoped(set);
+    const CodeDistanceContext ctx(quant, metric, query);
+    std::vector<Dist> out(base.size());
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      out[i] = ctx.One(static_cast<VertexId>(i));
     }
-    for (const DistanceKernel k : SupportedDistanceKernels()) {
-      ASSERT_TRUE(SetDistanceKernel(k));
-      const CodeDistanceContext ctx(quant, metric, query);
-      for (std::size_t i = 0; i < base.size(); ++i) {
-        const Dist got = ctx.One(static_cast<VertexId>(i));
-        EXPECT_EQ(std::memcmp(&want[i], &got, sizeof(Dist)), 0)
-            << DistanceKernelName(k) << " slot " << i << " want " << want[i]
-            << " got " << got;
-      }
+    return out;
+  };
+  for (const Metric metric : {Metric::kL2, Metric::kCosine}) {
+    const std::vector<Dist> want =
+        distances(internal::kPortableKernels, metric);
+    const std::vector<Dist> got = distances(*avx2, metric);
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      EXPECT_EQ(std::memcmp(&want[i], &got[i], sizeof(Dist)), 0)
+          << "slot " << i << " want " << want[i] << " got " << got[i];
     }
   }
 }
@@ -354,6 +348,102 @@ TEST_F(QuantizeTest, SlotCountMismatchIsNamed) {
   EXPECT_FALSE(store.has_value());
   EXPECT_NE(error.find("40"), std::string::npos) << error;
   EXPECT_NE(error.find("45"), std::string::npos) << error;
+}
+
+// Every named error of the quantization-section reader, each from a
+// crafted section: the 8-word header {magic, version, dim, precision, M, K,
+// rerank_factor, reserved}, the codebook payload, then the code count and
+// the codes.
+TEST_F(QuantizeTest, MalformedSectionsGiveNamedErrors) {
+  constexpr std::uint64_t kMagic = 0x544e5147534e4e47ULL;  // "GNNSGQNT"
+  constexpr std::uint64_t kSq8 = 1;
+  constexpr std::uint64_t kPq = 2;
+  using Bytes = std::vector<unsigned char>;
+  const auto header = [](std::uint64_t magic, std::uint64_t version,
+                         std::uint64_t dim, std::uint64_t precision,
+                         std::uint64_t m, std::uint64_t k,
+                         std::uint64_t rerank) {
+    const std::uint64_t words[8] = {magic, version, dim, precision,
+                                    m,     k,       rerank, 0};
+    const auto* bytes = reinterpret_cast<const unsigned char*>(words);
+    return Bytes(bytes, bytes + sizeof(words));
+  };
+  const auto append = [](Bytes b, const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    b.insert(b.end(), bytes, bytes + size);
+    return b;
+  };
+  const auto floats = [&](Bytes b, std::size_t count) {
+    const std::vector<float> values(count, 0.5f);
+    return append(std::move(b), values.data(), count * sizeof(float));
+  };
+  const auto word = [&](Bytes b, std::uint64_t value) {
+    return append(std::move(b), &value, sizeof(value));
+  };
+  // A whole sq8 quantizer record at dim 4, ready for its code array.
+  const Bytes sq8 = floats(header(kMagic, 1, 4, kSq8, 0, 0, 4), 8);
+
+  const struct {
+    const char* error;
+    Bytes section;
+    std::size_t expected_slots;
+  } cases[] = {
+      {"unknown trailing section magic 0x5858585858585858",
+       header(0x5858585858585858ULL, 1, 4, kSq8, 0, 0, 4), SIZE_MAX},
+      {"quantization section: truncated header",
+       Bytes(sq8.begin(), sq8.begin() + 40), SIZE_MAX},
+      {"quantization section: unsupported version 2",
+       header(kMagic, 2, 4, kSq8, 0, 0, 4), SIZE_MAX},
+      {"quantization section: implausible dim 0",
+       header(kMagic, 1, 0, kSq8, 0, 0, 4), SIZE_MAX},
+      {"quantization section: implausible dim 65537",
+       header(kMagic, 1, 65537, kSq8, 0, 0, 4), SIZE_MAX},
+      {"quantization section: unknown precision code 0",
+       header(kMagic, 1, 4, 0, 0, 0, 4), SIZE_MAX},
+      {"quantization section: unknown precision code 3",
+       header(kMagic, 1, 4, 3, 0, 0, 4), SIZE_MAX},
+      {"quantization section: implausible rerank_factor 0",
+       header(kMagic, 1, 4, kSq8, 0, 0, 0), SIZE_MAX},
+      {"quantization section: implausible rerank_factor 4097",
+       header(kMagic, 1, 4, kSq8, 0, 0, 4097), SIZE_MAX},
+      {"quantization section: truncated sq8 affine payload",
+       floats(header(kMagic, 1, 4, kSq8, 0, 0, 4), 7), SIZE_MAX},
+      {"quantization section: pq subspaces 0 out of range for dim 4",
+       floats(header(kMagic, 1, 4, kPq, 0, 2, 4), 8), SIZE_MAX},
+      {"quantization section: pq subspaces 5 out of range for dim 4",
+       floats(header(kMagic, 1, 4, kPq, 5, 2, 4), 8), SIZE_MAX},
+      {"quantization section: pq centroid count 0",
+       floats(header(kMagic, 1, 4, kPq, 2, 0, 4), 8), SIZE_MAX},
+      {"quantization section: pq centroid count 257",
+       floats(header(kMagic, 1, 4, kPq, 2, 257, 4), 8), SIZE_MAX},
+      {"quantization section: truncated pq codebook payload",
+       floats(header(kMagic, 1, 4, kPq, 2, 2, 4), 7), SIZE_MAX},
+      // 256 centroids at dim 65536 claim a 64 MiB codebook; 64 bytes follow.
+      {"quantization section: truncated pq codebook payload",
+       floats(header(kMagic, 1, 65536, kPq, 16, 256, 4), 16), SIZE_MAX},
+      {"quantization section: truncated code array header",
+       append(sq8, "\x03\0\0\0", 4), SIZE_MAX},
+      {"quantization section: implausible code count 4294967297",
+       word(sq8, (std::uint64_t{1} << 32) + 1), SIZE_MAX},
+      {"quantization section: code count mismatch (file has 3 codes, "
+       "index has 2 vectors)",
+       append(word(sq8, 3), "abcdefghijkl", 12), 2},
+      {"quantization section: truncated code array (expected 12 bytes)",
+       append(word(sq8, 3), "abcdefghijk", 11), SIZE_MAX},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.error);
+    std::FILE* file = std::tmpfile();
+    ASSERT_NE(file, nullptr);
+    ASSERT_EQ(std::fwrite(c.section.data(), 1, c.section.size(), file),
+              c.section.size());
+    std::rewind(file);
+    std::string error;
+    EXPECT_FALSE(
+        ReadQuantizedSection(file, c.expected_slots, &error).has_value());
+    std::fclose(file);
+    EXPECT_EQ(error.substr(0, std::strlen(c.error)), c.error) << error;
+  }
 }
 
 // SaveShards/LoadShards must restore the per-shard quantizer + codes, and

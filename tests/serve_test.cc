@@ -766,10 +766,11 @@ TEST_F(CorruptShardTest, AbsurdHnswHeaderIsNamedError) {
   std::remove(path.c_str());
 }
 
-// Headers claiming 1 GiB of graph cells, HNSW levels, vector rows or codes
-// in a file of under 4 KB: each reader checks the claim against the bytes
-// left in the file before allocating, so it gives its named error (the
-// rows reader its complete-row prefix) and the peak RSS barely moves.
+// Headers claiming 1 GiB of graph cells, HNSW levels, vector rows or codes,
+// or the largest PQ codebook, in a file of under 4 KB: each reader checks
+// the claim against the bytes left in the file before allocating, so it
+// gives its named error (the rows reader its complete-row prefix) and the
+// peak RSS barely moves.
 TEST_F(CorruptShardTest, OversizedHeadersFailBeforeAllocating) {
   const auto peak_rss_mb = [] {
     struct rusage usage;
@@ -864,6 +865,30 @@ TEST_F(CorruptShardTest, OversizedHeadersFailBeforeAllocating) {
         data::ReadQuantizedSection(file, SIZE_MAX, &error).has_value());
     EXPECT_LT(peak_rss_mb() - rss_before, 256.0);
     const std::string want = "quantization section: truncated code array";
+    EXPECT_EQ(error.substr(0, want.size()), want) << error;
+    std::fclose(file);
+  }
+
+  // Codebook: a pq record header claiming 256 centroids at dim 65536 (a
+  // 64 MiB codebook, the most the header limits allow), cut to 64 bytes of
+  // payload.
+  {
+    SCOPED_TRACE("pq codebook");
+    const std::uint64_t header[8] = {0x544e5147534e4e47ULL,  // "GNNSGQNT"
+                                     1, 65536, 2, 16, 256, 4, 0};
+    const float payload[16] = {};
+    std::FILE* file = std::tmpfile();
+    ASSERT_NE(file, nullptr);
+    ASSERT_EQ(std::fwrite(header, sizeof(header), 1, file), 1u);
+    ASSERT_EQ(std::fwrite(payload, sizeof(payload), 1, file), 1u);
+    std::rewind(file);
+    const double rss_before = peak_rss_mb();
+    std::string error;
+    EXPECT_FALSE(
+        data::ReadQuantizedSection(file, SIZE_MAX, &error).has_value());
+    EXPECT_LT(peak_rss_mb() - rss_before, 256.0);
+    const std::string want =
+        "quantization section: truncated pq codebook payload";
     EXPECT_EQ(error.substr(0, want.size()), want) << error;
     std::fclose(file);
   }
