@@ -311,6 +311,22 @@ TEST_F(GannsKernelPinTest, Sq8CodesMatchPinnedProfile) {
                                                    0xdb8bbfa34e3e039fULL});
 }
 
+// PQ codes: the one-time LUT build plus narrow code loads per candidate.
+TEST_F(GannsKernelPinTest, PqCodesMatchPinnedProfile) {
+  data::QuantizerOptions options;
+  options.precision = data::Precision::kPq;
+  const data::Quantizer q = data::Quantizer::Train(*base_, options);
+  const data::QuantizedCodes codes = data::QuantizedCodes::EncodeAll(q, *base_);
+  const data::SearchQuantization quant{&q, &codes, 4};
+  ExpectPin(Run(Params(), {&quant}), KernelPin{1552322,
+                                                   {4255, 17802, 765680, 53406,
+                                                    222525, 243294},
+                                                   2967,
+                                                   78208,
+                                                   50316,
+                                                   0xadb38d26e1c3a975ULL});
+}
+
 TEST_F(GannsKernelPinTest, LazyCheckOffMatchesPinnedProfile) {
   GannsParams params = Params();
   params.disable_lazy_check = true;
