@@ -37,6 +37,7 @@
 #include "data/distance.h"
 #include "data/distance_kernels.h"
 #include "data/quantize.h"
+#include "data/query_distance.h"
 #include "data/synthetic.h"
 
 namespace ganns {
@@ -170,10 +171,10 @@ void BenchDim(bool& first, std::size_t dim) {
           data::QuantizedCodes::EncodeAll(sq8, base);
       const data::SearchQuantization sq8_quant{&sq8, &sq8_codes, 4};
       for (const data::internal::KernelSet* set : KernelSets()) {
-        // The context takes its SQ8 kernel from the set active at
+        // The evaluator takes its SQ8 kernel from the set active at
         // construction, so build it inside the set's scope.
         const data::internal::ScopedKernelSet scoped(*set);
-        const data::CodeDistanceContext ctx(sq8_quant, metric, query);
+        const data::QueryDistance ctx(base, query, &sq8_quant);
         const Timing t = Measure(kRows, [&](std::size_t reps) {
           float sum = 0;
           for (std::size_t r = 0; r < reps; ++r) {
@@ -194,7 +195,7 @@ void BenchDim(bool& first, std::size_t dim) {
       const data::QuantizedCodes pq_codes =
           data::QuantizedCodes::EncodeAll(pq, base);
       const data::SearchQuantization pq_quant{&pq, &pq_codes, 4};
-      const data::CodeDistanceContext pq_ctx(pq_quant, metric, query);
+      const data::QueryDistance pq_ctx(base, query, &pq_quant);
       const Timing t = Measure(kRows, [&](std::size_t reps) {
         float sum = 0;
         for (std::size_t r = 0; r < reps; ++r) {

@@ -24,6 +24,10 @@ constexpr std::size_t kSubQueryOverheadBytes = 16;
 constexpr std::size_t kResultEntryBytes = 8;
 constexpr std::size_t kResponseOverheadBytes = 32;
 
+/// Consecutive timeouts before the router believes a node is down and
+/// routes around it (until RejoinNode).
+constexpr int kTimeoutThreshold = 2;
+
 void AddMetric(const char* name, std::uint64_t n) {
   if (n > 0 && obs::MetricsEnabled()) {
     obs::MetricsRegistry::Global().GetCounter(name).Add(n);
@@ -356,8 +360,7 @@ std::vector<std::vector<graph::Neighbor>> ClusterIndex::SearchBatch(
         AddMetric("cluster.delayed_transfers", 1);
       }
       // The wire time is spent whether or not the payload survives.
-      const std::size_t wire_bytes =
-          flush.bytes + aggregator_.options().header_bytes;
+      const std::size_t wire_bytes = flush.bytes + kTransferHeaderBytes;
       const double wire_s =
           nodes_[flush.dest].transport.Send(wire_bytes, fault.delay_us * 1e-6);
       inbound_s[flush.dest] += wire_s;
@@ -496,8 +499,7 @@ std::vector<std::vector<graph::Neighbor>> ClusterIndex::SearchBatch(
         ControlMetric("cluster.timeouts", 1);
         NodeMetric(node, "cluster.node.timeouts", 1);
         ++nodes_[node].timeouts;
-        if (++nodes_[node].consecutive_timeouts >=
-            options_.timeout_threshold) {
+        if (++nodes_[node].consecutive_timeouts >= kTimeoutThreshold) {
           if (nodes_[node].believed_up) {
             HealthInstant(node, "cluster.node_suspect");
           }

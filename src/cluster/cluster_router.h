@@ -52,9 +52,6 @@ struct ClusterOptions {
   /// Simulated seconds a round stalls waiting on a request that never
   /// answers (crashed node, dropped transfer).
   double timeout_us = 1000.0;
-  /// Consecutive timeouts before the router believes a node is down and
-  /// routes around it (until RejoinNode).
-  int timeout_threshold = 2;
   /// Seed of the power-of-two-choices candidate draws.
   std::uint64_t seed = 1;
   /// The observability plane. Off by default; when enabled, every node gets

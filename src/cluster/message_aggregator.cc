@@ -85,7 +85,7 @@ void MessageAggregator::Flush(std::size_t dest, FlushTrigger trigger) {
     case FlushTrigger::kShutdown: ++counters_.shutdown_flushes; break;
   }
   ++counters_.total_flushes;
-  counters_.sent_bytes += record.bytes + options_.header_bytes;
+  counters_.sent_bytes += record.bytes + kTransferHeaderBytes;
   sink_(record);
 }
 

@@ -21,7 +21,7 @@ struct FlushRecord {
   std::size_t dest = 0;
   std::size_t messages = 0;
   /// Payload bytes (header added by the transport charge, see
-  /// AggregatorOptions::header_bytes).
+  /// kTransferHeaderBytes).
   std::size_t bytes = 0;
   FlushTrigger trigger = FlushTrigger::kCapacity;
   /// Caller tags of the coalesced messages, in enqueue order (the router
@@ -42,9 +42,10 @@ struct AggregatorOptions {
   /// Deadline trigger: flush once the oldest buffered message has waited
   /// this long on the simulated clock.
   double deadline_us = 100.0;
-  /// Per-transfer envelope charged on the wire in addition to the payload.
-  std::size_t header_bytes = 64;
 };
+
+/// Per-transfer envelope charged on the wire in addition to the payload.
+inline constexpr std::size_t kTransferHeaderBytes = 64;
 
 /// Lifetime accounting. Every enqueued message leaves through exactly one
 /// flush, so the invariant

@@ -2,8 +2,9 @@
 
 #include "common/logging.h"
 #include "common/scratch.h"
-#include "data/distance.h"
+#include "data/query_distance.h"
 #include "gpusim/bitonic.h"
+#include "graph/rerank.h"
 
 namespace ganns {
 namespace core {
@@ -37,10 +38,7 @@ std::vector<graph::Neighbor> EagerSearchOne(
   const std::size_t e = params.EffectiveE();
   std::span<Slot> result_array = block.AllocShared<Slot>(l_n);
 
-  const auto compute_distance = [&](VertexId v) {
-    warp.ChargeDistance(base.dim());
-    return data::ExactDistance(base.metric(), base.Point(v), query);
-  };
+  const data::QueryDistance dist(base, query);
 
   // Eager sorted-array insertion: binary search for the slot, then shift
   // the tail one position right (lane-parallel over l_n / n_t steps per
@@ -73,7 +71,8 @@ std::vector<graph::Neighbor> EagerSearchOne(
     return true;
   };
 
-  result_array[0] = Slot{compute_distance(entry), entry, false};
+  warp.ChargeDistance(dist.words());
+  result_array[0] = Slot{dist.One(entry), entry, false};
 
   const std::size_t max_iterations = l_n * 64;
   for (std::size_t iterations = 0; iterations < max_iterations;
@@ -100,28 +99,26 @@ std::vector<graph::Neighbor> EagerSearchOne(
     const auto neighbor_ids = graph.Neighbors(exploring);
     const std::size_t degree = graph.Degree(exploring);
 
-    // Bulk distance through the SIMD layer, then immediate insertion one
-    // neighbor at a time (the eager variant's defining cost).
+    // Bulk distance in one call, then immediate insertion one neighbor at a
+    // time (the eager variant's defining cost).
     if (degree > 0) {
       SearchScratch& scratch = ThreadLocalSearchScratch();
       scratch.dists.resize(degree);
-      data::DistanceMany(base, neighbor_ids.subspan(0, degree), query,
-                         scratch.dists);
+      dist.Many(neighbor_ids.subspan(0, degree), scratch.dists);
       for (std::size_t i = 0; i < degree; ++i) {
-        warp.ChargeDistance(base.dim());
+        warp.ChargeDistance(dist.words());
         insert_eagerly(Slot{scratch.dists[i], neighbor_ids[i], false});
       }
     }
   }
 
   std::vector<graph::Neighbor> out;
-  out.reserve(params.k);
-  for (std::size_t i = 0; i < l_n && out.size() < params.k; ++i) {
-    if (result_array[i].id == kInvalidVertex) break;
-    // Tombstoned vertices route the walk but never reach the result set.
-    if (!graph.IsLive(result_array[i].id)) continue;
+  out.reserve(l_n);
+  for (std::size_t i = 0; i < l_n && result_array[i].id != kInvalidVertex;
+       ++i) {
     out.push_back({result_array[i].dist, result_array[i].id});
   }
+  graph::FinishResults(graph, base, query, dist, out, params.k);
   warp.cost().Charge(gpusim::CostCategory::kOther,
                      warp.StepsFor(params.k) * warp.params().global_transaction);
   return out;
@@ -133,24 +130,12 @@ graph::BatchSearchResult EagerSearchBatch(gpusim::Device& device,
                                           const data::Dataset& queries,
                                           const GannsParams& params,
                                           int block_lanes, VertexId entry) {
-  GANNS_CHECK(base.dim() == queries.dim());
-  graph::BatchSearchResult batch;
-  batch.results.resize(queries.size());
-  batch.kernel = device.Launch(
-      "eager_search", static_cast<int>(queries.size()), block_lanes,
-      [&](gpusim::BlockContext& block) {
-        const VertexId q = static_cast<VertexId>(block.block_id());
-        const std::vector<graph::Neighbor> found = EagerSearchOne(
-            block, graph, base, queries.Point(q), params, entry);
-        auto& out = batch.results[q];
-        out.reserve(found.size());
-        for (const graph::Neighbor& n : found) out.push_back(n.id);
+  return graph::LaunchSearchBatch(
+      device, "eager_search", base, queries, block_lanes,
+      [&](gpusim::BlockContext& block, VertexId q) {
+        return EagerSearchOne(block, graph, base, queries.Point(q), params,
+                              entry);
       });
-  batch.sim_seconds = device.CyclesToSeconds(batch.kernel.sim_cycles);
-  batch.qps = batch.sim_seconds > 0
-                  ? static_cast<double>(queries.size()) / batch.sim_seconds
-                  : 0;
-  return batch;
 }
 
 }  // namespace core

@@ -1,11 +1,10 @@
 #include "core/ganns_search.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/logging.h"
 #include "common/scratch.h"
-#include "data/distance.h"
+#include "data/query_distance.h"
 #include "gpusim/bitonic.h"
 #include "graph/rerank.h"
 #include "obs/metrics.h"
@@ -151,26 +150,14 @@ std::vector<graph::Neighbor> GannsSearchOne(
   // kernel holds it, so it counts against the shared-memory limit.
   block.AllocShared<Slot>(2 * gpusim::NextPow2(std::max(l_n, l_t)));
 
-  // Compressed path: in-loop distances come from the packed codes (narrower
-  // loads); the PQ LUT is built — and charged — once per query up front.
-  const bool quantized = ctx.quantized();
-  std::optional<data::CodeDistanceContext> code_ctx;
-  if (quantized) {
-    code_ctx.emplace(*ctx.quant, base.metric(), query);
-    warp.ChargeLutBuild(code_ctx->lut_build_words());
-  }
+  // Float rows or packed codes (narrower loads); a PQ LUT is built — and
+  // charged — once per query up front.
+  const data::QueryDistance dist(base, query, ctx.quant);
+  warp.ChargeLutBuild(dist.lut_build_words());
 
-  const auto compute_distance = [&](VertexId v) {
-    ++local.distance_computations;
-    if (quantized) {
-      warp.ChargeCodeDistance(code_ctx->code_bytes());
-      return code_ctx->One(v);
-    }
-    warp.ChargeDistance(base.dim());
-    return data::ExactDistance(base.metric(), base.Point(v), query);
-  };
-
-  result_array[0] = Slot{compute_distance(entry), entry, false};
+  warp.ChargeDistance(dist.words());
+  ++local.distance_computations;
+  result_array[0] = Slot{dist.One(entry), entry, false};
   if (ctx.hardness != nullptr) {
     ctx.hardness->entry_distance = result_array[0].dist;
   }
@@ -225,29 +212,20 @@ std::vector<graph::Neighbor> GannsSearchOne(
 
     // Phase (3): bulk distance computation, one vertex of T at a time with
     // every lane of the warp cooperating (sub-vector per lane +
-    // __shfl_down_sync reduction). The host computes the whole batch through
-    // the SIMD distance layer; the simulated cost charged per vertex is
-    // unchanged.
+    // __shfl_down_sync reduction). The host computes the whole batch in one
+    // call; the simulated cost is charged per vertex.
     if (degree > 0) {
-      if (quantized) {
-        for (std::size_t i = 0; i < degree; ++i) {
-          warp.ChargeCodeDistance(code_ctx->code_bytes());
-          ++local.distance_computations;
-          visiting[i].dist = code_ctx->One(visiting[i].id);
-        }
-      } else {
-        SearchScratch& scratch = ThreadLocalSearchScratch();
-        scratch.ids.clear();
-        for (std::size_t i = 0; i < degree; ++i) {
-          scratch.ids.push_back(visiting[i].id);
-        }
-        scratch.dists.resize(degree);
-        data::DistanceMany(base, scratch.ids, query, scratch.dists);
-        for (std::size_t i = 0; i < degree; ++i) {
-          warp.ChargeDistance(base.dim());
-          ++local.distance_computations;
-          visiting[i].dist = scratch.dists[i];
-        }
+      SearchScratch& scratch = ThreadLocalSearchScratch();
+      scratch.ids.clear();
+      for (std::size_t i = 0; i < degree; ++i) {
+        scratch.ids.push_back(visiting[i].id);
+      }
+      scratch.dists.resize(degree);
+      dist.Many(scratch.ids, scratch.dists);
+      for (std::size_t i = 0; i < degree; ++i) {
+        warp.ChargeDistance(dist.words());
+        ++local.distance_computations;
+        visiting[i].dist = scratch.dists[i];
       }
     }
     phases.End(2);
@@ -282,35 +260,19 @@ std::vector<graph::Neighbor> GannsSearchOne(
     phases.End(5);
   }
 
-  // Result write-back: the first k valid entries of N (already sorted).
-  // Tombstoned vertices stay traversable during the walk (their rows route
-  // the search) but are filtered here, so a search over a mutated graph
-  // returns only live points; with no deletions the filter passes everything.
+  // Result write-back: the valid entries of N (already sorted) go through
+  // the shared filter / rerank / truncate; rerank distances are full-width
+  // reads, charged like any exact distance.
   std::vector<graph::Neighbor> out;
-  if (quantized) {
-    // Stage two: collect the full live candidate pool of N (still ordered by
-    // approximate distance) and exact-rerank the top rerank_factor * k from
-    // the float rows before emission. Rerank distances are full-width reads,
-    // charged like any exact distance.
-    out.reserve(l_n);
-    for (std::size_t i = 0; i < l_n; ++i) {
-      if (result_array[i].id == kInvalidVertex) break;
-      if (!graph.IsLive(result_array[i].id)) continue;
-      out.push_back({result_array[i].dist, result_array[i].id});
-    }
-    const std::size_t evals =
-        graph::ExactRerank(base, query, out, params.k,
-                           ctx.quant->rerank_factor);
-    for (std::size_t i = 0; i < evals; ++i) warp.ChargeDistance(base.dim());
-    local.distance_computations += static_cast<std::uint32_t>(evals);
-  } else {
-    out.reserve(params.k);
-    for (std::size_t i = 0; i < l_n && out.size() < params.k; ++i) {
-      if (result_array[i].id == kInvalidVertex) break;
-      if (!graph.IsLive(result_array[i].id)) continue;
-      out.push_back({result_array[i].dist, result_array[i].id});
-    }
+  out.reserve(l_n);
+  for (std::size_t i = 0; i < l_n && result_array[i].id != kInvalidVertex;
+       ++i) {
+    out.push_back({result_array[i].dist, result_array[i].id});
   }
+  const std::size_t evals =
+      graph::FinishResults(graph, base, query, dist, out, params.k);
+  for (std::size_t i = 0; i < evals; ++i) warp.ChargeDistance(base.dim());
+  local.distance_computations += static_cast<std::uint32_t>(evals);
   warp.cost().Charge(gpusim::CostCategory::kOther,
                      warp.StepsFor(params.k) * warp.params().global_transaction);
   if (ctx.hardness != nullptr) {
@@ -337,10 +299,6 @@ graph::BatchSearchResult GannsSearchBatch(gpusim::Device& device,
                                           int block_lanes, VertexId entry,
                                           std::vector<GannsQueryProfile>* profiles,
                                           const graph::SearchContext& ctx) {
-  GANNS_CHECK(base.dim() == queries.dim());
-  graph::BatchSearchResult batch;
-  batch.results.resize(queries.size());
-
   // Metrics want per-query numbers even when the caller did not ask for
   // profiles; collect into a local vector in that case.
   std::vector<GannsQueryProfile> metrics_profiles;
@@ -351,18 +309,13 @@ graph::BatchSearchResult GannsSearchBatch(gpusim::Device& device,
     profiles->assign(queries.size(), GannsQueryProfile{});
   }
 
-  batch.kernel = device.Launch(
-      "ganns_search", static_cast<int>(queries.size()), block_lanes,
-      [&](gpusim::BlockContext& block) {
-        const VertexId q = static_cast<VertexId>(block.block_id());
-        GannsQueryProfile* profile =
-            profiles != nullptr ? &(*profiles)[q] : nullptr;
-        const std::vector<graph::Neighbor> found =
-            GannsSearchOne(block, graph, base, queries.Point(q), params, entry,
-                           profile, ctx.ForQuery(q));
-        auto& out = batch.results[q];
-        out.reserve(found.size());
-        for (const graph::Neighbor& n : found) out.push_back(n.id);
+  graph::BatchSearchResult batch = graph::LaunchSearchBatch(
+      device, "ganns_search", base, queries, block_lanes,
+      [&](gpusim::BlockContext& block, VertexId q) {
+        return GannsSearchOne(block, graph, base, queries.Point(q), params,
+                              entry,
+                              profiles != nullptr ? &(*profiles)[q] : nullptr,
+                              ctx.ForQuery(q));
       });
 
   if (obs::MetricsEnabled() && profiles != nullptr) {
@@ -384,11 +337,6 @@ graph::BatchSearchResult GannsSearchBatch(gpusim::Device& device,
           return total;
         }());
   }
-
-  batch.sim_seconds = device.CyclesToSeconds(batch.kernel.sim_cycles);
-  batch.qps = batch.sim_seconds > 0
-                  ? static_cast<double>(queries.size()) / batch.sim_seconds
-                  : 0;
   return batch;
 }
 

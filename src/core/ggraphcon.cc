@@ -228,10 +228,10 @@ GpuBuildResult BuildNswGNaiveParallel(gpusim::Device& device,
   const std::size_t n = base.size();
   GANNS_CHECK(n >= 1);
   const graph::NswParams& nsw = params.nsw;
-  const std::size_t batch_size =
-      params.naive_batch_size > 0
-          ? params.naive_batch_size
-          : std::max<std::size_t>(256, n / 16);
+  // The straightforward parallel method exists to fill the device, so its
+  // batches are at least a device-full of blocks — which is exactly what
+  // makes its in-batch blindness hurt graph quality.
+  const std::size_t batch_size = std::max<std::size_t>(256, n / 16);
   WallTimer timer;
   device.ResetTimeline();
 

@@ -23,11 +23,6 @@ struct GpuBuildParams {
   SearchKernel kernel = SearchKernel::kGanns;
   /// Threads per block (n_t).
   int block_lanes = 32;
-  /// Points inserted per batch by GNaiveParallel; 0 derives
-  /// max(256, n / 16): the straightforward parallel method exists to fill
-  /// the device, so its batches are at least a device-full of blocks — which
-  /// is exactly what makes its in-batch blindness hurt graph quality.
-  std::size_t naive_batch_size = 0;
 };
 
 /// Result of a GPU graph build.

@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "data/distance.h"
-#include "data/distance_kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -360,57 +359,6 @@ void QuantizedCodes::EncodeRow(const Quantizer& quantizer, std::size_t slot,
     bytes_.resize((slot + 1) * stride_, 0);
   }
   quantizer.EncodeRow(row, bytes_.data() + slot * stride_);
-}
-
-CodeDistanceContext::CodeDistanceContext(const SearchQuantization& quant,
-                                         Metric metric,
-                                         std::span<const float> query)
-    : quantizer_(quant.quantizer),
-      codes_(quant.codes),
-      metric_(metric),
-      query_(query.data()) {
-  GANNS_CHECK(quant.enabled());
-  GANNS_CHECK(query.size() == quantizer_->dim());
-  code_bytes_ = quantizer_->code_bytes();
-  if (quantizer_->precision() == Precision::kSq8) {
-    const internal::KernelSet& set = internal::ActiveKernels();
-    sq8_kernel_ = metric_ == Metric::kL2 ? set.sq8_l2 : set.sq8_dot;
-    return;
-  }
-  // PQ: per-query LUT of partial distances (L2) or partial dots (cosine),
-  // built through the float kernels, so both kernel sets compute the same
-  // table bit for bit.
-  const std::size_t m = quantizer_->pq_subspaces();
-  const std::size_t k = quantizer_->pq_centroids();
-  lut_.resize(m * k);
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* sub = query_ + quantizer_->sub_offset(i);
-    const std::size_t sub_dim = quantizer_->sub_dim(i);
-    for (std::size_t j = 0; j < k; ++j) {
-      lut_[i * k + j] =
-          metric_ == Metric::kL2
-              ? ComputeDistance(Metric::kL2, sub, quantizer_->centroid(i, j),
-                                sub_dim)
-              : ComputeInnerProduct(sub, quantizer_->centroid(i, j), sub_dim);
-    }
-  }
-  lut_build_words_ = k * quantizer_->dim();
-}
-
-Dist CodeDistanceContext::One(VertexId slot) const {
-  const std::uint8_t* code = codes_->code(slot);
-  if (quantizer_->precision() == Precision::kSq8) {
-    const Dist d = sq8_kernel_(query_, code, quantizer_->sq8_min().data(),
-                               quantizer_->sq8_scale().data(),
-                               quantizer_->dim());
-    return metric_ == Metric::kL2 ? d : 1.0f - d;
-  }
-  const std::size_t k = quantizer_->pq_centroids();
-  float acc = 0.0f;
-  for (std::size_t m = 0; m < quantizer_->pq_subspaces(); ++m) {
-    acc += lut_[m * k + code[m]];
-  }
-  return metric_ == Metric::kL2 ? acc : 1.0f - acc;
 }
 
 bool WriteQuantizedSection(std::FILE* file, const Quantizer& quantizer,

@@ -30,6 +30,7 @@
 //     smaller). Per-query asymmetric distance is a table lookup: a LUT of
 //     M*K partial distances is built once per query from the float
 //     kernels, then each candidate costs M adds.
+// Searches evaluate both through data::QueryDistance (data/query_distance.h).
 //
 // Codebooks and packed codes serialize as an optional trailing section of
 // the v3 containers (see WriteQuantizedSection); files without the section
@@ -173,42 +174,6 @@ struct SearchQuantization {
     return quantizer != nullptr && codes != nullptr &&
            quantizer->precision() != Precision::kFloat32;
   }
-};
-
-/// Per-query approximate-distance evaluator. Construction takes the SQ8
-/// kernel from the active kernel set and, for PQ, builds the M*K LUT of
-/// partial distances from the float kernels. Thereafter One() is pure
-/// lookup/accumulation.
-class CodeDistanceContext {
- public:
-  CodeDistanceContext(const SearchQuantization& quant, Metric metric,
-                      std::span<const float> query);
-
-  /// Approximate distance (metric-final: squared L2 or 1 - dot) between the
-  /// query and the code stored at `slot`.
-  Dist One(VertexId slot) const;
-  void Many(std::span<const VertexId> slots, std::span<Dist> out) const {
-    for (std::size_t i = 0; i < slots.size(); ++i) out[i] = One(slots[i]);
-  }
-
-  std::size_t code_bytes() const { return code_bytes_; }
-  /// One-time per-query LUT construction cost in 32-bit words loaded (the
-  /// full codebook): K * dim for PQ, 0 for SQ8. Charged once by gpusim
-  /// kernels before the traversal loop.
-  std::size_t lut_build_words() const { return lut_build_words_; }
-
- private:
-  using Sq8Kernel = Dist (*)(const float*, const std::uint8_t*, const float*,
-                             const float*, std::size_t);
-
-  const Quantizer* quantizer_;
-  const QuantizedCodes* codes_;
-  Metric metric_;
-  const float* query_ = nullptr;
-  std::size_t code_bytes_ = 0;
-  std::size_t lut_build_words_ = 0;
-  Sq8Kernel sq8_kernel_ = nullptr;
-  std::vector<float> lut_;  // PQ: [m * K + j] partial distance/dot
 };
 
 /// Serialized bundle: one quantizer record followed by the packed code

@@ -99,36 +99,20 @@ class Warp {
                       (params_->alu_step + params_->shared_access));
   }
 
-  /// Euclidean-squared / cosine partial-sum accumulation of a d-dimensional
-  /// vector pair: charges the feature load (global memory), ceil(d / n_t)
-  /// fused multiply-add steps and log2(n_t) shuffle-reduction steps
+  /// One distance evaluation over `words` 32-bit words — dim for a float
+  /// row, ceil(code_bytes / 4) for a packed code (data::QueryDistance::words):
+  /// charges the load (global memory), ceil(words / n_t) lane-strided
+  /// multiply-add steps and log2(n_t) shuffle-reduction steps
   /// (__shfl_down_sync), all to kDistance. The caller computes the value.
-  void ChargeDistance(std::size_t dim) {
-    ChargeGlobalLoad(dim, CostCategory::kDistance);
-    const double fma_steps = StepsFor(dim);
+  void ChargeDistance(std::size_t words) {
+    ChargeGlobalLoad(words, CostCategory::kDistance);
+    const double fma_steps = StepsFor(words);
     const double reduce_steps =
         num_lanes_ <= 1 ? 0.0
                         : static_cast<double>(std::bit_width(
                               static_cast<unsigned>(num_lanes_ - 1)));
     cost_->Charge(CostCategory::kDistance,
                   fma_steps * params_->alu_step +
-                      reduce_steps * params_->shfl_step);
-  }
-
-  /// Compressed-code variant of ChargeDistance: an approximate distance over
-  /// a packed code of `code_bytes` bytes loads ceil(code_bytes / 4) words —
-  /// the proportionally narrower transaction that makes the quantized hot
-  /// loop cheaper — plus the same lane-strided accumulate and log2(n_t)
-  /// shuffle reduction over those words.
-  void ChargeCodeDistance(std::size_t code_bytes) {
-    const std::size_t words = (code_bytes + 3) / 4;
-    ChargeGlobalLoad(words, CostCategory::kDistance);
-    const double reduce_steps =
-        num_lanes_ <= 1 ? 0.0
-                        : static_cast<double>(std::bit_width(
-                              static_cast<unsigned>(num_lanes_ - 1)));
-    cost_->Charge(CostCategory::kDistance,
-                  StepsFor(words) * params_->alu_step +
                       reduce_steps * params_->shfl_step);
   }
 

@@ -1,12 +1,11 @@
 #include "graph/beam_search.h"
 
 #include <algorithm>
-#include <optional>
 #include <unordered_set>
 
 #include "common/logging.h"
 #include "common/scratch.h"
-#include "data/distance.h"
+#include "data/query_distance.h"
 #include "graph/rerank.h"
 
 namespace ganns {
@@ -24,17 +23,9 @@ std::vector<Neighbor> BeamSearch(const ProximityGraph& graph,
   if (ef < k) ef = k;
   BeamSearchStats local_stats;
 
-  // Compressed path: traversal distances come from the packed codes; the
-  // exact rows are only touched by the final rerank.
-  const bool quantized = ctx.quantized();
-  std::optional<data::CodeDistanceContext> code_ctx;
-  if (quantized) code_ctx.emplace(*ctx.quant, base.metric(), query);
-
-  const auto distance = [&](VertexId v) {
-    ++local_stats.distance_computations;
-    if (quantized) return code_ctx->One(v);
-    return data::ExactDistance(base.metric(), base.Point(v), query);
-  };
+  // Float rows or packed codes; on codes the exact rows are only touched by
+  // the final rerank.
+  const data::QueryDistance dist(base, query, ctx.quant);
 
   // C: min-heap of candidates (std::*_heap with greater-than comparator).
   // N: max-heap of the best <= ef results so far (worst on top).
@@ -48,7 +39,8 @@ std::vector<Neighbor> BeamSearch(const ProximityGraph& graph,
   thread_local std::unordered_set<VertexId> visited;
   visited.clear();
 
-  const Neighbor start{distance(entry), entry};
+  const Neighbor start{dist.One(entry), entry};
+  ++local_stats.distance_computations;
   candidates.push_back(start);
   visited.insert(entry);
   ++local_stats.heap_ops;
@@ -76,9 +68,9 @@ std::vector<Neighbor> BeamSearch(const ProximityGraph& graph,
     ++local_stats.heap_ops;
 
     // Expand unvisited outgoing neighbors: gather them, compute the whole
-    // batch through the SIMD distance layer, then apply the same insertion
-    // filter. `results` does not change within this loop, so batching does
-    // not alter which candidates survive.
+    // batch in one call, then apply the same insertion filter. `results`
+    // does not change within this loop, so batching does not alter which
+    // candidates survive.
     const auto neighbor_ids = graph.Neighbors(closest.id);
     const std::size_t degree = graph.Degree(closest.id);
     if (ctx.hardness != nullptr && local_stats.iterations == 1) {
@@ -94,11 +86,7 @@ std::vector<Neighbor> BeamSearch(const ProximityGraph& graph,
       scratch.ids.push_back(u);
     }
     scratch.dists.resize(scratch.ids.size());
-    if (quantized) {
-      code_ctx->Many(scratch.ids, scratch.dists);
-    } else {
-      data::DistanceMany(base, scratch.ids, query, scratch.dists);
-    }
+    dist.Many(scratch.ids, scratch.dists);
     local_stats.distance_computations += scratch.ids.size();
     for (std::size_t i = 0; i < scratch.ids.size(); ++i) {
       const Neighbor entry_u{scratch.dists[i], scratch.ids[i]};
@@ -112,17 +100,8 @@ std::vector<Neighbor> BeamSearch(const ProximityGraph& graph,
   }
 
   std::sort(results.begin(), results.end());
-  // Tombstoned vertices route the walk but never reach the result set (the
-  // branch is never taken on an unmutated graph).
-  if (graph.HasTombstones()) {
-    std::erase_if(results,
-                  [&](const Neighbor& n) { return !graph.IsLive(n.id); });
-  }
-  if (quantized) {
-    local_stats.distance_computations +=
-        ExactRerank(base, query, results, k, ctx.quant->rerank_factor);
-  }
-  if (results.size() > k) results.resize(k);
+  local_stats.distance_computations +=
+      FinishResults(graph, base, query, dist, results, k);
   if (stats != nullptr) stats->Add(local_stats);
   if (ctx.hardness != nullptr) {
     ctx.hardness->entry_distance = start.dist;

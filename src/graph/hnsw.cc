@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <optional>
 
 #include "common/file.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/scratch.h"
 #include "common/timer.h"
-#include "data/distance.h"
+#include "data/query_distance.h"
 
 namespace {
 
@@ -18,27 +17,19 @@ namespace {
 /// the distances of `current`'s adjacency row on `layer` and moves to the
 /// row's best vertex if it improves. Identical to the scalar scan it
 /// replaces — the row minimum with first-index tie-break is what the
-/// sequential improve-as-you-go update converged to. Returns true if
+/// sequential improve-as-you-go update converged to. Layer graphs address
+/// the full corpus id space, so code slots index directly. Returns true if
 /// `current` moved.
 bool GreedyStep(const ganns::graph::ProximityGraph& layer,
-                const ganns::data::Dataset& base,
-                std::span<const float> query, ganns::VertexId& current,
-                ganns::Dist& current_dist,
-                ganns::graph::BeamSearchStats& stats,
-                const ganns::data::CodeDistanceContext* code_ctx = nullptr) {
+                const ganns::data::QueryDistance& dist,
+                ganns::VertexId& current, ganns::Dist& current_dist,
+                ganns::graph::BeamSearchStats& stats) {
   const auto neighbors = layer.Neighbors(current);
   const std::size_t degree = layer.Degree(current);
   if (degree == 0) return false;
   ganns::SearchScratch& scratch = ganns::ThreadLocalSearchScratch();
   scratch.dists.resize(degree);
-  if (code_ctx != nullptr) {
-    // Layer graphs address the full corpus id space, so codes index
-    // directly — the descent runs on approximate distances too.
-    code_ctx->Many(neighbors.subspan(0, degree), scratch.dists);
-  } else {
-    ganns::data::DistanceMany(base, neighbors.subspan(0, degree), query,
-                              scratch.dists);
-  }
+  dist.Many(neighbors.subspan(0, degree), scratch.dists);
   stats.distance_computations += degree;
   bool improved = false;
   for (std::size_t i = 0; i < degree; ++i) {
@@ -168,13 +159,9 @@ VertexId HnswGraph::DescendToLayer0(const data::Dataset& base,
                                     std::span<const float> query,
                                     BeamSearchStats* stats,
                                     const SearchContext& ctx) const {
-  const bool quantized = ctx.quantized();
-  std::optional<data::CodeDistanceContext> code_ctx;
-  if (quantized) code_ctx.emplace(*ctx.quant, base.metric(), query);
+  const data::QueryDistance dist(base, query, ctx.quant);
   VertexId current = entry_;
-  Dist current_dist =
-      quantized ? code_ctx->One(current)
-                : data::ExactDistance(base.metric(), base.Point(current), query);
+  Dist current_dist = dist.One(current);
   BeamSearchStats local;
   ++local.distance_computations;
   for (int l = max_level_; l >= 1; --l) {
@@ -182,8 +169,7 @@ VertexId HnswGraph::DescendToLayer0(const data::Dataset& base,
     bool improved = true;
     while (improved) {
       ++local.iterations;
-      improved = GreedyStep(layers_[l], base, query, current, current_dist,
-                            local, quantized ? &*code_ctx : nullptr);
+      improved = GreedyStep(layers_[l], dist, current, current_dist, local);
     }
   }
   if (stats != nullptr) stats->Add(local);
@@ -192,10 +178,9 @@ VertexId HnswGraph::DescendToLayer0(const data::Dataset& base,
 
 HnswGraph::Levels HnswGraph::SampleLevels(std::size_t num_vertices,
                                           const HnswParams& params) {
-  const double m_l = params.level_mult > 0
-                         ? params.level_mult
-                         : 1.0 / std::log(static_cast<double>(
-                               std::max<std::size_t>(2, params.nsw.d_min)));
+  // The HNSW paper's level multiplier m_L = 1 / ln(d_min).
+  const double m_l = 1.0 / std::log(static_cast<double>(
+                                std::max<std::size_t>(2, params.nsw.d_min)));
   Levels levels(num_vertices, 0);
   Rng rng(params.seed);
   constexpr int kMaxLevel = 24;
@@ -232,14 +217,15 @@ CpuHnswBuildResult BuildHnswCpu(const data::Dataset& base,
     const int v_level = graph.level(v);
 
     // Greedy descent through layers above v's level.
+    const data::QueryDistance dist(base, point);
     VertexId ep = graph.entry();
-    Dist ep_dist = data::ExactDistance(base.metric(), base.Point(ep), point);
+    Dist ep_dist = dist.One(ep);
     ++stats.distance_computations;
     for (int l = top_level; l > v_level; --l) {
       bool improved = true;
       while (improved) {
         ++stats.iterations;
-        improved = GreedyStep(graph.layer(l), base, point, ep, ep_dist, stats);
+        improved = GreedyStep(graph.layer(l), dist, ep, ep_dist, stats);
       }
     }
 

@@ -21,9 +21,6 @@ namespace graph {
 /// Parameters for HNSW-family builders.
 struct HnswParams {
   NswParams nsw;
-  /// Level-sampling multiplier m_L; 0 selects the HNSW paper's default
-  /// 1 / ln(d_min).
-  double level_mult = 0.0;
   /// Seed for level sampling (levels are a deterministic function of
   /// (seed, vertex id), so CPU and GPU builders construct the same layer
   /// membership and their outputs are comparable).

@@ -33,5 +33,23 @@ std::size_t ExactRerank(const data::Dataset& base,
   return pool;
 }
 
+std::size_t FinishResults(const ProximityGraph& graph,
+                          const data::Dataset& base,
+                          std::span<const float> query,
+                          const data::QueryDistance& dist,
+                          std::vector<Neighbor>& found, std::size_t k) {
+  // The branch is never taken on an unmutated graph.
+  if (graph.HasTombstones()) {
+    std::erase_if(found,
+                  [&](const Neighbor& n) { return !graph.IsLive(n.id); });
+  }
+  const std::size_t evals =
+      dist.quantized()
+          ? ExactRerank(base, query, found, k, dist.rerank_factor())
+          : 0;
+  if (found.size() > k) found.resize(k);
+  return evals;
+}
+
 }  // namespace graph
 }  // namespace ganns

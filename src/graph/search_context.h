@@ -15,19 +15,18 @@ namespace graph {
 /// parameter on each kernel signature. Default-constructed, a kernel runs
 /// exact and observes nothing.
 struct SearchContext {
-  /// Precision knob. When non-null and enabled, traversal distances come from
-  /// the packed codes (charged as the proportionally narrower loads) and the
-  /// top rerank_factor * k candidates are exact-reranked before emission
-  /// (graph::ExactRerank). Null or disabled means exact search; construction
-  /// always searches exact.
+  /// Precision knob, read once per query by data::QueryDistance. When
+  /// non-null and enabled, traversal distances come from the packed codes
+  /// (charged as the proportionally narrower loads) and the top
+  /// rerank_factor * k candidates are exact-reranked before emission
+  /// (graph::FinishResults). Null or disabled means exact search;
+  /// construction always searches exact.
   const data::SearchQuantization* quant = nullptr;
   /// Receives the query-hardness signals (entry distance, first-hop fan-out,
   /// visited/budget). Observation only: charged cycles, operation counts and
   /// results are identical with or without it. Batch searches read it as
   /// one slot per query.
   QueryHardness* hardness = nullptr;
-
-  bool quantized() const { return quant != nullptr && quant->enabled(); }
 
   /// The context of query `q` of a batch.
   SearchContext ForQuery(std::size_t q) const {

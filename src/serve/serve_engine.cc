@@ -190,11 +190,9 @@ const char* StatusCodeName(StatusCode status) {
 ServeEngine::ServeEngine(ShardedIndex& index, ServeOptions options)
     : index_(index),
       options_(options),
-      trace_sample_n_(options.trace_sample != 0
-                          ? options.trace_sample
-                          : ParseTraceSample(
-                                std::getenv("GANNS_TRACE_SAMPLE"))),
       queue_(options.queue_capacity) {
+  GANNS_CHECK_MSG(options_.trace_sample >= 1,
+                  "trace_sample must be >= 1, got " << options_.trace_sample);
   if (obs::MetricsEnabled()) {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
     queue_depth_gauge_ = &registry.GetGauge("serve.queue_depth");
@@ -239,7 +237,7 @@ std::future<QueryResponse> ServeEngine::Submit(QueryRequest request) {
   // always traced or never traced across runs with the same sample period.
   // Untraced requests take the single modulo below and nothing else.
   pending.trace.sampled =
-      obs::TracingEnabled() && (id % trace_sample_n_ == 0);
+      obs::TracingEnabled() && (id % options_.trace_sample == 0);
   if (pending.trace.sampled) pending.trace.trace_id = id + 1;  // nonzero
   pending.trace.flight = FlightRecorder::Global().enabled();
   if (pending.trace.sampled || pending.trace.flight) {

@@ -100,10 +100,6 @@ class ServeEngine {
 
   ShardedIndex& index_;
   const ServeOptions options_;
-  /// Resolved sampling period: requests with id % trace_sample_n_ == 0 emit
-  /// span trees while tracing is on (options.trace_sample, else
-  /// GANNS_TRACE_SAMPLE, else 1).
-  const std::uint64_t trace_sample_n_;
   BoundedQueue<Pending> queue_;
   std::thread batcher_;
 

@@ -76,9 +76,9 @@ struct TraceContext {
   std::uint64_t trace_id = 0;
 };
 
-/// Parses a GANNS_TRACE_SAMPLE specification: "1/N" (trace every Nth
-/// request) or a bare "N". Returns 1 (trace everything) for null, empty,
-/// zero, or malformed specs.
+/// Parses a trace-sampling specification (serve-bench --sample): "1/N"
+/// (trace every Nth request) or a bare "N". Returns 1 (trace everything) for
+/// null, empty, zero, or malformed specs.
 std::uint64_t ParseTraceSample(const char* spec);
 
 /// Answer to one QueryRequest.
@@ -111,11 +111,9 @@ struct ServeOptions {
   std::size_t queue_capacity = 1024;
   /// Search kernel answering online queries (GANNS / SONG / beam).
   core::SearchKernel kernel = core::SearchKernel::kGanns;
-  /// Request-trace sampling: every Nth request (by id) emits a span tree
-  /// while tracing is enabled. 0 = resolve from the GANNS_TRACE_SAMPLE
-  /// environment variable ("1/N" or "N"; default 1 = every request), so
-  /// full-rate serve-bench runs can cap trace volume without code changes.
-  std::uint64_t trace_sample = 0;
+  /// Request-trace sampling: every Nth request (by id, N >= 1) emits a span
+  /// tree while tracing is enabled; 1 traces every request.
+  std::uint64_t trace_sample = 1;
 };
 
 }  // namespace serve

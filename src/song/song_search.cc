@@ -1,9 +1,7 @@
 #include "song/song_search.h"
 
-#include <optional>
-
 #include "common/logging.h"
-#include "data/distance.h"
+#include "data/query_distance.h"
 #include "graph/rerank.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -105,24 +103,10 @@ std::vector<graph::Neighbor> SongSearchOne(
   auto cand = block.AllocShared<VertexId>(graph.d_max());
   auto cand_dist = block.AllocShared<Dist>(graph.d_max());
 
-  // Compressed path: traversal distances come from the packed codes; the PQ
-  // LUT is built — and charged — once per query up front.
-  const bool quantized = ctx.quantized();
-  std::optional<data::CodeDistanceContext> code_ctx;
-  if (quantized) {
-    code_ctx.emplace(*ctx.quant, base.metric(), query);
-    warp.ChargeLutBuild(code_ctx->lut_build_words());
-  }
-
-  const auto compute_distance = [&](VertexId v) {
-    ++local.distance_computations;
-    if (quantized) {
-      warp.ChargeCodeDistance(code_ctx->code_bytes());
-      return code_ctx->One(v);
-    }
-    warp.ChargeDistance(base.dim());
-    return data::ExactDistance(base.metric(), base.Point(v), query);
-  };
+  // Float rows or packed codes; a PQ LUT is built — and charged — once per
+  // query up front.
+  const data::QueryDistance dist(base, query, ctx.quant);
+  warp.ChargeLutBuild(dist.lut_build_words());
   // Heap comparisons/swaps are host-lane ops; the visited structure prices
   // its own probes by memory tier. Both are charged as deltas per stage.
   std::size_t charged_heap_ops = 0;
@@ -143,7 +127,9 @@ std::vector<graph::Neighbor> SongSearchOne(
     }
   };
 
-  const Dist entry_dist = compute_distance(entry);
+  warp.ChargeDistance(dist.words());
+  ++local.distance_computations;
+  const Dist entry_dist = dist.One(entry);
   if (ctx.hardness != nullptr) ctx.hardness->entry_distance = entry_dist;
   candidates.InsertBounded({entry_dist, entry});
   visited->Insert(entry);
@@ -199,23 +185,12 @@ std::vector<graph::Neighbor> SongSearchOne(
 
     // Stage 2: bulk distance computation (all lanes cooperate per point;
     // partial sums combine via __shfl_xor_sync). The staged candidates are
-    // already contiguous, so the whole batch goes through the SIMD distance
-    // layer in one call; per-point simulated charges are unchanged.
-    if (num_cand > 0) {
-      if (quantized) {
-        for (std::size_t i = 0; i < num_cand; ++i) {
-          warp.ChargeCodeDistance(code_ctx->code_bytes());
-          ++local.distance_computations;
-          cand_dist[i] = code_ctx->One(cand[i]);
-        }
-      } else {
-        data::DistanceMany(base, cand.subspan(0, num_cand), query,
-                           cand_dist.subspan(0, num_cand));
-        for (std::size_t i = 0; i < num_cand; ++i) {
-          warp.ChargeDistance(base.dim());
-          ++local.distance_computations;
-        }
-      }
+    // already contiguous, so the whole batch is computed in one call; the
+    // simulated cost is charged per point.
+    dist.Many(cand.first(num_cand), cand_dist.first(num_cand));
+    for (std::size_t i = 0; i < num_cand; ++i) {
+      warp.ChargeDistance(dist.words());
+      ++local.distance_computations;
     }
     stages.End(1);
 
@@ -246,23 +221,11 @@ std::vector<graph::Neighbor> SongSearchOne(
           (sorted.empty() ? 0.0
                           : static_cast<double>(std::bit_width(sorted.size()))),
       gpusim::CostCategory::kOther);  // final heap drain / write-back
-  // Tombstoned vertices route the walk but never reach the result set (the
-  // branch is never taken on an unmutated graph).
-  if (graph.HasTombstones()) {
-    std::erase_if(sorted, [&](const graph::Neighbor& n) {
-      return !graph.IsLive(n.id);
-    });
-  }
-  if (quantized) {
-    // Stage two: exact float rerank of the top rerank_factor * k drained
-    // candidates (full-width reads, charged like exact distances).
-    const std::size_t evals =
-        graph::ExactRerank(base, query, sorted, params.k,
-                           ctx.quant->rerank_factor);
-    for (std::size_t i = 0; i < evals; ++i) warp.ChargeDistance(base.dim());
-    local.distance_computations += static_cast<std::uint32_t>(evals);
-  }
-  if (sorted.size() > params.k) sorted.resize(params.k);
+  // Rerank distances are full-width reads, charged like exact distances.
+  const std::size_t evals =
+      graph::FinishResults(graph, base, query, dist, sorted, params.k);
+  for (std::size_t i = 0; i < evals; ++i) warp.ChargeDistance(base.dim());
+  local.distance_computations += static_cast<std::uint32_t>(evals);
   if (ctx.hardness != nullptr) {
     ctx.hardness->visited = local.distance_computations;
     ctx.hardness->budget = static_cast<std::uint32_t>(params.queue_size);
@@ -283,10 +246,6 @@ graph::BatchSearchResult SongSearchBatch(gpusim::Device& device,
                                          int block_lanes, VertexId entry,
                                          std::vector<SongQueryProfile>* profiles,
                                          const graph::SearchContext& ctx) {
-  GANNS_CHECK(base.dim() == queries.dim());
-  graph::BatchSearchResult batch;
-  batch.results.resize(queries.size());
-
   std::vector<SongQueryProfile> metrics_profiles;
   if (profiles == nullptr && obs::MetricsEnabled()) {
     profiles = &metrics_profiles;
@@ -295,18 +254,13 @@ graph::BatchSearchResult SongSearchBatch(gpusim::Device& device,
     profiles->assign(queries.size(), SongQueryProfile{});
   }
 
-  batch.kernel = device.Launch(
-      "song_search", static_cast<int>(queries.size()), block_lanes,
-      [&](gpusim::BlockContext& block) {
-        const VertexId q = static_cast<VertexId>(block.block_id());
-        SongQueryProfile* profile =
-            profiles != nullptr ? &(*profiles)[q] : nullptr;
-        const std::vector<graph::Neighbor> found =
-            SongSearchOne(block, graph, base, queries.Point(q), params, entry,
-                          profile, ctx.ForQuery(q));
-        auto& out = batch.results[q];
-        out.reserve(found.size());
-        for (const graph::Neighbor& n : found) out.push_back(n.id);
+  graph::BatchSearchResult batch = graph::LaunchSearchBatch(
+      device, "song_search", base, queries, block_lanes,
+      [&](gpusim::BlockContext& block, VertexId q) {
+        return SongSearchOne(block, graph, base, queries.Point(q), params,
+                             entry,
+                             profiles != nullptr ? &(*profiles)[q] : nullptr,
+                             ctx.ForQuery(q));
       });
 
   if (obs::MetricsEnabled() && profiles != nullptr) {
@@ -321,11 +275,6 @@ graph::BatchSearchResult SongSearchBatch(gpusim::Device& device,
     }
     registry.GetCounter("song.queries").Add(queries.size());
   }
-
-  batch.sim_seconds = device.CyclesToSeconds(batch.kernel.sim_cycles);
-  batch.qps = batch.sim_seconds > 0
-                  ? static_cast<double>(queries.size()) / batch.sim_seconds
-                  : 0;
   return batch;
 }
 

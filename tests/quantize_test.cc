@@ -3,7 +3,7 @@
 //  * SQ8 roundtrip error is bounded by the per-dimension quantization step
 //    and PQ encoding picks the nearest centroid of every subspace;
 //  * the approximate code distance agrees with the exact distance to the
-//    decoded (reconstructed) vector, and CodeDistanceContext is *bit
+//    decoded (reconstructed) vector, and data::QueryDistance is *bit
 //    identical* under the portable and the AVX2 kernel sets — the same
 //    determinism contract as the float distance layer;
 //  * two-stage search (code distances in the loop, exact rerank before
@@ -31,6 +31,7 @@
 #include "data/distance_kernels.h"
 #include "data/ground_truth.h"
 #include "data/quantize.h"
+#include "data/query_distance.h"
 #include "data/synthetic.h"
 #include "graph/cpu_nsw.h"
 #include "graph/rerank.h"
@@ -135,7 +136,7 @@ TEST_F(QuantizeTest, CodeDistanceMatchesDecodedVector) {
       const QuantizedCodes codes = QuantizedCodes::EncodeAll(q, base);
       ASSERT_EQ(codes.size(), base.size());
       const SearchQuantization quant{&q, &codes, 4};
-      const CodeDistanceContext ctx(quant, metric, query);
+      const QueryDistance ctx(base, query, &quant);
 
       std::vector<float> decoded(base.dim());
       for (std::size_t i = 0; i < base.size(); ++i) {
@@ -167,20 +168,24 @@ TEST_F(QuantizeTest, CodeDistanceBitIdenticalAcrossKernelSets) {
   std::vector<float> query(base.dim());
   for (auto& x : query) x = rng.NextUniform(-2.0f, 2.0f);
 
-  // The context takes its SQ8 kernel from the set active at construction.
-  const auto distances = [&](const internal::KernelSet& set, Metric metric) {
+  // The evaluator takes its SQ8 kernel from the set active at construction.
+  const auto distances = [&](const internal::KernelSet& set,
+                             const Dataset& rows) {
     const internal::ScopedKernelSet scoped(set);
-    const CodeDistanceContext ctx(quant, metric, query);
+    const QueryDistance ctx(rows, query, &quant);
     std::vector<Dist> out(base.size());
     for (std::size_t i = 0; i < base.size(); ++i) {
       out[i] = ctx.One(static_cast<VertexId>(i));
     }
     return out;
   };
-  for (const Metric metric : {Metric::kL2, Metric::kCosine}) {
+  // Code distances read the codes and the base's metric, not its rows: the
+  // cosine twin only supplies the metric.
+  const Dataset cosine = RandomDataset(64, 129, Metric::kCosine, 23);
+  for (const Dataset* rows : {&base, &cosine}) {
     const std::vector<Dist> want =
-        distances(internal::kPortableKernels, metric);
-    const std::vector<Dist> got = distances(*avx2, metric);
+        distances(internal::kPortableKernels, *rows);
+    const std::vector<Dist> got = distances(*avx2, *rows);
     for (std::size_t i = 0; i < base.size(); ++i) {
       EXPECT_EQ(std::memcmp(&want[i], &got[i], sizeof(Dist)), 0)
           << "slot " << i << " want " << want[i] << " got " << got[i];
